@@ -16,14 +16,12 @@ from .ops import (
     abs_,
     add,
     avg_pool2d,
-    broadcast_to,
     clip,
     concat,
     conv2d,
     conv_transpose2d,
     correlate,
     div,
-    exp,
     grid_sample,
     log,
     matmul,
@@ -39,7 +37,6 @@ from .ops import (
     sum_,
     tanh_,
     transpose,
-    upsample_bilinear,
 )
 from .gradcheck import GradCheckReport, grad_check
 
@@ -47,9 +44,8 @@ __all__ = [
     "Tensor", "Tape", "backward", "active_tape", "as_tensor",
     "ShapeError", "NonFiniteError", "TapeError", "set_debug_nan",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "reshape", "broadcast_to", "concat", "slice_", "sum_", "mean",
-    "sigmoid", "tanh_", "relu", "exp", "log", "abs_", "clip", "softmax",
-    "conv2d", "conv_transpose2d", "avg_pool2d", "upsample_bilinear",
-    "grid_sample", "correlate",
+    "reshape", "concat", "slice_", "sum_", "mean",
+    "sigmoid", "tanh_", "relu", "log", "abs_", "clip", "softmax",
+    "conv2d", "conv_transpose2d", "avg_pool2d", "grid_sample", "correlate",
     "grad_check", "GradCheckReport",
 ]

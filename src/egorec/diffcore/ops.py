@@ -144,14 +144,6 @@ def reshape(a, shape) -> Tensor:
     return _result("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _result(
-        "broadcast", np.broadcast_to(a.data, shape), (a,),
-        lambda g: (_unbroadcast(g, a.data.shape),),
-    )
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = tuple(as_tensor(t) for t in tensors)
     sizes = [t.data.shape[axis] for t in ts]
@@ -234,12 +226,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     # subgradient at 0 is defined as 0 (strict inequality)
     return _result("relu", np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _result("exp", out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
@@ -373,43 +359,6 @@ def avg_pool2d(x, k: int = 2) -> Tensor:
         return (np.repeat(np.repeat(g, k, axis=1), k, axis=2),)
 
     return _result("avg_pool2d", out, (x,), bwd)
-
-
-def upsample_bilinear(x, out_hw) -> Tensor:
-    """Bilinear resize of an NHWC tensor (align-corners)."""
-    x = as_tensor(x)
-    n, h, w, c = x.data.shape
-    oh, ow = out_hw
-    ys = np.linspace(0.0, h - 1.0, oh) if oh > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, ow) if ow > 1 else np.zeros(1)
-    y0 = np.minimum(np.floor(ys).astype(np.int64), h - 2 if h > 1 else 0)
-    x0 = np.minimum(np.floor(xs).astype(np.int64), w - 2 if w > 1 else 0)
-    fy = (ys - y0).reshape(1, oh, 1, 1)
-    fx = (xs - x0).reshape(1, 1, ow, 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-
-    def gather(yi, xi):
-        return x.data[:, yi][:, :, xi]
-
-    out = (
-        gather(y0, x0) * (1 - fy) * (1 - fx)
-        + gather(y0, x1) * (1 - fy) * fx
-        + gather(y1, x0) * fy * (1 - fx)
-        + gather(y1, x1) * fy * fx
-    )
-
-    def bwd(g):
-        gx = np.zeros((h * w, n, c), dtype=g.dtype)
-        gmoved = g.transpose(1, 2, 0, 3)  # (oh, ow, n, c)
-        for yi, wy in ((y0, 1 - fy), (y1, fy)):
-            for xi, wx in ((x0, 1 - fx), (x1, fx)):
-                wgt = (wy * wx).reshape(oh, ow, 1, 1)
-                flat = (yi[:, None] * w + xi[None, :]).reshape(-1)
-                np.add.at(gx, flat, (gmoved * wgt).reshape(oh * ow, n, c))
-        return (gx.reshape(h, w, n, c).transpose(2, 0, 1, 3),)
-
-    return _result("upsample_bilinear", out.astype(x.data.dtype, copy=False), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

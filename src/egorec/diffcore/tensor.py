@@ -114,11 +114,10 @@ class Tape:
     in reverse. A tape can be consumed by backward only once.
     """
 
-    __slots__ = ("nodes", "watched", "consumed")
+    __slots__ = ("nodes", "consumed")
 
     def __init__(self):
         self.nodes: list[tuple] = []  # (out, inputs, backward_fn, op_name)
-        self.watched: list[Tensor] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -129,10 +128,6 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
         return False
-
-    def watch(self, *tensors: Tensor) -> None:
-        """Guarantee these tensors receive a gradient (zeros if unused)."""
-        self.watched.extend(tensors)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -145,8 +140,8 @@ def active_tape() -> Tape | None:
 def backward(tape: Tape, loss: Tensor, params=None) -> None:
     """Accumulate d(loss)/d(tensor) into ``.grad`` for every tracked tensor.
 
-    ``loss`` must be a scalar recorded on ``tape``. Watched or ``params``
-    tensors that the loss does not depend on get an exact-zero gradient.
+    ``loss`` must be a scalar recorded on ``tape``. ``params`` tensors that
+    the loss does not depend on get an exact-zero gradient.
     """
     if tape.consumed:
         raise TapeError("backward called twice on a consumed record")
@@ -182,7 +177,7 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
     for key, g in grads.items():
         _accumulate(hold[key], g)
 
-    for p in list(tape.watched) + (list(params) if params is not None else []):
+    for p in params or ():
         if p.requires_grad and p.grad is None:
             p.grad = np.zeros_like(p.data)
 

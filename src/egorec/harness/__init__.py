@@ -7,7 +7,7 @@ from .model import InteractionModel
 from .optim import Adam
 from .train import MetricsReport, evaluate, evaluate_clips, load_model, run_phase, train
 from .ablate import AblationRow, ablate, parse_variants, write_report
-from .checkpoint import load_checkpoint, save_checkpoint, split_optimizer
+from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "TrainConfig", "load_config", "parse_config",
@@ -15,5 +15,5 @@ __all__ = [
     "InteractionModel", "Adam",
     "MetricsReport", "train", "evaluate", "evaluate_clips", "run_phase", "load_model",
     "AblationRow", "ablate", "parse_variants", "write_report",
-    "save_checkpoint", "load_checkpoint", "split_optimizer",
+    "save_checkpoint", "load_checkpoint",
 ]

@@ -17,7 +17,7 @@ from ..diffcore import Tape, Tensor, backward
 from ..interact import FEATURE_SETS, VARIANTS, InteractiveClassifier, classification_loss
 from ..synthdata import DatasetManifest, load_split, sample_frames
 from .config import TrainConfig
-from .model import InteractionModel
+from .model import InteractionModel, interaction_head
 from .optim import Adam
 from .train import run_phase
 
@@ -112,12 +112,7 @@ def ablate(manifest: DatasetManifest, config: TrainConfig,
         feats_te, labels_te = extract_features(model, test_clips, config)
         for variant, featset in variants:
             head_rng = np.random.default_rng(seed + 1)
-            head = InteractiveClassifier(
-                appear_dim=config.channels, motion_dim=config.motion_dim,
-                num_classes=config.num_classes, rng=head_rng,
-                proj_dim=config.proj_dim, hidden=config.hidden_dim,
-                variant=variant, features=featset, dropout_ratio=config.dropout,
-                motion_dim_ego=model.motion.global_dim)
+            head = interaction_head(config, head_rng, model.motion.global_dim, variant, featset)
             train_head(head, feats_tr, labels_tr, config, head_rng)
             acc = eval_head(head, feats_te, labels_te)
             rows.append(AblationRow(variant=variant, features=featset,

@@ -19,6 +19,7 @@ it is independent of host byte order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,36 +56,48 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str,
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, str]:
-    """Return (tensor table, config text, stage marker)."""
+    """Return (tensor table, config text, stage marker).
+
+    A truncated, corrupt or incomplete file raises ``ValueError`` naming it.
+    """
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
-    table: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        dims = np.frombuffer(raw, dtype="<u4", count=rank, offset=offset)
-        offset += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-        offset += 4 * n
-        table[name] = data.reshape(dims.astype(np.int64)).astype(np.float32)
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
-    config_text = _decode_text(table.pop("meta/config"))
-    stage = _decode_text(table.pop("meta/stage"))
+    try:
+        table = _read_table(raw)
+        for key in ("meta/config", "meta/stage"):
+            if key not in table:
+                raise ValueError(f"no {key} entry")
+        config_text = _decode_text(table.pop("meta/config"))
+        stage = _decode_text(table.pop("meta/stage"))
+    except ValueError as err:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {err}") from err
     return table, config_text, stage
 
 
-def split_optimizer(table: dict[str, np.ndarray]):
-    params = {k: v for k, v in table.items() if not k.startswith("opt/")}
-    opt = {k: v for k, v in table.items() if k.startswith("opt/")}
-    return params, opt
+def _read_table(raw: bytes) -> dict[str, np.ndarray]:
+    offset = 0
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise ValueError(f"truncated: {n} bytes needed at offset {offset}, "
+                             f"file has {len(raw)}")
+        offset += n
+        return raw[offset - n:offset]
+
+    magic = take(4)
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r}")
+    version, count = struct.unpack("<II", take(8))
+    if version != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    table: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode("utf-8")
+        (rank,) = take(1)
+        dims = np.frombuffer(take(4 * rank), dtype="<u4").tolist()
+        data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+        table[name] = data.reshape(dims).astype(np.float32)
+    if offset != len(raw):
+        raise ValueError(f"{len(raw) - offset} trailing bytes")
+    return table

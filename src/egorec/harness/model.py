@@ -3,8 +3,10 @@
 One forward pass consumes a batch of sampled clips. Frames run through the
 backbone and mask decoder as one flat batch; consecutive-frame pairs run
 through the motion estimator as another flat batch; the per-step stream
-features then drive the recurrent classifier. ``needs`` flags skip whole
-branches so the staged training phases only pay for what they use.
+features then drive the recurrent classifier. The ``need_*`` flags of
+``forward`` skip whole branches, so the staged training phases only pay for
+what they use. ``stream_features`` runs the same front end and stops at the
+stream features, which the ablation heads train on.
 """
 
 from __future__ import annotations
@@ -35,9 +37,39 @@ class ForwardResult:
     motion_est: object = None
 
 
+def interaction_head(config: TrainConfig, rng: np.random.Generator, motion_dim_ego: int,
+                     variant: str = "full", features: str = "both") -> InteractiveClassifier:
+    """The recurrent classifier at ``config``'s sizes; ``motion_dim_ego`` is the
+    motion module's global embedding width."""
+    return InteractiveClassifier(
+        appear_dim=config.channels, motion_dim=config.motion_dim,
+        num_classes=config.num_classes, rng=rng, proj_dim=config.proj_dim,
+        hidden=config.hidden_dim, variant=variant, features=features,
+        dropout_ratio=config.dropout, motion_dim_ego=motion_dim_ego)
+
+
+def _pairs(x: Tensor, batch: int, take_prev: bool) -> Tensor:
+    """(B*N, ...) per-frame rows -> (B*(N-1), ...) rows of each consecutive
+    pair's earlier (``take_prev``) or later frame."""
+    n = x.shape[0] // batch
+    full = dc.reshape(x, (batch, n) + x.shape[1:])
+    sl = full[:, :-1] if take_prev else full[:, 1:]
+    return dc.reshape(sl, (batch * (n - 1),) + x.shape[1:])
+
+
+def _streams(feats: Tensor, masks, est, batch: int):
+    """Per-step (f_ga, f_gm, f_la, f_lm), each (B, S, dim)."""
+    # weighted_pool is recorded before global_pool: the order in which
+    # backward sums the features' gradients depends on it
+    f_la = weighted_pool(feats, masks.m0)
+    f_ga = global_pool(feats)
+    seq = lambda x: dc.reshape(x, (batch, x.shape[0] // batch, x.shape[-1]))
+    return (seq(_pairs(f_ga, batch, False)), seq(est.f_gm),
+            seq(_pairs(f_la, batch, False)), seq(est.f_lm))
+
+
 class InteractionModel(Module):
-    def __init__(self, config: TrainConfig, rng: np.random.Generator,
-                 variant: str = "full", features: str = "both"):
+    def __init__(self, config: TrainConfig, rng: np.random.Generator):
         self.config = config
         bb = BackboneConfig(config.frame_height, config.frame_width,
                             stride=8, channels_out=config.channels)
@@ -47,11 +79,7 @@ class InteractionModel(Module):
                                       (config.frame_height, config.frame_width),
                                       rng, max_displacement=config.max_displacement,
                                       embed_dim=config.motion_dim)
-        self.interact = InteractiveClassifier(
-            appear_dim=config.channels, motion_dim=config.motion_dim,
-            num_classes=config.num_classes, rng=rng, proj_dim=config.proj_dim,
-            hidden=config.hidden_dim, variant=variant, features=features,
-            dropout_ratio=config.dropout, motion_dim_ego=self.motion.global_dim)
+        self.interact = interaction_head(config, rng, self.motion.global_dim)
 
     # parameter groups for the staged schedule
     def group(self, name: str):
@@ -63,42 +91,36 @@ class InteractionModel(Module):
         return (self.group("backbone") + self.group("attention")
                 + self.group("motion") + self.group("interact"))
 
+    # front end shared by forward and stream_features
+
+    def _features_and_masks(self, frames: np.ndarray):
+        b, n, h, w, _ = frames.shape
+        feats = self.backbone.extract(Tensor(frames.reshape(b * n, h, w, 3)))
+        return feats, self.attention.predict_masks(feats)
+
+    def _pair_motion(self, feats: Tensor, masks, batch: int):
+        return self.motion.estimate(_pairs(feats, batch, True), _pairs(feats, batch, False),
+                                    _pairs(masks.m0, batch, False))
+
     def forward(self, frames: np.ndarray, ref_masks: np.ndarray | None,
                 labels: np.ndarray | None, rng: np.random.Generator | None = None,
                 need_seg: bool = False, need_rec: bool = False,
                 need_cls: bool = False, keep_outputs: bool = False) -> ForwardResult:
         """Run the pipeline on (B, N, H, W, 3) sampled frames in [0, 1]."""
         b, n, h, w, _ = frames.shape
-        s = n - 1
         res = ForwardResult()
-
-        flat = Tensor(frames.reshape(b * n, h, w, 3))
-        feats = self.backbone.extract(flat)
-        h0, w0, c = feats.shape[1:]
-        masks = self.attention.predict_masks(feats)
-
+        feats, masks = self._features_and_masks(frames)
         if need_seg:
             res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w),
                                           include_coarsest=bool(self.config.seg_coarse))
-
-        need_motion = need_rec or need_cls
-        if not need_motion:
+        if not (need_rec or need_cls):
             return res
-
-        def pairs(x, take_prev):
-            full = dc.reshape(x, (b, n) + x.shape[1:])
-            sl = full[:, :-1] if take_prev else full[:, 1:]
-            return dc.reshape(sl, (b * s,) + x.shape[1:])
-
-        f_prev = pairs(feats, True)
-        f_cur = pairs(feats, False)
-        m0_cur = pairs(masks.m0, False)
-        m3_cur = pairs(masks.m3, False)
-        est = self.motion.estimate(f_prev, f_cur, m0_cur)
+        est = self._pair_motion(feats, masks, b)
 
         if need_rec:
-            prev_img = Tensor(frames[:, :-1].reshape(b * s, h, w, 3))
-            cur_img = Tensor(frames[:, 1:].reshape(b * s, h, w, 3))
+            m3_cur = _pairs(masks.m3, b, False)
+            prev_img = Tensor(frames[:, :-1].reshape(b * (n - 1), h, w, 3))
+            cur_img = Tensor(frames[:, 1:].reshape(b * (n - 1), h, w, 3))
             recon = warp_previous(prev_img, est, m3_cur)
             res.l_rec = reconstruction_loss(cur_img, recon)
             res.l_smooth = smoothness_loss(est.field, m3_cur)
@@ -106,17 +128,9 @@ class InteractionModel(Module):
                 res.recon = recon
 
         if need_cls:
-            f_la = weighted_pool(feats, masks.m0)
-            f_ga = global_pool(feats)
-            cur = lambda x: dc.reshape(pairs(x, False), (b, s, x.shape[-1]))
-            f_ga_seq = cur(f_ga)
-            f_la_seq = cur(f_la)
-            f_gm_seq = dc.reshape(est.f_gm, (b, s, est.f_gm.shape[-1]))
-            f_lm_seq = dc.reshape(est.f_lm, (b, s, est.f_lm.shape[-1]))
-            _, probs = self.interact.classify(f_ga_seq, f_gm_seq, f_la_seq, f_lm_seq, rng)
-            res.probs = probs
+            _, res.probs = self.interact.classify(*_streams(feats, masks, est, b), rng)
             if labels is not None:
-                res.l_cls = classification_loss(probs, labels)
+                res.l_cls = classification_loss(res.probs, labels)
 
         if keep_outputs:
             res.masks_m3 = masks.m3
@@ -124,25 +138,10 @@ class InteractionModel(Module):
         return res
 
     def stream_features(self, frames: np.ndarray):
-        """Per-step raw stream features as numpy, for cached-feature training.
-
-        Returns (f_ga, f_gm, f_la, f_lm), each (B, S, dim).
+        """The per-step stream features ``forward`` classifies, as numpy, for
+        cached-feature training. Returns (f_ga, f_gm, f_la, f_lm), each (B, S, dim).
         """
-        b, n, h, w, _ = frames.shape
-        s = n - 1
-        flat = Tensor(frames.reshape(b * n, h, w, 3))
-        feats = self.backbone.extract(flat)
-        masks = self.attention.predict_masks(feats)
-        f_la = weighted_pool(feats, masks.m0)
-        f_ga = global_pool(feats)
-
-        def pairs(x, take_prev):
-            full = dc.reshape(x, (b, n) + x.shape[1:])
-            sl = full[:, :-1] if take_prev else full[:, 1:]
-            return dc.reshape(sl, (b * s,) + x.shape[1:])
-
-        est = self.motion.estimate(pairs(feats, True), pairs(feats, False),
-                                   pairs(masks.m0, False))
-        seq = lambda x: pairs(x, False).numpy().reshape(b, s, -1)
-        return (seq(f_ga), est.f_gm.numpy().reshape(b, s, -1),
-                seq(f_la), est.f_lm.numpy().reshape(b, s, -1))
+        b = frames.shape[0]
+        feats, masks = self._features_and_masks(frames)
+        est = self._pair_motion(feats, masks, b)
+        return tuple(x.numpy() for x in _streams(feats, masks, est, b))

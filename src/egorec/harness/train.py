@@ -11,7 +11,7 @@ stops on held-out accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from ..synthdata import (
     load_split,
     sample_frames,
 )
-from .checkpoint import load_checkpoint, save_checkpoint, split_optimizer
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config
 from .losses import LossBundle, total_loss
 from .model import InteractionModel
@@ -47,7 +47,6 @@ class TrainState:
     model: InteractionModel
     optimizer: Adam | None
     stage: str
-    history: list[LossBundle] = field(default_factory=list)
 
 
 def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
@@ -220,8 +219,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         table, cfg_text, marker = load_checkpoint(ckpt_path)
         if marker not in ("1a", "1b", "1c", "2"):
             raise ValueError(f"unexpected stage marker {marker!r} in {ckpt_path}")
-        params, _ = split_optimizer(table)
-        _load_model(model, params)
+        model.load_state_arrays(table)
         phases = ["2"]
     elif stage == "1":
         phases = ["1a", "1b", "1c"]
@@ -238,24 +236,11 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
     return TrainState(model=model, optimizer=opt, stage=phases[-1])
 
 
-def _load_model(model: InteractionModel, params: dict[str, np.ndarray]) -> None:
-    own = dict(model.all_named())
-    missing = set(own) - set(params)
-    if missing:
-        raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:4]}...")
-    for name, p in own.items():
-        arr = params[name]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"{name}: checkpoint shape {arr.shape} != {p.data.shape}")
-        p.data = arr.astype(p.data.dtype)
-
-
 def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:
     table, cfg_text, stage = load_checkpoint(ckpt_path)
     config = parse_config(cfg_text)
     model = InteractionModel(config, np.random.default_rng(config.seed))
-    params, _ = split_optimizer(table)
-    _load_model(model, params)
+    model.load_state_arrays(table)
     return model, config, stage
 
 

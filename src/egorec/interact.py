@@ -2,20 +2,30 @@
 
 The camera-wearer stream (global appearance + global motion) and the
 interactor stream (local appearance + local motion) are projected to a
-shared width and fed to two LSTM blocks that cross-gate each other: each
-block's gate pre-activation receives a relu-modulated signal computed from
-the other block's previous hidden state. A relation branch applies
+shared width and fed to two LSTM cells that cross-gate each other: each
+cell's gate pre-activation receives a relu-modulated signal computed from
+the other cell's previous hidden state. A relation branch applies
 tanh(F_ego + F_exo) per step and integrates it with a plain LSTM whose
 final state feeds the classifier.
 
-Ablation variants reuse the same machinery: single-stream and concat
-variants run one plain LSTM, `sym` drops the relation branch, `rel` drops
-the cross-gating.
+Every variant runs the same cells and the same loop; each ablation drops
+one piece:
+
+    variant   cell inputs    cross-gate   relation
+    ego       ego            no           no
+    exo       exo            no           no
+    concat    [ego; exo]     no           no
+    sym       ego, exo       yes          no
+    rel       ego, exo       no           yes
+    full      ego, exo       yes          yes
+
+Without the relation branch the classifier reads the final hidden states
+(concatenated when there are two).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,83 +33,90 @@ from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
 from .nn import Linear, Module, dropout, uniform_init
 
-VARIANTS = ("ego", "exo", "concat", "sym", "rel", "full")
+# variant -> (input of each cell, cross-gated, relation branch)
+LAYOUT = {
+    "ego": (("ego",), False, False),
+    "exo": (("exo",), False, False),
+    "concat": (("concat",), False, False),
+    "sym": (("ego", "exo"), True, False),
+    "rel": (("ego", "exo"), False, True),
+    "full": (("ego", "exo"), True, True),
+}
+VARIANTS = tuple(LAYOUT)
 FEATURE_SETS = ("appearance", "motion", "both")
 
 PROB_EPS = 1e-7
 
 
 @dataclass
-class DualState:
-    """Recurrent state after one step; all (B, hidden) arrays."""
+class State:
+    """Recurrent state after one step.
 
-    f_ego: Tensor
-    c_ego: Tensor
-    f_exo: Tensor
-    c_exo: Tensor
-    j_ego: Tensor  # modulated signal entering the ego block's next gates
-    j_exo: Tensor
+    ``f`` and ``c`` hold one (B, hidden) array per cell, in input order;
+    ``j`` holds the (B, 4*hidden) signal each cross-gated cell adds to its
+    next gates. ``r``, ``relation`` and ``c_rel`` belong to the relation
+    branch.
+    """
+
+    f: tuple[Tensor, ...]
+    c: tuple[Tensor, ...]
+    j: tuple[Tensor, ...] | None = None
     r: Tensor | None = None
     relation: Tensor | None = None
     c_rel: Tensor | None = None
 
 
-def _zeros(batch: int, dim: int, dtype) -> Tensor:
-    return Tensor(np.zeros((batch, dim), dtype=dtype))
+def _step_input(name: str, ego_seq: Tensor, exo_seq: Tensor, n: int) -> Tensor:
+    if name == "ego":
+        return ego_seq[:, n]
+    if name == "exo":
+        return exo_seq[:, n]
+    return dc.concat([ego_seq[:, n], exo_seq[:, n]], axis=1)
 
 
-def _split_gates(pre: Tensor, hidden: int):
-    i = dc.sigmoid(pre[:, :hidden])
-    o = dc.sigmoid(pre[:, hidden:2 * hidden])
-    g = dc.sigmoid(pre[:, 2 * hidden:3 * hidden])
-    a = dc.tanh_(pre[:, 3 * hidden:])
-    return i, o, g, a
+class LSTMCell(Module):
+    """LSTM with the [i; o; g; a] gate layout; holds {W, U, b}.
 
+    A cross-gated cell also holds {V, v}, from which it computes the
+    relu-modulated signal that enters its own gates next step.
+    """
 
-class GatedBlock(Module):
-    """One of the two symmetric blocks; holds {W, U, V, b, v}."""
-
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
+                 cross_gated: bool = False):
         self.hidden = hidden
         self.w = Tensor(uniform_init(rng, (in_dim, 4 * hidden), in_dim), requires_grad=True)
         self.u = Tensor(uniform_init(rng, (hidden, 4 * hidden), hidden), requires_grad=True)
-        self.v = Tensor(uniform_init(rng, (hidden, 4 * hidden), hidden), requires_grad=True)
+        # attribute order w, u, v, b, vb fixes the init draws and the checkpoint layout
+        if cross_gated:
+            self.v = Tensor(uniform_init(rng, (hidden, 4 * hidden), hidden), requires_grad=True)
         self.b = Tensor(np.zeros(4 * hidden, np.float32), requires_grad=True)
-        self.vb = Tensor(np.zeros(4 * hidden, np.float32), requires_grad=True)
+        if cross_gated:
+            self.vb = Tensor(np.zeros(4 * hidden, np.float32), requires_grad=True)
 
-    def gates(self, x: Tensor, f_prev: Tensor, j_prev: Tensor, c_prev: Tensor):
-        pre = dc.matmul(x, self.w) + dc.matmul(f_prev, self.u) + j_prev + self.b
-        i, o, g, a = _split_gates(pre, self.hidden)
+    def step(self, x: Tensor, f_prev: Tensor, c_prev: Tensor, j_prev: Tensor | None = None):
+        pre = dc.matmul(x, self.w) + dc.matmul(f_prev, self.u)
+        if j_prev is not None:
+            pre = pre + j_prev
+        pre = pre + self.b
+        h = self.hidden
+        i = dc.sigmoid(pre[:, :h])
+        o = dc.sigmoid(pre[:, h:2 * h])
+        g = dc.sigmoid(pre[:, 2 * h:3 * h])
+        a = dc.tanh_(pre[:, 3 * h:])
         c = i * a + g * c_prev
-        f = o * dc.tanh_(c)
-        return f, c
+        return o * dc.tanh_(c), c
 
     def modulate(self, dual_state: Tensor) -> Tensor:
-        """Signal this block injects into its own gates next step."""
+        """Signal this cell injects into its own gates next step."""
         return dc.relu(dc.matmul(dual_state, self.v) + self.vb)
-
-
-class BasicLSTMCell(Module):
-    """Plain LSTM with the shared [i; o; g; a] gate layout."""
-
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
-        self.hidden = hidden
-        self.w = Tensor(uniform_init(rng, (in_dim, 4 * hidden), in_dim), requires_grad=True)
-        self.u = Tensor(uniform_init(rng, (hidden, 4 * hidden), hidden), requires_grad=True)
-        self.b = Tensor(np.zeros(4 * hidden, np.float32), requires_grad=True)
-
-    def step(self, x: Tensor, h: Tensor, c: Tensor):
-        pre = dc.matmul(x, self.w) + dc.matmul(h, self.u) + self.b
-        i, o, g, a = _split_gates(pre, self.hidden)
-        c_new = i * a + g * c
-        return o * dc.tanh_(c_new), c_new
 
 
 class InteractiveClassifier(Module):
     """Projection + recurrent variant + classifier head.
 
-    ``variant`` selects the recurrent structure, ``features`` which raw
-    components feed each stream (appearance, motion, or both).
+    ``variant`` selects the recurrent structure (see ``LAYOUT``),
+    ``features`` which raw components feed each stream (appearance,
+    motion, or both). The cell reading input ``s`` is ``block_<s>``.
     """
 
     def __init__(self, appear_dim: int, motion_dim: int, num_classes: int,
@@ -112,6 +129,7 @@ class InteractiveClassifier(Module):
             raise ValueError(f"unknown feature set {features!r}; choose from {FEATURE_SETS}")
         self.variant = variant
         self.features = features
+        self.inputs, self.cross_gated, self.has_relation = LAYOUT[variant]
         self.num_classes = num_classes
         self.proj_dim = proj_dim
         self.hidden = hidden
@@ -123,51 +141,39 @@ class InteractiveClassifier(Module):
         self.proj_ego = Linear(dims[0], proj_dim, rng)
         self.proj_exo = Linear(dims[1], proj_dim, rng)
 
-        if variant in ("sym", "full"):
-            self.block_ego = GatedBlock(proj_dim, hidden, rng)
-            self.block_exo = GatedBlock(proj_dim, hidden, rng)
-        elif variant == "rel":
-            self.cell_ego = BasicLSTMCell(proj_dim, hidden, rng)
-            self.cell_exo = BasicLSTMCell(proj_dim, hidden, rng)
-        elif variant == "concat":
-            self.cell = BasicLSTMCell(2 * proj_dim, hidden, rng)
-        else:  # ego / exo single stream
-            self.cell = BasicLSTMCell(proj_dim, hidden, rng)
-
-        if variant in ("rel", "full"):
-            self.relation_cell = BasicLSTMCell(hidden, hidden, rng)
-        cls_in = 2 * hidden if variant == "sym" else hidden
+        for name in self.inputs:
+            in_dim = 2 * proj_dim if name == "concat" else proj_dim
+            setattr(self, f"block_{name}", LSTMCell(in_dim, hidden, rng, self.cross_gated))
+        if self.has_relation:
+            self.relation_cell = LSTMCell(hidden, hidden, rng)
+        cls_in = hidden if self.has_relation else hidden * len(self.inputs)
         self.classifier = Linear(cls_in, num_classes, rng)
 
     # ------------------------------------------------------------------
-    # spec surface: one dual step, one relation step, full sequence
+    # spec surface: one step, full sequence
 
-    def initial_state(self, batch: int, dtype=np.float32) -> DualState:
-        h = self.hidden
-        z = lambda: _zeros(batch, h, dtype)
-        return DualState(f_ego=z(), c_ego=z(), f_exo=z(), c_exo=z(),
-                         j_ego=_zeros(batch, 4 * h, dtype), j_exo=_zeros(batch, 4 * h, dtype),
-                         r=None, relation=z(), c_rel=z())
+    def initial_state(self, batch: int, dtype=np.float32) -> State:
+        z = lambda dim: Tensor(np.zeros((batch, dim), dtype=dtype))
+        n, h = len(self.inputs), self.hidden
+        return State(f=tuple(z(h) for _ in range(n)), c=tuple(z(h) for _ in range(n)),
+                     j=tuple(z(4 * h) for _ in range(n)) if self.cross_gated else None,
+                     relation=z(h), c_rel=z(h))
 
-    def sym_step(self, state: DualState, ego_in: Tensor, exo_in: Tensor) -> DualState:
-        """Advance both blocks; each consumes the other's previous modulation.
+    def step(self, state: State, xs: tuple[Tensor, ...]) -> State:
+        """Advance every cell on its input in ``xs``, then the relation branch.
 
-        Both blocks update from the step-(n-1) state before either new
-        modulated signal is computed, so the result does not depend on
-        block order.
+        All cells update from the step-(n-1) state before any new modulated
+        signal is computed, so the result does not depend on cell order.
         """
-        f_e, c_e = self.block_ego.gates(ego_in, state.f_ego, state.j_ego, state.c_ego)
-        f_x, c_x = self.block_exo.gates(exo_in, state.f_exo, state.j_exo, state.c_exo)
-        j_e = self.block_ego.modulate(f_x)
-        j_x = self.block_exo.modulate(f_e)
-        return replace(state, f_ego=f_e, c_ego=c_e, f_exo=f_x, c_exo=c_x,
-                       j_ego=j_e, j_exo=j_x)
-
-    def relation_step(self, state: DualState) -> DualState:
-        """tanh-combine the two states and integrate with the relation LSTM."""
-        r = dc.tanh_(state.f_ego + state.f_exo)
-        rel, c_rel = self.relation_cell.step(r, state.relation, state.c_rel)
-        return replace(state, r=r, relation=rel, c_rel=c_rel)
+        cells = [getattr(self, f"block_{name}") for name in self.inputs]
+        js = state.j if self.cross_gated else (None,) * len(cells)
+        f, c = zip(*(cell.step(*args) for cell, *args in zip(cells, xs, state.f, state.c, js)))
+        j = (cells[0].modulate(f[1]), cells[1].modulate(f[0])) if self.cross_gated else None
+        if not self.has_relation:
+            return State(f=f, c=c, j=j)
+        r = dc.tanh_(f[0] + f[1])
+        relation, c_rel = self.relation_cell.step(r, state.relation, state.c_rel)
+        return State(f=f, c=c, j=j, r=r, relation=relation, c_rel=c_rel)
 
     def run_sequence(self, ego_seq: Tensor, exo_seq: Tensor,
                      rng: np.random.Generator | None = None):
@@ -181,42 +187,14 @@ class InteractiveClassifier(Module):
         batch, steps = ego_seq.shape[:2]
         if steps < 1:
             raise ShapeError("run_sequence: empty sequence")
-        dtype = ego_seq.dtype.type
-        variant = self.variant
-
-        if variant in ("ego", "exo", "concat"):
-            h = _zeros(batch, self.hidden, dtype)
-            c = _zeros(batch, self.hidden, dtype)
-            for n in range(steps):
-                if variant == "ego":
-                    x = ego_seq[:, n]
-                elif variant == "exo":
-                    x = exo_seq[:, n]
-                else:
-                    x = dc.concat([ego_seq[:, n], exo_seq[:, n]], axis=1)
-                h, c = self.cell.step(x, h, c)
-            readout = h
-        elif variant == "rel":
-            h_e = _zeros(batch, self.hidden, dtype)
-            c_e = _zeros(batch, self.hidden, dtype)
-            h_x = _zeros(batch, self.hidden, dtype)
-            c_x = _zeros(batch, self.hidden, dtype)
-            rel = _zeros(batch, self.hidden, dtype)
-            c_r = _zeros(batch, self.hidden, dtype)
-            for n in range(steps):
-                h_e, c_e = self.cell_ego.step(ego_seq[:, n], h_e, c_e)
-                h_x, c_x = self.cell_exo.step(exo_seq[:, n], h_x, c_x)
-                r = dc.tanh_(h_e + h_x)
-                rel, c_r = self.relation_cell.step(r, rel, c_r)
-            readout = rel
-        else:  # sym / full
-            state = self.initial_state(batch, dtype)
-            for n in range(steps):
-                state = self.sym_step(state, ego_seq[:, n], exo_seq[:, n])
-                if variant == "full":
-                    state = self.relation_step(state)
-            readout = (dc.concat([state.f_ego, state.f_exo], axis=1)
-                       if variant == "sym" else state.relation)
+        state = self.initial_state(batch, ego_seq.dtype.type)
+        for n in range(steps):
+            state = self.step(state, tuple(_step_input(name, ego_seq, exo_seq, n)
+                                           for name in self.inputs))
+        if self.has_relation:
+            readout = state.relation
+        else:
+            readout = state.f[0] if len(state.f) == 1 else dc.concat(list(state.f), axis=1)
 
         readout = dropout(readout, self.dropout_ratio, rng)
         logits = self.classifier(readout)

@@ -510,29 +510,46 @@ def write_manifest(manifest: DatasetManifest) -> None:
 
 
 def load_manifest(root) -> DatasetManifest:
+    """Read ``root/manifest.txt``; a malformed file raises ``ValueError`` naming it."""
     root = Path(root)
     path = root / "manifest.txt"
     header: dict[str, str] = {}
     entries: list[ClipRef] = []
+
+    def integer(text: str, what: str, where) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
+
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             if "\t" in line:
-                directory, label, split = line.split("\t")
+                where = f"{path}:{lineno}"
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError(f"{where}: expected directory, label and split, "
+                                     f"got {len(fields)} tab-separated fields")
+                directory, label, split = fields
                 if split not in ("train", "test"):
-                    raise ValueError(f"bad split {split!r} in {path}")
-                entries.append(ClipRef(directory=directory, label=int(label), split=split))
+                    raise ValueError(f"{where}: bad split {split!r}")
+                entries.append(ClipRef(directory=directory, label=integer(label, "label", where),
+                                       split=split))
             else:
                 key, _, value = line.partition("=")
                 header[key] = value
-    k = int(header["K"])
+    missing = [key for key in ("K", "variant", "seed") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: missing header {', '.join(missing)}")
+    k = integer(header["K"], "K", path)
     for e in entries:
         if not 0 <= e.label < k:
-            raise ValueError(f"label {e.label} out of range for K={k}")
+            raise ValueError(f"{path}: label {e.label} out of range for K={k}")
     return DatasetManifest(root=root, num_classes=k, variant=header["variant"],
-                           seed=int(header["seed"]), entries=entries)
+                           seed=integer(header["seed"], "seed", path), entries=entries)
 
 
 def load_split(manifest: DatasetManifest, split: str) -> list[VideoClip]:

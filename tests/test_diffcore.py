@@ -52,9 +52,8 @@ class TestBackwardExamples:
         x = t([1.0, 2.0], rg=True)
         p = t([5.0], rg=True)
         with Tape() as tape:
-            tape.watch(p)
             loss = dc.sum_(x * x)
-        backward(tape, loss)
+        backward(tape, loss, params=[p])
         np.testing.assert_array_equal(p.grad, [0.0])
 
     def test_sigmoid_at_zero_weight(self):
@@ -192,7 +191,6 @@ def test_primitive_grad_sweep(seed):
         (lambda u, v: _scalarize(dc.matmul(u, v)), [rt((2, 3, 4)), rt((4, 2))]),
         (lambda u: _scalarize(dc.transpose(u, (1, 0, 2))), [rt((2, 3, 2))]),
         (lambda u: _scalarize(dc.reshape(u, (6,))), [rt((2, 3))]),
-        (lambda u: _scalarize(dc.broadcast_to(u, (4, 3))), [rt((1, 3))]),
         (lambda u, v: _scalarize(dc.concat([u, v], axis=1)), [rt((2, 3)), rt((2, 2))]),
         (lambda u: _scalarize(u[1:, :2]), [rt((3, 4))]),
         (lambda u: dc.sum_(u * u, axis=0, keepdims=True)[0, 1], [rt((3, 4))]),
@@ -200,7 +198,6 @@ def test_primitive_grad_sweep(seed):
         (lambda u: _scalarize(dc.sigmoid(u)), [rt((3, 4))]),
         (lambda u: _scalarize(dc.tanh_(u)), [rt((3, 4))]),
         (lambda u: _scalarize(dc.relu(u)), [rt((3, 4))]),
-        (lambda u: _scalarize(dc.exp(u)), [rt((3, 4), lo=-1, hi=1)]),
         (lambda u: _scalarize(dc.log(u)), [rt((3, 4), lo=0.5, hi=3.0)]),
         (lambda u: _scalarize(dc.abs_(u)), [rt((3, 4))]),
         (lambda u: _scalarize(dc.clip(u, -1.0, 1.0)), [rt((3, 4))]),
@@ -212,7 +209,6 @@ def test_primitive_grad_sweep(seed):
         (lambda u, v, w: _scalarize(dc.conv_transpose2d(u, v, w, stride=2, pad=1)),
          [rt((1, 3, 4, 2)), rt((4, 4, 2, 2)), rt((2,))]),
         (lambda u: _scalarize(dc.avg_pool2d(u, 2)), [rt((2, 4, 4, 2))]),
-        (lambda u: _scalarize(dc.upsample_bilinear(u, (5, 7))), [rt((1, 3, 4, 2))]),
         (lambda u, v: _scalarize(dc.correlate(u, v, d=1)),
          [rt((1, 4, 5, 3)), rt((1, 4, 5, 3))]),
     ]
@@ -262,12 +258,6 @@ class TestOpSemantics:
         f = rng.normal(size=(2, 4, 5, 6))
         out = dc.correlate(t(f), t(f), d=2).numpy()
         np.testing.assert_allclose(out[..., 12], (f * f).mean(axis=-1), atol=1e-12)
-
-    def test_upsample_identity(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(1, 4, 6, 3))
-        out = dc.upsample_bilinear(t(x), (4, 6)).numpy()
-        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_grid_sample_center_of_2x2(self):
         img = t(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 2, 2, 1))

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from egorec.diffcore import Tape, Tensor, backward
+from egorec.diffcore import ShapeError, Tape, Tensor, backward
 from egorec.harness import (
     Adam,
     InteractionModel,
@@ -23,7 +23,7 @@ from egorec.harness import (
     write_report,
 )
 from egorec.harness.cli import main as cli_main
-from egorec.synthdata import GenConfig, generate_dataset, load_manifest, load_split
+from egorec.synthdata import GenConfig, generate_dataset, load_manifest, load_split, sample_frames
 
 TINY_GEN = GenConfig(height=16, width=32, length=6, area_range=(0.08, 0.14))
 
@@ -135,6 +135,59 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def _model_checkpoint(path, drop=None, reshape=None) -> None:
+    """A real model's parameters as a checkpoint, optionally with one
+    parameter left out or given the wrong shape."""
+    cfg = tiny_config()
+    model = InteractionModel(cfg, np.random.default_rng(0))
+    tensors = {n: p.data for n, p in model.all_named() if n != drop}
+    if reshape:
+        tensors[reshape] = tensors[reshape].reshape(-1)
+    save_checkpoint(path, tensors, cfg.to_text(), "2")
+
+
+class TestCorruptCheckpoint:
+    def offsets(self, raw):
+        """Start of the first tensor's name, dims and payload."""
+        (name_len,) = struct.unpack("<H", raw[12:14])
+        rank = raw[14 + name_len]
+        dims = 15 + name_len
+        return 14, dims, dims + 4 * rank
+
+    @pytest.mark.parametrize("where", ["header", "name_len", "name", "dims", "payload", "end"])
+    def test_truncated_names_the_file(self, tmp_path, where):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path)
+        raw = path.read_bytes()
+        name, dims, payload = self.offsets(raw)
+        cut = {"header": 6, "name_len": 13, "name": name + 3, "dims": dims + 2,
+               "payload": payload + 5, "end": len(raw) - 1}[where]
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_bad_utf8_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path)
+        raw = bytearray(path.read_bytes())
+        raw[14] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="utf-8") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["meta/config", "meta/stage"])
+    def test_missing_meta(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path)
+        renamed = key.replace("meta/", "meta_")
+        path.write_bytes(path.read_bytes().replace(key.encode(), renamed.encode()))
+        with pytest.raises(ValueError, match=f"no {key} entry") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
 class TestAdam:
     def test_descends_quadratic(self):
         import egorec.diffcore as dc
@@ -218,6 +271,30 @@ class TestTraining:
         assert direct.accuracy == reloaded.accuracy
         np.testing.assert_array_equal(direct.confusion, reloaded.confusion)
         assert direct.mean_loss == reloaded.mean_loss
+
+    def test_load_model_rejects_missing_parameter(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path, drop="interact.block_ego.v")
+        with pytest.raises(KeyError, match="interact.block_ego.v"):
+            load_model(path)
+
+    def test_load_model_rejects_wrong_shape(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path, reshape="interact.relation_cell.u")
+        with pytest.raises(ShapeError, match="interact.relation_cell.u"):
+            load_model(path)
+
+    def test_stream_features_are_what_forward_classifies(self, tiny_dataset):
+        manifest = load_manifest(tiny_dataset)
+        cfg = tiny_config()
+        model = InteractionModel(cfg, np.random.default_rng(4))
+        clips = load_split(manifest, "test")
+        frames = np.stack([sample_frames(c, cfg.num_frames).frames
+                           for c in clips]).astype(np.float32)
+        feats = model.stream_features(frames)
+        _, probs = model.interact.classify(*(Tensor(f) for f in feats), rng=None)
+        res = model.forward(frames, None, None, need_cls=True)
+        assert probs.numpy().tobytes() == res.probs.numpy().tobytes()
 
     def test_untrained_accuracy_near_chance(self, tiny_dataset):
         manifest = load_manifest(tiny_dataset)

@@ -3,12 +3,7 @@ import pytest
 
 import egorec.diffcore as dc
 from egorec.diffcore import ShapeError, Tensor, grad_check
-from egorec.interact import (
-    BasicLSTMCell,
-    GatedBlock,
-    InteractiveClassifier,
-    classification_loss,
-)
+from egorec.interact import InteractiveClassifier, classification_loss
 
 
 def make_model(variant="full", seed=0, hidden=6, proj=5, k=4, features="both"):
@@ -48,10 +43,10 @@ class TestSymStep:
             p.data = np.zeros_like(p.data)
         state = m.initial_state(2)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 5)).astype(np.float32))
-        out = m.sym_step(state, x, x)
-        assert not out.f_ego.numpy().any() and not out.f_exo.numpy().any()
-        assert not out.c_ego.numpy().any()
-        assert not out.j_ego.numpy().any() and not out.j_exo.numpy().any()
+        out = m.step(state, (x, x))
+        assert not out.f[0].numpy().any() and not out.f[1].numpy().any()
+        assert not out.c[0].numpy().any()
+        assert not out.j[0].numpy().any() and not out.j[1].numpy().any()
         # gates themselves: sigmoid(0) = 0.5, candidate tanh(0) = 0
         pre = dc.matmul(x, m.block_ego.w) + m.block_ego.b
         i = dc.sigmoid(pre[:, :m.hidden]).numpy()
@@ -70,11 +65,11 @@ class TestSymStep:
         sa = a.initial_state(3, np.float64)
         sb = b.initial_state(3, np.float64)
         for _ in range(4):
-            sa = a.sym_step(sa, x1, x2)
-            sb = b.sym_step(sb, x2, x1)
-        np.testing.assert_array_equal(sa.f_ego.numpy(), sb.f_exo.numpy())
-        np.testing.assert_array_equal(sa.f_exo.numpy(), sb.f_ego.numpy())
-        np.testing.assert_array_equal(sa.c_ego.numpy(), sb.c_exo.numpy())
+            sa = a.step(sa, (x1, x2))
+            sb = b.step(sb, (x2, x1))
+        np.testing.assert_array_equal(sa.f[0].numpy(), sb.f[1].numpy())
+        np.testing.assert_array_equal(sa.f[1].numpy(), sb.f[0].numpy())
+        np.testing.assert_array_equal(sa.c[0].numpy(), sb.c[1].numpy())
 
     def test_zero_cross_weights_reduce_to_plain_lstm(self):
         rng = np.random.default_rng(4)
@@ -88,8 +83,8 @@ class TestSymStep:
         state = m.initial_state(3, np.float64)
         got = []
         for n in range(20):
-            state = m.sym_step(state, Tensor(xs_e[:, n]), Tensor(xs_x[:, n]))
-            got.append(state.f_ego.numpy().copy())
+            state = m.step(state, (Tensor(xs_e[:, n]), Tensor(xs_x[:, n])))
+            got.append(state.f[0].numpy().copy())
         ref = reference_lstm(xs_e, m.block_ego.w.numpy(), m.block_ego.u.numpy(),
                              m.block_ego.b.numpy())
         np.testing.assert_allclose(np.stack(got, axis=1), ref, atol=1e-6)
@@ -97,24 +92,29 @@ class TestSymStep:
 
 class TestRelationStep:
     def test_opposite_states_cancel(self):
-        m = make_model(seed=6)
-        state = m.initial_state(2)
-        v = np.random.default_rng(7).normal(size=(2, 6)).astype(np.float32)
-        state.f_ego = Tensor(v)
-        state.f_exo = Tensor(-v)
-        out = m.relation_step(state)
-        np.testing.assert_array_equal(out.r.numpy(), np.zeros_like(v))
+        # the exo block is the ego block with its candidate (tanh) gate
+        # negated, so from a zero state one step gives f_exo = -f_ego
+        m = make_model(variant="rel", seed=6)
+        hidden = m.hidden
+        for name in ("w", "u", "b"):
+            arr = getattr(m.block_ego, name).data.copy()
+            arr[..., 3 * hidden:] *= -1.0
+            getattr(m.block_exo, name).data = arr
+        x = Tensor(np.random.default_rng(7).normal(size=(2, 5)).astype(np.float32))
+        out = m.step(m.initial_state(2), (x, x))
+        np.testing.assert_array_equal(out.f[1].numpy(), -out.f[0].numpy())
+        np.testing.assert_array_equal(out.r.numpy(), np.zeros((2, hidden), np.float32))
 
     def test_swap_invariance(self):
         m = make_model(seed=8)
+        swapped = make_model(seed=8)
+        swapped.block_ego, swapped.block_exo = swapped.block_exo, swapped.block_ego
         rng = np.random.default_rng(9)
-        a = rng.normal(size=(2, 6)).astype(np.float32)
-        b = rng.normal(size=(2, 6)).astype(np.float32)
-        s1 = m.initial_state(2)
-        s1.f_ego, s1.f_exo = Tensor(a), Tensor(b)
-        s2 = m.initial_state(2)
-        s2.f_ego, s2.f_exo = Tensor(b), Tensor(a)
-        o1, o2 = m.relation_step(s1), m.relation_step(s2)
+        a = Tensor(rng.normal(size=(2, 5)).astype(np.float32))
+        b = Tensor(rng.normal(size=(2, 5)).astype(np.float32))
+        o1 = m.step(m.initial_state(2), (a, b))
+        o2 = swapped.step(swapped.initial_state(2), (b, a))
+        np.testing.assert_array_equal(o1.f[0].numpy(), o2.f[1].numpy())
         np.testing.assert_array_equal(o1.r.numpy(), o2.r.numpy())
         np.testing.assert_array_equal(o1.relation.numpy(), o2.relation.numpy())
 
@@ -125,8 +125,7 @@ class TestRelationStep:
         state = m.initial_state(2)
         x = Tensor(np.random.default_rng(11).normal(size=(2, 5)).astype(np.float32))
         for _ in range(3):
-            state = m.sym_step(state, x, x)
-            state = m.relation_step(state)
+            state = m.step(state, (x, x))
         assert not state.relation.numpy().any()
 
 
@@ -186,6 +185,22 @@ class TestRunSequence:
         assert p1.numpy().tobytes() == p2.numpy().tobytes()
         _, p3 = m.run_sequence(ego, exo, rng=np.random.default_rng(1))
         assert p1.numpy().tobytes() != p3.numpy().tobytes()
+
+
+def test_rel_is_full_without_cross_gating():
+    rel = make_model(variant="rel", seed=23, k=4)
+    full = make_model(variant="full", seed=24, k=4)
+    for blk in (full.block_ego, full.block_exo):
+        blk.v.data = np.zeros_like(blk.v.data)
+        blk.vb.data = np.zeros_like(blk.vb.data)
+    # every rel parameter has a full counterpart of the same name
+    full.load_state_arrays(full.state_arrays() | rel.state_arrays())
+    rng = np.random.default_rng(25)
+    f = lambda d: Tensor(rng.normal(size=(3, 7, d)).astype(np.float32))
+    feats = (f(3), f(2), f(3), f(2))
+    _, p_rel = rel.classify(*feats, rng=None)
+    _, p_full = full.classify(*feats, rng=None)
+    assert p_rel.numpy().tobytes() == p_full.numpy().tobytes()
 
 
 class TestClassificationLoss:

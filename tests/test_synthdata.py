@@ -253,3 +253,32 @@ def test_relation_only_marginals_balanced():
             rights += np.diff(scene.cam_path[:, 1]).sum() > 0
         freq = rights / rng_range
         assert 0.4 <= freq <= 0.6, f"class {class_id}: camera-right freq {freq}"
+
+
+MANIFEST = "K=2\nvariant=standard\nseed=1\nc0\t0\ttrain\nc1\t1\ttest\n"
+
+
+class TestManifestErrors:
+    def test_well_formed(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text(MANIFEST)
+        man = load_manifest(tmp_path)
+        assert (man.num_classes, man.variant, man.seed) == (2, "standard", 1)
+        assert [(e.directory, e.label, e.split) for e in man.entries] == [
+            ("c0", 0, "train"), ("c1", 1, "test")]
+
+    @pytest.mark.parametrize("old, new, match", [
+        pytest.param("c1\t1\ttest", "c1\t1", ":5: expected .* got 2 tab-separated fields",
+                     id="two-fields"),
+        pytest.param("c1\t1\ttest", "c1\t1\ttest\tx",
+                     ":5: expected .* got 4 tab-separated fields", id="four-fields"),
+        pytest.param("c1\t1\t", "c1\tone\t", ":5: label 'one' is not an integer",
+                     id="label-not-int"),
+        pytest.param("K=2\n", "", "missing header K", id="no-K"),
+        pytest.param("variant=standard\n", "", "missing header variant", id="no-variant"),
+        pytest.param("seed=1\n", "", "missing header seed", id="no-seed"),
+    ])
+    def test_malformed_names_the_file(self, tmp_path, old, new, match):
+        (tmp_path / "manifest.txt").write_text(MANIFEST.replace(old, new))
+        with pytest.raises(ValueError, match=match) as err:
+            load_manifest(tmp_path)
+        assert str(tmp_path / "manifest.txt") in str(err.value)
