@@ -2,8 +2,10 @@
 
 Every op computes a numpy forward result and, when a tape is active and an
 input requires grad, appends a node whose backward closure maps the output
-gradient to per-input gradients. Shapes are validated eagerly; shape errors
-name the op and the offending shapes.
+gradient to per-input gradients. conv2d and grid_sample return None for an
+input that does not require grad (raw frames) instead of computing it.
+Shapes are validated eagerly; shape errors name the op and the offending
+shapes.
 
 Conventions:
   - images and feature maps are NHWC;
@@ -292,12 +294,15 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
         gflat = g.reshape(-1, co)
         cols2, _, _ = _im2col(x.data, kh, kw, stride, pad)
         gw = (cols2.reshape(-1, kh * kw * ci).T @ gflat).reshape(w.data.shape)
-        dcols = (gflat @ wmat.T).reshape(n, ho, wo, kh, kw, ci)
-        gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, ci), dtype=g.dtype)
-        for u in range(kh):
-            for v in range(kw):
-                gx[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, :, :, u, v]
-        gx = gx[:, pad:pad + h, pad:pad + wd] if pad else gx
+        gx = None
+        if x.requires_grad:
+            dcols = (gflat @ wmat.T).reshape(n, ho, wo, kh, kw, ci)
+            gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, ci), dtype=g.dtype)
+            for u in range(kh):
+                for v in range(kw):
+                    gx[:, u:u + stride * ho:stride,
+                       v:v + stride * wo:stride] += dcols[:, :, :, u, v]
+            gx = gx[:, pad:pad + h, pad:pad + wd] if pad else gx
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
@@ -398,15 +403,17 @@ def grid_sample(img, grid) -> Tensor:
     out = top * (1 - fy) + bot * fy
 
     def bwd(g):
-        gimg = np.zeros((n, h * w, c), dtype=g.dtype)
-        for yi, xi, wgt in (
-            (y0, x0, (1 - fy) * (1 - fx)),
-            (y0, x0 + 1, (1 - fy) * fx),
-            (y0 + 1, x0, fy * (1 - fx)),
-            (y0 + 1, x0 + 1, fy * fx),
-        ):
-            np.add.at(gimg, (bidx, yi * w + xi), g * wgt)
-        gimg = gimg.reshape(img.data.shape)
+        gimg = None
+        if img.requires_grad:
+            gimg = np.zeros((n, h * w, c), dtype=g.dtype)
+            for yi, xi, wgt in (
+                (y0, x0, (1 - fy) * (1 - fx)),
+                (y0, x0 + 1, (1 - fy) * fx),
+                (y0 + 1, x0, fy * (1 - fx)),
+                (y0 + 1, x0 + 1, fy * fx),
+            ):
+                np.add.at(gimg, (bidx, yi * w + xi), g * wgt)
+            gimg = gimg.reshape(img.data.shape)
 
         du = ((i01 - i00) * (1 - fy) + (i11 - i10) * fy) * g
         dv = ((i10 - i00) * (1 - fx) + (i11 - i01) * fx) * g

@@ -1,9 +1,11 @@
 """Dense tensors with a recorded forward pass and reverse-mode gradients.
 
 A ``Tape`` collects one op node per primitive call while it is active;
-``backward`` replays the nodes in reverse and accumulates gradients into
-``Tensor.grad``. Without an active tape every op is a plain numpy forward
-pass, which is what evaluation and finite-difference probing use.
+``backward`` pops the nodes off in reverse, so each node's output, closure
+and gradient are freed once it is replayed, and accumulates gradients into
+``Tensor.grad`` of the leaves only (tensors no node produced: parameters
+and inputs). Without an active tape every op is a plain numpy forward pass,
+which is what evaluation and finite-difference probing use.
 
 Training runs in float32; verification (gradient checking) runs in float64
 by constructing the inputs as float64 arrays. Ops never change dtype on
@@ -46,8 +48,9 @@ class Tensor:
     """A dense float array, optionally tracked for gradients.
 
     ``data`` is always a float32 or float64 numpy array. ``grad`` is filled
-    by ``backward`` and has the same shape and dtype as ``data``; it
-    accumulates across backward calls until ``zero_grad``.
+    by ``backward`` on leaves only (tensors no op produced under the tape)
+    and has the same shape and dtype as ``data``; it accumulates across
+    backward calls until ``zero_grad``. An op output's ``grad`` stays None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -111,7 +114,9 @@ class Tape:
 
     Nodes are appended in execution order, so the list is topologically
     sorted by construction and ``backward`` visits each node exactly once
-    in reverse. A tape can be consumed by backward only once.
+    in reverse. ``backward`` pops the nodes off ``nodes`` as it replays
+    them (the list object stays the same), so a consumed tape is empty;
+    it can be consumed only once.
     """
 
     __slots__ = ("nodes", "consumed")
@@ -138,10 +143,13 @@ def active_tape() -> Tape | None:
 
 
 def backward(tape: Tape, loss: Tensor, params=None) -> None:
-    """Accumulate d(loss)/d(tensor) into ``.grad`` for every tracked tensor.
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every tracked leaf.
 
-    ``loss`` must be a scalar recorded on ``tape``. ``params`` tensors that
-    the loss does not depend on get an exact-zero gradient.
+    ``loss`` must be a scalar recorded on ``tape``. Leaves are the tensors
+    no node produced (parameters and inputs); op outputs get no ``.grad``.
+    The tape is emptied in place as nodes are replayed, which frees each
+    node's output, saved buffers and gradient once it is done. ``params``
+    tensors that the loss does not depend on get an exact-zero gradient.
     """
     if tape.consumed:
         raise TapeError("backward called twice on a consumed record")
@@ -152,12 +160,13 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     hold = {id(loss): loss}
 
-    for out, inputs, bwd, op_name in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        out, inputs, bwd, op_name = nodes.pop()
         g = grads.pop(id(out), None)
         hold.pop(id(out), None)
         if g is None:
             continue
-        _accumulate(out, g)
         for inp, gi in zip(inputs, bwd(g)):
             if gi is None or not inp.requires_grad:
                 continue

@@ -6,17 +6,21 @@ reconstruction + smoothness, then the recurrent classifier against cross
 entropy. Stage 2 fine-tunes everything against the weighted sum of all
 four losses. The learning rate halves when the smoothed phase loss stops
 improving by 1% over ``plateau_patience`` epochs; stage 2 optionally early
-stops on held-out accuracy.
+stops on held-out accuracy. A non-finite batch loss stops training with a
+``NonFiniteError`` naming the phase, the epoch and the first op whose output
+was not finite.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..diffcore import Tape, backward
+from ..diffcore import NonFiniteError, ShapeError, Tape, backward, set_debug_nan
+from ..diffcore.tensor import debug_nan_enabled
 from ..synthdata import (
     AugmentConfig,
     DatasetManifest,
@@ -117,10 +121,6 @@ class _OptGroup:
     def __init__(self, opts):
         self.opts = opts
 
-    def zero_grad(self):
-        for o in self.opts:
-            o.zero_grad()
-
     def step(self):
         for o in self.opts:
             o.step()
@@ -158,12 +158,20 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
         for start in range(0, len(order), config.batch_size):
             batch = [clips[i] for i in order[start:start + config.batch_size]]
             frames, masks, labels = _batch_arrays(batch, config, rng, train_mode=True)
+            rng_before = copy.deepcopy(rng)
             with Tape() as tape:
                 res = model.forward(frames, masks, labels, rng=rng, **needs)
                 loss, bundle = pick(res)
-            opt.zero_grad()
+            if not np.isfinite(bundle.l_final):
+                op = _first_non_finite_op(model, (frames, masks, labels), needs, pick,
+                                          rng_before)
+                raise NonFiniteError(f"phase {phase} epoch {epoch + 1}/{epochs}: loss is "
+                                     f"{bundle.l_final}; first non-finite op: {op}")
             backward(tape, loss, params=params)
             opt.step()
+            # frozen groups get gradients too; clearing every parameter keeps
+            # them from piling up across steps and phases
+            model.zero_grad()
             epoch_loss += bundle.l_final
             nb += 1
         epoch_loss /= max(nb, 1)
@@ -195,6 +203,31 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
     return opt
 
 
+def _first_non_finite_op(model, batch, needs, pick, rng) -> str:
+    """Replay one training batch from ``rng`` (the generator as it was before
+    the batch's forward pass, so dropout draws repeat) with every op's output
+    checked; returns the first failing op's message."""
+    was_on = debug_nan_enabled()
+    set_debug_nan(True)
+    try:
+        pick(model.forward(*batch, rng=rng, **needs))
+    except NonFiniteError as exc:
+        return str(exc)
+    finally:
+        set_debug_nan(was_on)
+    return "none on replay"
+
+
+def _load_params(model: InteractionModel, table, ckpt_path) -> None:
+    """``model.load_state_arrays`` with the checkpoint's path in its errors."""
+    try:
+        model.load_state_arrays(table)
+    except KeyError as exc:
+        raise KeyError(f"{ckpt_path}: {exc.args[0]}") from None
+    except ShapeError as exc:
+        raise ShapeError(f"{ckpt_path}: {exc}") from None
+
+
 def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
           ckpt_path, log=None) -> TrainState:
     """Run the requested stage(s) and write a checkpoint after each phase."""
@@ -219,7 +252,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         table, cfg_text, marker = load_checkpoint(ckpt_path)
         if marker not in ("1a", "1b", "1c", "2"):
             raise ValueError(f"unexpected stage marker {marker!r} in {ckpt_path}")
-        model.load_state_arrays(table)
+        _load_params(model, table, ckpt_path)
         phases = ["2"]
     elif stage == "1":
         phases = ["1a", "1b", "1c"]
@@ -240,7 +273,7 @@ def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:
     table, cfg_text, stage = load_checkpoint(ckpt_path)
     config = parse_config(cfg_text)
     model = InteractionModel(config, np.random.default_rng(config.seed))
-    model.load_state_arrays(table)
+    _load_params(model, table, ckpt_path)
     return model, config, stage
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,66 @@ class TestBackwardExamples:
                 loss = dc.sum_(x * x)
             backward(tape, loss)
         np.testing.assert_allclose(x.grad, [8.0])
+
+
+class TestTapeRelease:
+    def test_backward_empties_the_tape(self):
+        x = t([1.0, 2.0], rg=True)
+        with Tape() as tape:
+            loss = dc.sum_(dc.tanh_(x) * x)
+        nodes = tape.nodes
+        backward(tape, loss)
+        assert len(tape) == 0 and tape.nodes is nodes
+
+    def test_only_leaves_get_grad(self):
+        x = t([1.0, 2.0], rg=True)
+        with Tape() as tape:
+            y = x * x
+            loss = dc.sum_(y)
+        backward(tape, loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_replayed_outputs_are_freed(self):
+        x = t(np.linspace(-1.0, 1.0, 64), rg=True)
+        with Tape() as tape:
+            y = dc.tanh_(x)
+            ref = weakref.ref(y.data)
+            loss = dc.sum_(y * y)
+        del y
+        backward(tape, loss)
+        assert len(tape) == 0  # the tape itself is still referenced here
+        assert ref() is None
+
+    @staticmethod
+    def _grads_with_input_tracked(op, data, track_input):
+        """(closure's input gradient, other leaves' .grad) of sum(op(...)^2)."""
+        inputs = [Tensor(data[0], requires_grad=track_input)]
+        inputs += [Tensor(d, requires_grad=True) for d in data[1:]]
+        with Tape() as tape:
+            y = op(*inputs)
+            bwd = tape.nodes[-1][2]
+            loss = dc.sum_(y * y)
+        g_input = bwd(2.0 * y.data)[0]
+        backward(tape, loss)
+        return g_input, [p.grad for p in inputs[1:]]
+
+    @pytest.mark.parametrize("case", ["conv2d", "grid_sample"])
+    def test_untracked_input_gets_no_gradient(self, case):
+        rng = np.random.default_rng(7)
+        if case == "conv2d":
+            op = lambda x, w, b: dc.conv2d(x, w, b, stride=2, pad=1)
+            data = [rng.normal(size=(2, 6, 8, 3)), rng.normal(size=(3, 3, 3, 4)),
+                    rng.normal(size=4)]
+        else:
+            op = dc.grid_sample
+            data = [rng.normal(size=(2, 5, 7, 3)), rng.uniform(-1.2, 1.2, size=(2, 4, 6, 2))]
+        data = [d.astype(np.float32) for d in data]
+        g_tracked, leaves_tracked = self._grads_with_input_tracked(op, data, True)
+        g_untracked, leaves_untracked = self._grads_with_input_tracked(op, data, False)
+        assert g_tracked is not None and g_untracked is None
+        for a, b in zip(leaves_tracked, leaves_untracked):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestShapeErrors:

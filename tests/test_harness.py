@@ -1,9 +1,12 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from egorec.diffcore import ShapeError, Tape, Tensor, backward
+from egorec.diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward
+from egorec.diffcore.tensor import debug_nan_enabled
 from egorec.harness import (
     Adam,
     InteractionModel,
@@ -135,14 +138,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def _model_checkpoint(path, drop=None, reshape=None) -> None:
+def _model_checkpoint(path, drop=None, reshape=None, extra=None) -> None:
     """A real model's parameters as a checkpoint, optionally with one
-    parameter left out or given the wrong shape."""
+    parameter left out, given the wrong shape, or one entry added."""
     cfg = tiny_config()
     model = InteractionModel(cfg, np.random.default_rng(0))
     tensors = {n: p.data for n, p in model.all_named() if n != drop}
     if reshape:
         tensors[reshape] = tensors[reshape].reshape(-1)
+    if extra:
+        tensors[extra] = np.zeros(3, np.float32)
     save_checkpoint(path, tensors, cfg.to_text(), "2")
 
 
@@ -275,14 +280,47 @@ class TestTraining:
     def test_load_model_rejects_missing_parameter(self, tmp_path):
         path = tmp_path / "m.ckpt"
         _model_checkpoint(path, drop="interact.block_ego.v")
-        with pytest.raises(KeyError, match="interact.block_ego.v"):
+        with pytest.raises(KeyError, match=re.escape(str(path)) + ".*interact.block_ego.v"):
             load_model(path)
 
     def test_load_model_rejects_wrong_shape(self, tmp_path):
         path = tmp_path / "m.ckpt"
         _model_checkpoint(path, reshape="interact.relation_cell.u")
-        with pytest.raises(ShapeError, match="interact.relation_cell.u"):
+        with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*interact.relation_cell.u"):
             load_model(path)
+
+    def test_load_model_rejects_unexpected_entry(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path, extra="interact.block_concat.w")
+        with pytest.raises(KeyError, match=re.escape(str(path)) + ".*interact.block_concat.w"):
+            load_model(path)
+
+    def test_stage2_names_the_checkpoint_it_cannot_load(self, tiny_dataset, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path, drop="motion.affine_head.w")
+        with pytest.raises(KeyError, match=re.escape(str(path)) + ".*motion.affine_head.w"):
+            train(load_manifest(tiny_dataset), tiny_config(), "2", path)
+
+    def test_stage1_phases_leave_no_gradients(self, tiny_dataset):
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        for phase in ("1a", "1b", "1c"):
+            run_phase(model, phase, clips, cfg, rng)
+            assert [n for n, p in model.all_named() if p.grad is not None] == [], phase
+
+    @pytest.mark.parametrize("phase, name, op", [("1a", "backbone.blocks.0.w", "conv2d"),
+                                                 ("1c", "interact.proj_ego.w", "matmul")])
+    def test_non_finite_loss_names_phase_epoch_and_op(self, tiny_dataset, phase, name, op):
+        cfg = tiny_config(epochs_attention=2, epochs_interaction=2)
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        dict(model.all_named())[name].data[0] = np.nan
+        with pytest.raises(NonFiniteError, match=rf"phase {phase} epoch 1/2: .*\b{op}: "):
+            run_phase(model, phase, clips, cfg, rng)
+        assert not debug_nan_enabled()
 
     def test_stream_features_are_what_forward_classifies(self, tiny_dataset):
         manifest = load_manifest(tiny_dataset)
@@ -308,6 +346,40 @@ class TestTraining:
         manifest = load_manifest(tiny_dataset)
         with pytest.raises(ValueError, match="K="):
             train(manifest, tiny_config(num_classes=2), "1", tmp_path / "x.ckpt")
+
+
+class TestBackwardMemory:
+    def test_phase2_backward_frees_the_tape(self, tiny_dataset):
+        """The tape's buffers go as backward replays it: backward adds less
+        than half the tape on top of the forward pass, and afterwards only
+        the parameters' gradients remain, the tape object included."""
+        cfg = tiny_config()
+        batch = load_split(load_manifest(tiny_dataset), "train")[:cfg.batch_size]
+        sampled = [sample_frames(c, cfg.num_frames) for c in batch]
+        frames = np.stack([s.frames for s in sampled]).astype(np.float32)
+        masks = np.stack([s.ref_masks for s in sampled]).astype(np.float32)
+        labels = np.array([s.label for s in sampled])
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        params = model.parameters()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            with Tape() as tape:
+                res = model.forward(frames, masks, labels, rng=rng,
+                                    need_seg=True, need_rec=True, need_cls=True)
+                loss, _ = total_loss(cfg, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
+            del res
+            tape_bytes = sum(out.data.nbytes for out, _, _, _ in tape.nodes)
+            forward_end, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(tape, loss, params=params)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - forward_end < 0.5 * tape_bytes
+        grad_bytes = sum(p.grad.nbytes for p in params)
+        assert after - before - grad_bytes < 0.25 * tape_bytes
 
 
 class TestAblate:
