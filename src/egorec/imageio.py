@@ -23,9 +23,15 @@ def _read_header(f, magic: bytes):
         line = f.readline()
         if not line:
             raise ValueError(f"{f.name}: truncated header")
-        body = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in body.split())
+        for tok in line.split(b"#", 1)[0].split():
+            try:
+                fields.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{f.name}: header field {tok.decode(errors='replace')!r} "
+                                 "is not an integer") from None
     width, height, maxval = fields[:3]
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{f.name}: bad size {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{f.name}: only maxval 255 supported, got {maxval}")
     return width, height

@@ -20,14 +20,15 @@ transform (normalized [-1, 1] coordinates, mapping current-frame points to
 previous-frame points) and the sprite's world displacement.
 
 On-disk format: ``manifest.txt`` with ``K=``, ``variant=``, ``seed=``
-headers and ``clip_dir<TAB>label<TAB>split`` lines; each clip directory
-holds ``frame_%04d.ppm``, ``mask_%04d.pgm`` and ``gt.txt`` (one line of
-8 floats per pair).
+headers and ``clip_dir<TAB>label<TAB>split`` lines. Each clip directory
+holds three files: ``frames.ppm``, the L frames stacked top to bottom into
+one (L*H, W) film strip; ``masks.pgm``, the masks in the same strip
+layout; and ``gt.txt``, a ``frames=<L>`` header followed by one line of
+8 floats per pair (the 6 affine parameters, then the sprite displacement).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,7 +52,11 @@ def resize_bilinear_np(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
 
 
 def sample_bilinear_np(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Gather img at fractional (ys, xs), border-clamped; broadcasts over trailing dims."""
+    """Gather img at fractional (ys, xs), border-clamped; broadcasts over trailing dims.
+
+    Each of the four taps is one ``np.take`` on the image viewed as (H*W, ...)
+    rows, at flat index ``y * W + x``.
+    """
     h, w = img.shape[:2]
     ys = np.clip(ys, 0, h - 1)
     xs = np.clip(xs, 0, w - 1)
@@ -61,11 +66,13 @@ def sample_bilinear_np(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nd
     fx = (xs - x0)[..., None] if img.ndim == 3 else (xs - x0)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
+    flat = img.reshape(h * w, *img.shape[2:])
+    r0, r1 = y0 * w, y1 * w
     return (
-        img[y0, x0] * (1 - fy) * (1 - fx)
-        + img[y0, x1] * (1 - fy) * fx
-        + img[y1, x0] * fy * (1 - fx)
-        + img[y1, x1] * fy * fx
+        np.take(flat, r0 + x0, axis=0) * (1 - fy) * (1 - fx)
+        + np.take(flat, r0 + x1, axis=0) * (1 - fy) * fx
+        + np.take(flat, r1 + x0, axis=0) * fy * (1 - fx)
+        + np.take(flat, r1 + x1, axis=0) * fy * fx
     )
 
 
@@ -471,32 +478,74 @@ def generate_dataset(out_dir, clips_per_class: int, variant: str, seed: int,
 
 
 def write_clip(clip_dir, clip: VideoClip) -> None:
+    """Write ``frames.ppm``, ``masks.pgm`` and ``gt.txt`` under ``clip_dir``."""
     d = Path(clip_dir)
     d.mkdir(parents=True, exist_ok=True)
-    for t in range(clip.length):
-        write_ppm(d / f"frame_{t:04d}.ppm", clip.frames[t])
-        write_pgm(d / f"mask_{t:04d}.pgm", clip.ref_masks[t])
+    length, h, w = clip.ref_masks.shape
+    write_ppm(d / "frames.ppm", clip.frames.reshape(length * h, w, 3))
+    write_pgm(d / "masks.pgm", clip.ref_masks.reshape(length * h, w))
     with open(d / "gt.txt", "w", encoding="utf-8") as f:
+        f.write(f"frames={length}\n")
         for g, l in zip(clip.gt_global, clip.gt_local):
             f.write(" ".join(f"{v:.17g}" for v in np.concatenate([g, l])) + "\n")
 
 
 def load_clip(clip_dir, label: int) -> VideoClip:
+    """Read a clip written by ``write_clip``.
+
+    A malformed ``gt.txt``, or a frame or mask strip whose size does not
+    match its ``frames=`` header, raises ``ValueError`` naming the file.
+    """
     d = Path(clip_dir)
-    frame_files = sorted(p for p in os.listdir(d) if p.startswith("frame_"))
-    if not frame_files:
-        raise FileNotFoundError(f"no frames in {d}")
-    frames = np.stack([read_ppm(d / p) for p in frame_files])
-    masks = np.stack([read_pgm(d / p.replace("frame_", "mask_").replace(".ppm", ".pgm"))
-                      for p in frame_files])
-    rows = []
-    with open(d / "gt.txt", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                rows.append([float(v) for v in line.split()])
-    gt = np.asarray(rows, dtype=np.float64).reshape(-1, 8)
-    return VideoClip(frames=frames, ref_masks=masks, label=label,
+    length, gt = _read_gt(d / "gt.txt")
+    path = d / "frames.ppm"
+    frames = read_ppm(path)
+    if frames.shape[0] % length:
+        raise ValueError(f"{path}: height {frames.shape[0]} is not a multiple of "
+                         f"frames={length}")
+    h, w = frames.shape[0] // length, frames.shape[1]
+    path = d / "masks.pgm"
+    masks = read_pgm(path)
+    if masks.shape != (length * h, w):
+        raise ValueError(f"{path}: size {masks.shape[1]}x{masks.shape[0]} does not match "
+                         f"{length} frames of {w}x{h}")
+    return VideoClip(frames=frames.reshape(length, h, w, 3),
+                     ref_masks=masks.reshape(length, h, w), label=label,
                      gt_global=gt[:, :6], gt_local=gt[:, 6:])
+
+
+def _read_gt(path: Path) -> tuple[int, np.ndarray]:
+    """Parse ``gt.txt`` into the clip length and its (L-1, 8) rows."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    header = lines[0] if lines else ""
+    if not header.startswith("frames="):
+        raise ValueError(f"{path}:1: missing header frames")
+    length = _integer(header[len("frames="):], "frames", f"{path}:1")
+    if length < 1:
+        raise ValueError(f"{path}:1: frames={length} is not positive")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 8:
+            raise ValueError(f"{path}:{lineno}: expected 8 numbers, got {len(fields)} fields")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    if len(rows) != length - 1:
+        raise ValueError(f"{path}: {len(rows)} rows for frames={length}, "
+                         f"expected {length - 1}")
+    return length, np.asarray(rows, dtype=np.float64).reshape(-1, 8)
+
+
+def _integer(text: str, what: str, where) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
 
 
 def write_manifest(manifest: DatasetManifest) -> None:
@@ -515,13 +564,6 @@ def load_manifest(root) -> DatasetManifest:
     path = root / "manifest.txt"
     header: dict[str, str] = {}
     entries: list[ClipRef] = []
-
-    def integer(text: str, what: str, where) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
-
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -536,20 +578,20 @@ def load_manifest(root) -> DatasetManifest:
                 directory, label, split = fields
                 if split not in ("train", "test"):
                     raise ValueError(f"{where}: bad split {split!r}")
-                entries.append(ClipRef(directory=directory, label=integer(label, "label", where),
-                                       split=split))
+                entries.append(ClipRef(directory=directory,
+                                       label=_integer(label, "label", where), split=split))
             else:
                 key, _, value = line.partition("=")
                 header[key] = value
     missing = [key for key in ("K", "variant", "seed") if key not in header]
     if missing:
         raise ValueError(f"{path}: missing header {', '.join(missing)}")
-    k = integer(header["K"], "K", path)
+    k = _integer(header["K"], "K", path)
     for e in entries:
         if not 0 <= e.label < k:
             raise ValueError(f"{path}: label {e.label} out of range for K={k}")
     return DatasetManifest(root=root, num_classes=k, variant=header["variant"],
-                           seed=integer(header["seed"], "seed", path), entries=entries)
+                           seed=_integer(header["seed"], "seed", path), entries=entries)
 
 
 def load_split(manifest: DatasetManifest, split: str) -> list[VideoClip]:

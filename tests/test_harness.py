@@ -425,7 +425,11 @@ class TestCli:
         assert cli_main(["ablate", "--data", str(data), "--config", str(cfg_path),
                          "--variants", "ego", "--out", str(report)]) == 0
         assert report.exists()
-        first_clip = sorted(p for p in data.iterdir() if p.is_dir())[0]
+        clip_dirs = sorted(p for p in data.iterdir() if p.is_dir())
+        assert len(clip_dirs) == 8
+        for d in clip_dirs:
+            assert sorted(p.name for p in d.iterdir()) == ["frames.ppm", "gt.txt", "masks.pgm"]
+        first_clip = clip_dirs[0]
         viz_dir = tmp_path / "viz"
         assert cli_main(["viz", "--ckpt", str(ck), "--clip", str(first_clip),
                          "--out", str(viz_dir)]) == 0

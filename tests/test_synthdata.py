@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from egorec.diffcore import Tensor
+from egorec.imageio import write_pgm, write_ppm
 from egorec.motion import bilinear_sample, transform_coords
 from egorec.synthdata import (
     AugmentConfig,
@@ -210,13 +213,18 @@ class TestAugment:
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        clip = small_clip(seed=19)
-        write_clip(tmp_path / "c0", clip)
-        back = load_clip(tmp_path / "c0", clip.label)
-        assert back.frames.tobytes() == clip.frames.tobytes()
-        assert back.ref_masks.tobytes() == clip.ref_masks.tobytes()
-        np.testing.assert_array_equal(back.gt_global, clip.gt_global)
-        np.testing.assert_array_equal(back.gt_local, clip.gt_local)
+        # the second clip's length differs from the config default, so the
+        # reader must take it from the file, not from a GenConfig
+        clips = [small_clip(seed=19),
+                 generate_clip(make_scene(2, "standard", 20, GenConfig(16, 32, length=9)))]
+        for i, clip in enumerate(clips):
+            write_clip(tmp_path / f"c{i}", clip)
+            back = load_clip(tmp_path / f"c{i}", clip.label)
+            assert back.length == clip.length
+            assert back.frames.tobytes() == clip.frames.tobytes()
+            assert back.ref_masks.tobytes() == clip.ref_masks.tobytes()
+            np.testing.assert_array_equal(back.gt_global, clip.gt_global)
+            np.testing.assert_array_equal(back.gt_local, clip.gt_local)
 
     def test_generate_and_load_dataset(self, tmp_path):
         man = generate_dataset(tmp_path / "ds", clips_per_class=3, variant="standard",
@@ -282,3 +290,76 @@ class TestManifestErrors:
         with pytest.raises(ValueError, match=match) as err:
             load_manifest(tmp_path)
         assert str(tmp_path / "manifest.txt") in str(err.value)
+
+
+def _edit_gt(edit):
+    def apply(clip_dir):
+        path = clip_dir / "gt.txt"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return apply
+
+
+def _replace_line(i, text):
+    return _edit_gt(lambda lines: lines[:i] + [text(lines[i])] + lines[i + 1:])
+
+
+class TestClipErrors:
+    # SMALL clips: 12 frames of 16x32, so gt.txt holds a header and 11 rows
+    @pytest.mark.parametrize("name, edit, match", [
+        pytest.param("gt.txt", _replace_line(2, lambda line: " ".join(line.split()[:7])),
+                     ":3: expected 8 numbers, got 7 fields", id="seven-fields"),
+        pytest.param("gt.txt", _replace_line(1, lambda line: "x " + line.split(" ", 1)[1]),
+                     ":2: could not convert string to float: 'x'", id="not-a-number"),
+        pytest.param("gt.txt", _edit_gt(lambda lines: lines[1:]), ":1: missing header frames",
+                     id="no-header"),
+        pytest.param("gt.txt", _replace_line(0, lambda line: "frames=12.0"),
+                     ":1: frames '12.0' is not an integer", id="header-not-int"),
+        pytest.param("gt.txt", _replace_line(0, lambda line: "frames=0"),
+                     ":1: frames=0 is not positive", id="header-zero"),
+        pytest.param("gt.txt", _edit_gt(lambda lines: lines[:4]),
+                     ": 3 rows for frames=12, expected 11", id="short"),
+        pytest.param("frames.ppm",
+                     lambda d: write_ppm(d / "frames.ppm", np.zeros((12 * 16 - 1, 32, 3))),
+                     ": height 191 is not a multiple of frames=12", id="strip-height"),
+        pytest.param("masks.pgm", lambda d: write_pgm(d / "masks.pgm", np.zeros((12 * 16, 31))),
+                     ": size 31x192 does not match 12 frames of 32x16", id="mask-width"),
+        pytest.param("masks.pgm", lambda d: write_pgm(d / "masks.pgm", np.zeros((11 * 16, 32))),
+                     ": size 32x176 does not match 12 frames of 32x16", id="mask-frames"),
+    ])
+    def test_malformed_names_the_file(self, tmp_path, name, edit, match):
+        write_clip(tmp_path, small_clip(seed=21))
+        edit(tmp_path)
+        with pytest.raises(ValueError, match=match) as err:
+            load_clip(tmp_path, 0)
+        assert str(tmp_path / name) in str(err.value)
+
+
+def _digest(clips):
+    h = hashlib.sha256()
+    for clip in clips:
+        for a in (clip.frames, clip.ref_masks, clip.gt_global, clip.gt_local):
+            h.update(a.tobytes())
+        h.update(str(clip.label).encode())
+    return h.hexdigest()
+
+
+class TestBitwiseOutputs:
+    """Generator, storage and augmentation outputs pinned to SHA-256 digests."""
+
+    def test_dataset_from_disk(self, tmp_path):
+        man = generate_dataset(tmp_path, clips_per_class=2, variant="standard", seed=5,
+                               config=SMALL)
+        clips = load_split(man, "train") + load_split(man, "test")
+        assert _digest(clips) == (
+            "aa5db86c9c221811135fb4a17e928a3dfc43274ab2f3cb0119be68e9232c6301")
+
+    def test_default_config_clips(self):
+        clips = [generate_clip(make_scene(c, "relation-only", 11 + c)) for c in (0, 1)]
+        assert _digest(clips) == (
+            "16a76b628819e05aa2a57af1bbf06878b750ff7b60501580218020b06ecae5ae")
+
+    def test_augmented_clip(self):
+        out = augment(small_clip(seed=18), np.random.default_rng(17),
+                      AugmentConfig(p_flip=1.0, p_hsv=1.0, p_crop=1.0))
+        assert _digest([out]) == (
+            "3fb2baab231b4eb4029bbac7901fd20d56d2a83eb5ae6eb0e5bb0609ae415f37")
