@@ -57,12 +57,9 @@ class MaskDecoder(Module):
         masks = [dc.sigmoid(_drop_channel(self.head0(feats)))]
         x = feats
         for up, head in zip(self.up, self.heads):
-            x = dc.relu(up(x))
+            x = up(x, relu=True)
             masks.append(dc.sigmoid(_drop_channel(head(x))))
         return MultiScaleMasks(*masks)
-
-    def __call__(self, feats: Tensor) -> MultiScaleMasks:
-        return self.predict_masks(feats)
 
 
 def _drop_channel(x: Tensor) -> Tensor:

@@ -94,23 +94,20 @@ class ConvBackbone(Module):
     All parameters remain trainable.
     """
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator,
-                 structured_init: bool = True):
+    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
         self.config = config
         blocks = []
         c_in = 3
         for i, width in enumerate(config.widths):
             conv = Conv2d(c_in, width, 3, rng, stride=1, pad=1)
-            if structured_init:
-                if i == 0:
-                    conv.w.data = _front_kernels(width, rng)
-                    conv.b.data = np.zeros(width, np.float32)
-                else:
-                    w = 0.25 * conv.w.data
-                    for c in range(min(c_in, width)):
-                        w[1, 1, c, c] += 1.0
-                    conv.w.data = w
-                    conv.b.data = np.zeros(width, np.float32)
+            if i == 0:
+                conv.w.data = _front_kernels(width, rng)
+            else:
+                w = 0.25 * conv.w.data
+                for c in range(min(c_in, width)):
+                    w[1, 1, c, c] += 1.0
+                conv.w.data = w
+            conv.b.data = np.zeros(width, np.float32)
             blocks.append(conv)
             c_in = width
         self.blocks = blocks
@@ -125,8 +122,5 @@ class ConvBackbone(Module):
             )
         x = frames
         for conv in self.blocks:
-            x = dc.avg_pool2d(dc.relu(conv(x)), 2)
+            x = dc.avg_pool2d(conv(x, relu=True), 2)
         return x
-
-    def __call__(self, frames: Tensor) -> Tensor:
-        return self.extract(frames)

@@ -7,6 +7,17 @@ input that does not require grad (raw frames) instead of computing it.
 Shapes are validated eagerly; shape errors name the op and the offending
 shapes.
 
+Dtypes: a Python or numpy scalar operand of add/sub/mul/div takes the dtype
+of its tensor partner, so ``1.0 - x`` or ``x * 0.5`` stays float32 for a
+float32 ``x`` (NEP 50 would make the scalar a float64 operand); other
+operands follow numpy promotion. ``mean`` divides by a Python int.
+
+Tape memory: a closure keeps only what its backward reads. conv2d and
+conv_transpose2d take ``relu=True`` to apply a ReLU in place and mask the
+gradient by ``out > 0``, so the pre-activation output is not kept;
+grid_sample recomputes its coordinates and taps and correlate re-pads
+``f_prev`` in backward.
+
 Conventions:
   - images and feature maps are NHWC;
   - conv kernels are (kh, kw, c_in, c_out), for transposed conv as well;
@@ -16,6 +27,8 @@ Conventions:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,6 +67,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+_SCALARS = (int, float, np.generic)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a Python or numpy scalar takes the dtype of
+    its tensor partner (under NEP 50 it would otherwise be a float64 operand
+    that promotes a float32 partner)."""
+    if isinstance(a, Tensor) and isinstance(b, _SCALARS):
+        return a, as_tensor(b, dtype=a.dtype)
+    if isinstance(b, Tensor) and isinstance(a, _SCALARS):
+        return as_tensor(a, dtype=b.dtype), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     try:
         np.broadcast_shapes(a.data.shape, b.data.shape)
@@ -66,7 +93,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast("add", a, b)
     return _result(
         "add", a.data + b.data, (a, b),
@@ -75,7 +102,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast("sub", a, b)
     return _result(
         "sub", a.data - b.data, (a, b),
@@ -84,7 +111,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast("mul", a, b)
     return _result(
         "mul", a.data * b.data, (a, b),
@@ -93,7 +120,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast("div", a, b)
     inv = 1.0 / b.data
     out = a.data * inv
@@ -191,8 +218,8 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[i] for i in np.atleast_1d(axis)]
+    count = a.data.size if axis is None else math.prod(
+        a.data.shape[i] for i in np.atleast_1d(axis)
     )
 
     def bwd(g):
@@ -274,7 +301,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols, ho, wo
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
+    """Cross-correlation; ``relu=True`` applies a ReLU to the output in
+    place, so the tape keeps one array instead of the conv and relu outputs."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(f"conv2d: input {x.data.shape} incompatible with kernel {w.data.shape}")
@@ -289,8 +318,12 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     if b is not None:
         out = out + inputs[2].data
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g):
+        if relu:
+            g = g * (out > 0)
         gflat = g.reshape(-1, co)
         cols2, _, _ = _im2col(x.data, kh, kw, stride, pad)
         gw = (cols2.reshape(-1, kh * kw * ci).T @ gflat).reshape(w.data.shape)
@@ -310,7 +343,9 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
     return _result("conv2d", out, inputs, bwd)
 
 
-def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
+def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
+                     relu: bool = False) -> Tensor:
+    """Adjoint of a strided conv2d; ``relu`` as in ``conv2d``."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(
@@ -335,8 +370,12 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Tensor:
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     if b is not None:
         out = out + inputs[2].data
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g):
+        if relu:
+            g = g * (out > 0)
         gfull = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else g
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w.data)
@@ -370,39 +409,47 @@ def avg_pool2d(x, k: int = 2) -> Tensor:
 # sampling and correlation
 
 
-def grid_sample(img, grid) -> Tensor:
-    """Bilinear sampling of ``img`` (NHWC) at normalized grid coordinates.
-
-    ``grid`` is (N, Hg, Wg, 2) with channel 0 = x and channel 1 = y in
-    [-1, 1] (align-corners). Out-of-range coordinates clamp to the border.
-    """
-    img, grid = as_tensor(img), as_tensor(grid)
-    n, h, w, c = img.data.shape
-    if grid.ndim != 4 or grid.data.shape[3] != 2 or grid.data.shape[0] != n:
-        raise ShapeError(f"grid_sample: grid {grid.data.shape} incompatible with image {img.data.shape}")
+def _bilinear_taps(img: np.ndarray, grid: np.ndarray):
+    """Everything bilinear sampling of ``img`` at ``grid`` reads: batch and
+    corner indices, fractional offsets, in-range masks and the four taps."""
+    n, h, w, _ = img.shape
     # pixel coordinates in float64: the only remaining identity-warp error
     # is the float32 storage error of the grid itself (< 1e-6 at desk sizes)
-    gx = (grid.data[..., 0].astype(np.float64) + 1.0) * 0.5 * (w - 1)
-    gy = (grid.data[..., 1].astype(np.float64) + 1.0) * 0.5 * (h - 1)
+    gx = (grid[..., 0].astype(np.float64) + 1.0) * 0.5 * (w - 1)
+    gy = (grid[..., 1].astype(np.float64) + 1.0) * 0.5 * (h - 1)
     inx = (gx > 0.0) & (gx < w - 1.0)
     iny = (gy > 0.0) & (gy < h - 1.0)
     gx = np.clip(gx, 0.0, w - 1.0)
     gy = np.clip(gy, 0.0, h - 1.0)
     x0 = np.minimum(gx.astype(np.int64), w - 2)
     y0 = np.minimum(gy.astype(np.int64), h - 2)
-    fx = (gx - x0).astype(img.data.dtype)[..., None]
-    fy = (gy - y0).astype(img.data.dtype)[..., None]
+    fx = (gx - x0).astype(img.dtype)[..., None]
+    fy = (gy - y0).astype(img.dtype)[..., None]
     bidx = np.arange(n).reshape(n, 1, 1)
+    taps = (img[bidx, y0, x0], img[bidx, y0, x0 + 1],
+            img[bidx, y0 + 1, x0], img[bidx, y0 + 1, x0 + 1])
+    return bidx, x0, y0, fx, fy, inx, iny, taps
 
-    i00 = img.data[bidx, y0, x0]
-    i01 = img.data[bidx, y0, x0 + 1]
-    i10 = img.data[bidx, y0 + 1, x0]
-    i11 = img.data[bidx, y0 + 1, x0 + 1]
+
+def grid_sample(img, grid) -> Tensor:
+    """Bilinear sampling of ``img`` (NHWC) at normalized grid coordinates.
+
+    ``grid`` is (N, Hg, Wg, 2) with channel 0 = x and channel 1 = y in
+    [-1, 1] (align-corners). Out-of-range coordinates clamp to the border.
+    Backward recomputes the coordinates and taps from the inputs.
+    """
+    img, grid = as_tensor(img), as_tensor(grid)
+    n, h, w, c = img.data.shape
+    if grid.ndim != 4 or grid.data.shape[3] != 2 or grid.data.shape[0] != n:
+        raise ShapeError(f"grid_sample: grid {grid.data.shape} incompatible with image {img.data.shape}")
+    _, _, _, fx, fy, _, _, (i00, i01, i10, i11) = _bilinear_taps(img.data, grid.data)
     top = i00 * (1 - fx) + i01 * fx
     bot = i10 * (1 - fx) + i11 * fx
     out = top * (1 - fy) + bot * fy
 
     def bwd(g):
+        bidx, x0, y0, fx, fy, inx, iny, (i00, i01, i10, i11) = _bilinear_taps(
+            img.data, grid.data)
         gimg = None
         if img.requires_grad:
             gimg = np.zeros((n, h * w, c), dtype=g.dtype)
@@ -441,7 +488,8 @@ def correlate(f_prev, f_cur, d: int) -> Tensor:
         raise ShapeError(f"correlate: max displacement must be >= 1, got {d}")
     n, h, w, c = f_cur.data.shape
     k = 2 * d + 1
-    prev_pad = np.pad(f_prev.data, ((0, 0), (d, d), (d, d), (0, 0)))
+    widths = ((0, 0), (d, d), (d, d), (0, 0))
+    prev_pad = np.pad(f_prev.data, widths)
     out = np.empty((n, h, w, k * k), dtype=f_cur.data.dtype)
     for q in range(k * k):
         dy, dx = q // k - d, q % k - d
@@ -450,6 +498,7 @@ def correlate(f_prev, f_cur, d: int) -> Tensor:
 
     def bwd(g):
         g = g / c
+        prev_pad = np.pad(f_prev.data, widths)
         gcur = np.zeros_like(f_cur.data)
         gprev_pad = np.zeros_like(prev_pad)
         for q in range(k * k):

@@ -5,11 +5,20 @@ A ``Tape`` collects one op node per primitive call while it is active;
 and gradient are freed once it is replayed, and accumulates gradients into
 ``Tensor.grad`` of the leaves only (tensors no node produced: parameters
 and inputs). Without an active tape every op is a plain numpy forward pass,
-which is what evaluation and finite-difference probing use.
+which is what evaluation and finite-difference probing use. What a node
+keeps is what its backward reads: conv ops fuse a following ReLU (one
+array on the tape, not two), and ops whose backward needs cheap derived
+buffers recompute them from the inputs.
 
-Training runs in float32; verification (gradient checking) runs in float64
-by constructing the inputs as float64 arrays. Ops never change dtype on
-their own beyond numpy promotion rules.
+Training runs in float32 from the loss back to the parameters;
+verification (gradient checking) runs in float64 by constructing the
+inputs as float64 arrays. An op's output has the dtype numpy promotion
+gives its tensor inputs, with one rule on top: a Python or numpy scalar
+operand of add/sub/mul/div takes the dtype of its tensor partner. Without
+it, NEP 50 (numpy 2) treats the scalar as a float64 array that promotes a
+float32 partner to float64. ``backward`` raises ``TapeError`` naming the op
+when a gradient's dtype differs from its input's, so float64 cannot leak
+into a float32 graph unnoticed.
 """
 
 from __future__ import annotations
@@ -85,9 +94,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, name=self.name)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -174,6 +180,11 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
                 raise ShapeError(
                     f"{op_name}: gradient shape {gi.shape} does not match "
                     f"input shape {inp.data.shape}"
+                )
+            if gi.dtype != inp.data.dtype:
+                raise TapeError(
+                    f"{op_name}: gradient dtype {gi.dtype} does not match "
+                    f"input dtype {inp.data.dtype}"
                 )
             key = id(inp)
             if key in grads:

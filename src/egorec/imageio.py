@@ -37,6 +37,16 @@ def _read_header(f, magic: bytes):
     return width, height
 
 
+def _read_pixels(f, count: int) -> np.ndarray:
+    """The ``count`` bytes after the header, which must end the file."""
+    data = f.read()
+    if len(data) < count:
+        raise ValueError(f"{f.name}: truncated pixel data")
+    if len(data) > count:
+        raise ValueError(f"{f.name}: {len(data) - count} trailing bytes after the pixel data")
+    return np.frombuffer(data, dtype=np.uint8)
+
+
 def write_pgm(path, img: np.ndarray) -> None:
     """Write a (H, W) array in [0, 1] as binary PGM."""
     data = _quantize(img)
@@ -52,9 +62,7 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a float32 (H, W) array in [0, 1]."""
     with open(path, "rb") as f:
         w, h = _read_header(f, b"P5")
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8)
-    if data.size != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
+        data = _read_pixels(f, w * h)
     return (data.reshape(h, w).astype(np.float32) / 255.0)
 
 
@@ -73,7 +81,5 @@ def read_ppm(path) -> np.ndarray:
     """Read a binary PPM into a float32 (H, W, 3) array in [0, 1]."""
     with open(path, "rb") as f:
         w, h = _read_header(f, b"P6")
-        data = np.frombuffer(f.read(w * h * 3), dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
+        data = _read_pixels(f, w * h * 3)
     return (data.reshape(h, w, 3).astype(np.float32) / 255.0)

@@ -91,7 +91,7 @@ class MotionEstimator(Module):
         # weighted pooling keeps the embedding independent of how many
         # cells the interactor covers
         f_lm = weighted_pool(l, m0)
-        field = self.field_up2(dc.relu(self.field_up1(dc.relu(l))))
+        field = self.field_up2(self.field_up1(dc.relu(l), relu=True))
         fh, fw = field.shape[1:3]
         if (fh, fw) != self.frame_hw:
             raise ShapeError(
@@ -99,9 +99,6 @@ class MotionEstimator(Module):
                 "feature stride must be 8"
             )
         return MotionEstimate(transform=transform, field=field, f_gm=f_gm, f_lm=f_lm)
-
-    def __call__(self, f_prev, f_cur, m0):
-        return self.estimate(f_prev, f_cur, m0)
 
 
 def transform_coords(transform: Tensor, field: Tensor, m3: Tensor) -> Tensor:

@@ -102,8 +102,8 @@ class Conv2d(Module):
                             requires_grad=True)
             self.b = Tensor(uniform_init(rng, (c_out,), fan_in), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return dc.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return dc.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, relu=relu)
 
 
 class ConvTranspose2d(Module):
@@ -122,8 +122,9 @@ class ConvTranspose2d(Module):
                             requires_grad=True)
             self.b = Tensor(uniform_init(rng, (c_out,), fan_in), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return dc.conv_transpose2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return dc.conv_transpose2d(x, self.w, self.b, stride=self.stride, pad=self.pad,
+                                   relu=relu)
 
 
 def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None) -> Tensor:

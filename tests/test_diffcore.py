@@ -175,6 +175,110 @@ class TestTapeRelease:
             assert a.tobytes() == b.tobytes()
 
 
+class TestDtypes:
+    """float32 in, float32 out, float32 gradients: a scalar operand takes its
+    tensor partner's dtype instead of NEP 50's float64."""
+
+    @pytest.mark.parametrize("expr", [
+        pytest.param(lambda x: x + 1.0, id="add"),
+        pytest.param(lambda x: 1.0 + x, id="radd"),
+        pytest.param(lambda x: x - 2, id="sub-int"),
+        pytest.param(lambda x: 1.0 - x, id="rsub"),
+        pytest.param(lambda x: x * -1.0, id="mul"),
+        pytest.param(lambda x: 0.5 * x, id="rmul"),
+        pytest.param(lambda x: x / 3.0, id="div"),
+        pytest.param(lambda x: 2.0 / x, id="rdiv"),
+        pytest.param(lambda x: dc.mul(np.float64(0.5), x), id="numpy-scalar"),
+        pytest.param(lambda x: dc.add(x, np.int64(1)), id="numpy-int"),
+        pytest.param(lambda x: dc.mean(x, axis=(0, 1)), id="mean-axes"),
+        pytest.param(lambda x: dc.mean(x), id="mean-all"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_operands_keep_the_tensor_dtype(self, expr, dtype):
+        x = t(np.linspace(0.5, 2.0, 6).reshape(2, 3), rg=True, dtype=dtype)
+        with Tape() as tape:
+            y = expr(x)
+            loss = dc.sum_(y)
+        assert y.dtype == dtype
+        backward(tape, loss)
+        assert x.grad.dtype == dtype
+
+    def test_gradient_dtype_mismatch_names_the_op(self):
+        x = t([1.0, 2.0, 3.0], rg=True, dtype=np.float32)
+        with Tape() as tape:
+            y = _result("upcast", x.data * 2, (x,), lambda g: (g.astype(np.float64) * 2,))
+            loss = dc.sum_(y)
+        with pytest.raises(dc.TapeError,
+                           match="upcast: gradient dtype float64 does not match input dtype float32"):
+            backward(tape, loss)
+
+
+class TestFusedRelu:
+    @pytest.mark.parametrize("op, shapes", [
+        pytest.param(dc.conv2d, [(2, 6, 7, 3), (3, 3, 3, 4), (4,)], id="conv2d"),
+        pytest.param(dc.conv_transpose2d, [(2, 3, 4, 3), (4, 4, 3, 2), (2,)],
+                     id="conv_transpose2d"),
+    ])
+    def test_bitwise_equal_to_relu_of_conv(self, op, shapes):
+        rng = np.random.default_rng(21)
+        data = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        out_shape = op(*data, stride=2, pad=1).shape
+        weights = Tensor(rng.normal(size=out_shape).astype(np.float32))
+
+        def run(fused):
+            inputs = [Tensor(d, requires_grad=True) for d in data]
+            with Tape() as tape:
+                if fused:
+                    y = op(*inputs, stride=2, pad=1, relu=True)
+                else:
+                    y = dc.relu(op(*inputs, stride=2, pad=1))
+                loss = dc.sum_(y * weights)
+            nodes = len(tape)
+            backward(tape, loss)
+            return y.data, [p.grad for p in inputs], nodes
+
+        y_fused, g_fused, n_fused = run(True)
+        y_ref, g_ref, n_ref = run(False)
+        assert (y_ref == 0).any() and (y_ref > 0).any()
+        assert y_fused.tobytes() == y_ref.tobytes()
+        for a, b in zip(g_fused, g_ref):
+            assert a.tobytes() == b.tobytes()
+        assert n_fused == n_ref - 1
+
+
+class TestRecomputedBuffers:
+    """grid_sample and correlate recompute what their backward reads, so the
+    tape keeps no buffer of theirs beyond the inputs."""
+
+    @staticmethod
+    def _arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [a for v in value for a in TestRecomputedBuffers._arrays(v)]
+        return []
+
+    @pytest.mark.parametrize("case", ["grid_sample", "correlate"])
+    def test_closure_keeps_only_the_inputs(self, case):
+        rng = np.random.default_rng(22)
+        if case == "grid_sample":
+            op = dc.grid_sample
+            shapes = [(2, 5, 7, 3), (2, 4, 6, 2)]
+        else:
+            op = lambda a, b: dc.correlate(a, b, d=2)
+            shapes = [(2, 4, 5, 3), (2, 4, 5, 3)]
+        inputs = [Tensor(rng.uniform(-1.2, 1.2, size=s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        with Tape() as tape:
+            op(*inputs)
+        cells = [c.cell_contents for c in tape.nodes[-1][2].__closure__]
+        for value in cells:
+            if isinstance(value, Tensor):
+                assert any(value is x for x in inputs)
+        for arr in self._arrays(cells):
+            assert any(arr is x.data for x in inputs), arr.shape
+
+
 class TestShapeErrors:
     def test_add_mismatch_names_shapes(self):
         with pytest.raises(dc.ShapeError, match=r"add.*\(2,\).*\(3,\)"):
@@ -273,6 +377,10 @@ def test_primitive_grad_sweep(seed):
         (lambda u: _scalarize(dc.avg_pool2d(u, 2)), [rt((2, 4, 4, 2))]),
         (lambda u, v: _scalarize(dc.correlate(u, v, d=1)),
          [rt((1, 4, 5, 3)), rt((1, 4, 5, 3))]),
+        (lambda u, v, w: _scalarize(dc.conv2d(u, v, w, stride=1, pad=1, relu=True)),
+         [rt((2, 4, 5, 2)), rt((3, 3, 2, 3)), rt((3,))]),
+        (lambda u, v, w: _scalarize(dc.conv_transpose2d(u, v, w, stride=2, pad=1, relu=True)),
+         [rt((1, 3, 4, 2)), rt((4, 4, 2, 2)), rt((2,))]),
     ]
     for i, (fn, inputs) in enumerate(cases):
         rep = grad_check(fn, inputs)

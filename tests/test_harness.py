@@ -1,3 +1,4 @@
+import importlib
 import re
 import struct
 import tracemalloc
@@ -26,6 +27,7 @@ from egorec.harness import (
     write_report,
 )
 from egorec.harness.cli import main as cli_main
+from egorec.harness.model import interaction_head
 from egorec.synthdata import GenConfig, generate_dataset, load_manifest, load_split, sample_frames
 
 TINY_GEN = GenConfig(height=16, width=32, length=6, area_range=(0.08, 0.14))
@@ -380,6 +382,63 @@ class TestBackwardMemory:
         assert peak - forward_end < 0.5 * tape_bytes
         grad_bytes = sum(p.grad.nbytes for p in params)
         assert after - before - grad_bytes < 0.25 * tape_bytes
+
+
+class TestFloat32Training:
+    """A training step stays in float32 from the loss back to the parameters
+    and Adam's moments; numpy 2 (NEP 50) would otherwise carry Python-float
+    operands as float64 through the graph."""
+
+    @staticmethod
+    def _spy(monkeypatch, module_name):
+        """Record dtypes at ``module_name``'s ``backward`` calls and Adam steps."""
+        module = importlib.import_module(module_name)
+        seen = {"moments": set()}
+        real_backward, real_step = module.backward, Adam.step
+
+        def spy_backward(tape, loss, params=None):
+            seen["loss"] = loss.dtype
+            seen["off_nodes"] = [(name, str(out.dtype)) for out, _, _, name in tape.nodes
+                                 if out.dtype != np.float32]
+            real_backward(tape, loss, params=params)
+            seen["grads"] = {p.grad.dtype for p in params}
+
+        def spy_step(opt):
+            real_step(opt)
+            seen["moments"].update(a.dtype for a in (*opt.m.values(), *opt.v.values()))
+
+        monkeypatch.setattr(module, "backward", spy_backward)
+        monkeypatch.setattr(Adam, "step", spy_step)
+        return seen
+
+    @staticmethod
+    def _assert_float32(seen):
+        assert seen["loss"] == np.float32
+        assert seen["off_nodes"] == []
+        assert seen["grads"] == {np.dtype(np.float32)}
+        assert seen["moments"] == {np.dtype(np.float32)}
+
+    def test_phase2_step(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "train")[:cfg.batch_size]
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        seen = self._spy(monkeypatch, "egorec.harness.train")
+        run_phase(model, "2", clips, cfg, rng)
+        self._assert_float32(seen)
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+
+    def test_train_head_step(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        ablate_mod = importlib.import_module("egorec.harness.ablate")
+        model = InteractionModel(cfg, np.random.default_rng(cfg.seed))
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        feats, labels = ablate_mod.extract_features(model, clips, cfg)
+        rng = np.random.default_rng(cfg.seed + 1)
+        head = interaction_head(cfg, rng, model.motion.global_dim, "full", "both")
+        seen = self._spy(monkeypatch, "egorec.harness.ablate")
+        ablate_mod.train_head(head, feats, labels, cfg, rng, epochs=1)
+        self._assert_float32(seen)
 
 
 class TestAblate:
