@@ -75,8 +75,7 @@ def grad_check(fn, inputs, eps: float = 1e-5, tol: float = 1e-5) -> GradCheckRep
             rel = abs(a_flat[i] - numeric) / denom
             inp_worst = max(inp_worst, rel)
             checked += 1
-        name = t.name or f"input{idx}"
-        per_input[name] = inp_worst
+        per_input[f"input{idx}"] = inp_worst
         worst = max(worst, inp_worst)
 
     return GradCheckReport(

@@ -2,10 +2,11 @@
 
 Every op computes a numpy forward result and, when a tape is active and an
 input requires grad, appends a node whose backward closure maps the output
-gradient to per-input gradients. conv2d and grid_sample return None for an
-input that does not require grad (raw frames) instead of computing it.
-Shapes are validated eagerly; shape errors name the op and the offending
-shapes.
+gradient to per-input gradients. add/sub/mul/div/concat, conv2d and
+grid_sample return None for an input that does not require grad (a dropout
+mask, a one-hot label, the identity grid, raw frames) instead of computing
+it. Shapes are validated eagerly; shape errors name the op and the
+offending shapes.
 
 Dtypes: a Python or numpy scalar operand of add/sub/mul/div takes the dtype
 of its tensor partner, so ``1.0 - x`` or ``x * 0.5`` stays float32 for a
@@ -97,7 +98,8 @@ def add(a, b) -> Tensor:
     _check_broadcast("add", a, b)
     return _result(
         "add", a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                   _unbroadcast(g, b.data.shape) if b.requires_grad else None),
     )
 
 
@@ -106,7 +108,8 @@ def sub(a, b) -> Tensor:
     _check_broadcast("sub", a, b)
     return _result(
         "sub", a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                   _unbroadcast(-g, b.data.shape) if b.requires_grad else None),
     )
 
 
@@ -115,7 +118,8 @@ def mul(a, b) -> Tensor:
     _check_broadcast("mul", a, b)
     return _result(
         "mul", a.data * b.data, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
+        lambda g: (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                   _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None),
     )
 
 
@@ -127,8 +131,8 @@ def div(a, b) -> Tensor:
 
     def bwd(g):
         return (
-            _unbroadcast(g * inv, a.data.shape),
-            _unbroadcast(-g * out * inv, b.data.shape),
+            _unbroadcast(g * inv, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * out * inv, b.data.shape) if b.requires_grad else None,
         )
 
     return _result("div", out, (a, b), bwd)
@@ -181,9 +185,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def bwd(g):
         sl = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(ts)):
+        for i, t in enumerate(ts):
             sl[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(sl)])
+            outs.append(g[tuple(sl)] if t.requires_grad else None)
         return tuple(outs)
 
     return _result("concat", np.concatenate([t.data for t in ts], axis=axis), ts, bwd)

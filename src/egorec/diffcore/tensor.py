@@ -59,19 +59,19 @@ class Tensor:
     ``data`` is always a float32 or float64 numpy array. ``grad`` is filled
     by ``backward`` on leaves only (tensors no op produced under the tape)
     and has the same shape and dtype as ``data``; it accumulates across
-    backward calls until ``zero_grad``. An op output's ``grad`` stays None.
+    backward calls until ``Module.zero_grad``. An op output's ``grad``
+    stays None.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype.type not in _FLOAT_KINDS:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self):
@@ -95,9 +95,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def astype(self, dtype) -> None:
         """Convert in place; used to move a model into verification mode."""
         self.data = self.data.astype(dtype)
@@ -105,8 +102,7 @@ class Tensor:
             self.grad = self.grad.astype(dtype)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     # Arithmetic sugar; implementations live in ops.py and are attached there
     # to avoid a circular import.

@@ -70,11 +70,11 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
                rng: np.random.Generator, epochs: int | None = None) -> None:
     f_ga, f_gm, f_la, f_lm = feats
     epochs = epochs if epochs is not None else config.epochs_interaction
-    opt = Adam(list(head.named_parameters()), lr=config.lr, beta1=config.beta1,
-               beta2=config.beta2, weight_decay=config.weight_decay)
+    params = head.parameters()
+    opt = Adam([(params, config.lr, config.weight_decay)], beta1=config.beta1,
+               beta2=config.beta2)
     n = labels.shape[0]
     bs = max(config.batch_size * 8, 64)
-    params = head.parameters()
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, bs):
@@ -83,9 +83,9 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
                 _, probs = head.classify(Tensor(f_ga[idx]), Tensor(f_gm[idx]),
                                          Tensor(f_la[idx]), Tensor(f_lm[idx]), rng)
                 loss = classification_loss(probs, labels[idx])
-            opt.zero_grad()
             backward(tape, loss, params=params)
             opt.step()
+            head.zero_grad()
 
 
 def eval_head(head: InteractiveClassifier, feats, labels) -> float:

@@ -11,10 +11,11 @@ Layout (all integers little-endian):
         u32[r]  dims
         f32[n]  payload, little-endian
 
-Model parameters are stored under their module-qualified names, optimizer
-state under ``opt/``, and the config snapshot / stage marker as byte-coded
-tensors under ``meta/``. The reader uses explicit little-endian dtypes, so
-it is independent of host byte order.
+Model parameters are stored under their module-qualified names, and the
+config snapshot / stage marker as byte-coded tensors under ``meta/``;
+nothing else. Optimizer state is not kept: every phase starts a fresh
+Adam. The reader uses explicit little-endian dtypes, so it is independent
+of host byte order.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Adaptive-moment optimizer over named parameter lists."""
+"""Adaptive-moment optimizer over groups of parameters."""
 
 from __future__ import annotations
 
@@ -8,55 +8,39 @@ from ..diffcore import Tensor
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay and a learning rate per group.
 
-    Parameters whose gradient is None are skipped entirely (no decay), so
-    frozen or unused tensors stay bitwise unchanged.
+    ``groups`` holds ``(params, lr, weight_decay)`` triples; the moments
+    are keyed by parameter. Parameters whose gradient is None are skipped
+    entirely (no decay), so frozen or unused tensors stay bitwise unchanged.
     """
 
-    def __init__(self, named_params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
-        self.params: list[tuple[str, Tensor]] = list(named_params)
-        self.lr = lr
+    def __init__(self, groups, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.groups: list[tuple[list[Tensor], float, float]] = [
+            (list(params), lr, weight_decay) for params, lr, weight_decay in groups]
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.m = {p: np.zeros_like(p.data) for params, _, _ in self.groups for p in params}
+        self.v = {p: np.zeros_like(p.data) for p in self.m}
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
+    def scale_lr(self, factor: float) -> None:
+        self.groups = [(params, lr * factor, wd) for params, lr, wd in self.groups]
 
     def step(self) -> None:
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = (p.data - self.lr * update).astype(p.data.dtype, copy=False)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"opt/step": np.array([self.step_count], dtype=np.float32),
-               "opt/lr": np.array([self.lr], dtype=np.float32)}
-        for name, _ in self.params:
-            out[f"opt/m/{name}"] = self.m[name]
-            out[f"opt/v/{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["opt/step"][0])
-        self.lr = float(arrays["opt/lr"][0])
-        for name, p in self.params:
-            self.m[name] = arrays[f"opt/m/{name}"].astype(p.data.dtype).reshape(p.data.shape)
-            self.v[name] = arrays[f"opt/v/{name}"].astype(p.data.dtype).reshape(p.data.shape)
+        for params, lr, weight_decay in self.groups:
+            for p in params:
+                g = p.grad
+                if g is None:
+                    continue
+                m = self.m[p] = b1 * self.m[p] + (1.0 - b1) * g
+                v = self.v[p] = b2 * self.v[p] + (1.0 - b2) * (g * g)
+                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                if weight_decay:
+                    update = update + weight_decay * p.data
+                p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)

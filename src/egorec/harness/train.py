@@ -49,7 +49,6 @@ class MetricsReport:
 @dataclass
 class TrainState:
     model: InteractionModel
-    optimizer: Adam | None
     stage: str
 
 
@@ -97,53 +96,27 @@ def _phase_spec(phase: str, model: InteractionModel, config: TrainConfig):
     raise ValueError(f"unknown phase {phase!r}")
 
 
-def _phase_optimizers(phase: str, named, config: TrainConfig):
-    """Motion fitting uses fast weight-decayed heads over slow conv trunks;
-    the decay damps drift along photometrically unconstrained directions."""
+def _phase_adam(phase: str, named, config: TrainConfig) -> Adam:
+    """One Adam over the phase's parameters. Motion fitting uses fast
+    weight-decayed heads over slow conv trunks; the decay damps drift along
+    photometrically unconstrained directions."""
+    groups = [([p for _, p in named], config.lr, config.weight_decay)]
     if phase in ("1b", "2"):
-        heads = [(n, p) for n, p in named
-                 if "affine_head" in n or "field_up2" in n]
-        rest = [(n, p) for n, p in named if (n, p) not in heads]
-        return [
-            Adam(heads, lr=config.lr * 2.5, beta1=config.beta1, beta2=config.beta2,
-                 weight_decay=max(config.weight_decay, 0.05)),
-            Adam(rest, lr=config.lr * (0.1 if phase == "1b" else 1.0),
-                 beta1=config.beta1, beta2=config.beta2,
-                 weight_decay=config.weight_decay),
-        ]
-    return [Adam(named, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                 weight_decay=config.weight_decay)]
-
-
-class _OptGroup:
-    """A list of Adam groups acting as one optimizer."""
-
-    def __init__(self, opts):
-        self.opts = opts
-
-    def step(self):
-        for o in self.opts:
-            o.step()
-
-    def scale_lr(self, factor):
-        for o in self.opts:
-            o.lr *= factor
-
-    def state_arrays(self):
-        out = {}
-        for i, o in enumerate(self.opts):
-            for k, v in o.state_arrays().items():
-                out[k if len(self.opts) == 1 else f"{k}#g{i}"] = v
-        return out
+        is_head = lambda name: "affine_head" in name or "field_up2" in name
+        groups = [([p for n, p in named if is_head(n)], config.lr * 2.5,
+                   max(config.weight_decay, 0.05)),
+                  ([p for n, p in named if not is_head(n)],
+                   config.lr * (0.1 if phase == "1b" else 1.0), config.weight_decay)]
+    return Adam(groups, beta1=config.beta1, beta2=config.beta2)
 
 
 def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
               config: TrainConfig, rng: np.random.Generator,
               eval_clips: list[VideoClip] | None = None,
-              log=None) -> _OptGroup:
+              log=None) -> None:
     named, needs, pick, epochs = _phase_spec(phase, model, config)
     params = [p for _, p in named]
-    opt = _OptGroup(_phase_optimizers(phase, named, config))
+    opt = _phase_adam(phase, named, config)
     smoothed = None
     best_smoothed = np.inf
     since_improve = 0
@@ -200,7 +173,6 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
     if best_params is not None:
         for n, p in model.all_named():
             p.data = best_params[n]
-    return opt
 
 
 def _first_non_finite_op(model, batch, needs, pick, rng) -> str:
@@ -259,14 +231,10 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
     else:
         phases = ["1a", "1b", "1c", "2"]
 
-    opt = None
     for phase in phases:
-        opt = run_phase(model, phase, clips, config, rng,
-                        eval_clips=eval_clips, log=log)
-        tensors = {n: p.data for n, p in model.all_named()}
-        tensors.update(opt.state_arrays())
-        save_checkpoint(ckpt_path, tensors, config.to_text(), phase)
-    return TrainState(model=model, optimizer=opt, stage=phases[-1])
+        run_phase(model, phase, clips, config, rng, eval_clips=eval_clips, log=log)
+        save_checkpoint(ckpt_path, model.state_arrays(), config.to_text(), phase)
+    return TrainState(model=model, stage=phases[-1])
 
 
 def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:

@@ -20,7 +20,8 @@ one piece:
     full      ego, exo       yes          yes
 
 Without the relation branch the classifier reads the final hidden states
-(concatenated when there are two).
+(concatenated when there are two). A single-stream variant (ego, exo)
+builds and projects only the stream it reads.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class InteractiveClassifier(Module):
 
     ``variant`` selects the recurrent structure (see ``LAYOUT``),
     ``features`` which raw components feed each stream (appearance,
-    motion, or both). The cell reading input ``s`` is ``block_<s>``.
+    motion, or both). The cell reading input ``s`` is ``block_<s>``; the
+    projection of each stream the cells read is ``proj_<stream>``.
     """
 
     def __init__(self, appear_dim: int, motion_dim: int, num_classes: int,
@@ -130,6 +132,7 @@ class InteractiveClassifier(Module):
         self.variant = variant
         self.features = features
         self.inputs, self.cross_gated, self.has_relation = LAYOUT[variant]
+        self.streams = ("ego", "exo") if self.inputs == ("concat",) else self.inputs
         self.num_classes = num_classes
         self.proj_dim = proj_dim
         self.hidden = hidden
@@ -138,8 +141,9 @@ class InteractiveClassifier(Module):
         m_ego = motion_dim_ego if motion_dim_ego is not None else motion_dim
         dims = {"appearance": (appear_dim, appear_dim), "motion": (m_ego, motion_dim),
                 "both": (appear_dim + m_ego, appear_dim + motion_dim)}[features]
-        self.proj_ego = Linear(dims[0], proj_dim, rng)
-        self.proj_exo = Linear(dims[1], proj_dim, rng)
+        for stream, dim in zip(("ego", "exo"), dims):
+            if stream in self.streams:
+                setattr(self, f"proj_{stream}", Linear(dim, proj_dim, rng))
 
         for name in self.inputs:
             in_dim = 2 * proj_dim if name == "concat" else proj_dim
@@ -175,19 +179,21 @@ class InteractiveClassifier(Module):
         relation, c_rel = self.relation_cell.step(r, state.relation, state.c_rel)
         return State(f=f, c=c, j=j, r=r, relation=relation, c_rel=c_rel)
 
-    def run_sequence(self, ego_seq: Tensor, exo_seq: Tensor,
+    def run_sequence(self, ego_seq: Tensor | None, exo_seq: Tensor | None,
                      rng: np.random.Generator | None = None):
-        """Classify a (B, S, P) pair of projected sequences.
+        """Classify a (B, S, P) pair of projected sequences; the sequence of
+        a stream the variant does not read may be None.
 
         Returns (final read-out state, class probabilities (B, K)).
         ``rng`` enables dropout (training); None disables it (evaluation).
         """
-        if ego_seq.ndim != 3 or ego_seq.shape != exo_seq.shape:
-            raise ShapeError(f"run_sequence: bad sequence shapes {ego_seq.shape} / {exo_seq.shape}")
-        batch, steps = ego_seq.shape[:2]
+        seqs = [s for s in (ego_seq, exo_seq) if s is not None]
+        if seqs[0].ndim != 3 or any(s.shape != seqs[0].shape for s in seqs):
+            raise ShapeError(f"run_sequence: bad sequence shapes {[s.shape for s in seqs]}")
+        batch, steps = seqs[0].shape[:2]
         if steps < 1:
             raise ShapeError("run_sequence: empty sequence")
-        state = self.initial_state(batch, ego_seq.dtype.type)
+        state = self.initial_state(batch, seqs[0].dtype.type)
         for n in range(steps):
             state = self.step(state, tuple(_step_input(name, ego_seq, exo_seq, n)
                                            for name in self.inputs))
@@ -212,16 +218,15 @@ class InteractiveClassifier(Module):
         else:
             raw = dc.concat([appear, motion], axis=2)
         b, s, d = raw.shape
-        proj = self.proj_ego if stream == "ego" else self.proj_exo
-        flat = proj(dc.reshape(raw, (b * s, d)))
+        flat = getattr(self, f"proj_{stream}")(dc.reshape(raw, (b * s, d)))
         flat = dropout(flat, self.dropout_ratio, rng)
         return dc.reshape(flat, (b, s, self.proj_dim))
 
     def classify(self, f_ga: Tensor, f_gm: Tensor, f_la: Tensor, f_lm: Tensor,
                  rng: np.random.Generator | None = None):
         """Full path from raw stream features (each (B, S, *)) to probabilities."""
-        ego = self.project(f_ga, f_gm, "ego", rng)
-        exo = self.project(f_la, f_lm, "exo", rng)
+        ego = self.project(f_ga, f_gm, "ego", rng) if "ego" in self.streams else None
+        exo = self.project(f_la, f_lm, "exo", rng) if "exo" in self.streams else None
         return self.run_sequence(ego, exo, rng)
 
 

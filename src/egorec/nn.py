@@ -55,14 +55,13 @@ class Module:
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy ``arrays`` into the parameters of the same name. Optimizer
-        entries (``opt/...``) are ignored; a missing or unexpected entry
-        raises ``KeyError``, a wrong shape ``ShapeError``."""
+        """Copy ``arrays`` into the parameters of the same name. A missing or
+        unexpected entry raises ``KeyError``, a wrong shape ``ShapeError``."""
         own = dict(self.named_parameters())
         missing = set(own) - set(arrays)
         if missing:
             raise KeyError(f"missing parameters in state: {sorted(missing)}")
-        extra = {n for n in arrays if n not in own and not n.startswith("opt/")}
+        extra = set(arrays) - set(own)
         if extra:
             raise KeyError(f"unexpected entries in state: {sorted(extra)}")
         for name, p in own.items():

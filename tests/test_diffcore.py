@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import egorec.diffcore as dc
 from egorec.diffcore import Tape, Tensor, backward, grad_check
@@ -146,27 +148,38 @@ class TestTapeRelease:
 
     @staticmethod
     def _grads_with_input_tracked(op, data, track_input):
-        """(closure's input gradient, other leaves' .grad) of sum(op(...)^2)."""
+        """(closure's gradient for the first input, other leaves' .grad) of
+        sum(op(...)^2)."""
         inputs = [Tensor(data[0], requires_grad=track_input)]
         inputs += [Tensor(d, requires_grad=True) for d in data[1:]]
         with Tape() as tape:
             y = op(*inputs)
-            bwd = tape.nodes[-1][2]
+            _, node_inputs, bwd, _ = tape.nodes[-1]
             loss = dc.sum_(y * y)
-        g_input = bwd(2.0 * y.data)[0]
+        grads = bwd(2.0 * y.data)
+        g_input = next(g for x, g in zip(node_inputs, grads) if x is inputs[0])
         backward(tape, loss)
         return g_input, [p.grad for p in inputs[1:]]
 
-    @pytest.mark.parametrize("case", ["conv2d", "grid_sample"])
+    @pytest.mark.parametrize("case", ["conv2d", "grid_sample", "mul-left", "mul-right",
+                                      "add", "sub", "div", "concat"])
     def test_untracked_input_gets_no_gradient(self, case):
+        """The first input is the constant (a frame, a dropout mask, a one-hot
+        label, an identity grid); its operand position varies by case."""
         rng = np.random.default_rng(7)
         if case == "conv2d":
             op = lambda x, w, b: dc.conv2d(x, w, b, stride=2, pad=1)
             data = [rng.normal(size=(2, 6, 8, 3)), rng.normal(size=(3, 3, 3, 4)),
                     rng.normal(size=4)]
-        else:
+        elif case == "grid_sample":
             op = dc.grid_sample
             data = [rng.normal(size=(2, 5, 7, 3)), rng.uniform(-1.2, 1.2, size=(2, 4, 6, 2))]
+        else:
+            x, c = rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4))
+            op = {"mul-left": dc.mul, "mul-right": lambda c, x: dc.mul(x, c),
+                  "add": dc.add, "sub": lambda c, x: dc.sub(x, c), "div": dc.div,
+                  "concat": lambda c, x, z: dc.concat([x, c, z], axis=1)}[case]
+            data = [c, x, x[:, :2]] if case == "concat" else [c[0], x]
         data = [d.astype(np.float32) for d in data]
         g_tracked, leaves_tracked = self._grads_with_input_tracked(op, data, True)
         g_untracked, leaves_untracked = self._grads_with_input_tracked(op, data, False)
@@ -474,3 +487,25 @@ class TestOpSemantics:
                                    stride=2, pad=1).numpy()
         rhs = (x * back).sum()
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), stride=st.integers(1, 3), pad=st.integers(0, 3),
+       ho=st.integers(1, 4), wo=st.integers(1, 4), c_in=st.integers(1, 3),
+       c_out=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_conv_transpose_is_conv_adjoint_property(k, stride, pad, ho, wo, c_in, c_out, seed):
+    """<conv2d(x, w), g> == <x, conv_transpose2d(g, w with in/out swapped)> for
+    every kernel size, stride, pad and spatial size; the input size is the
+    one whose conv2d output is ho x wo with no remainder."""
+    h, w_ = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+    assume(pad < k and h >= 1 and w_ >= 1)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, h, w_, c_in))
+    w = rng.normal(size=(k, k, c_in, c_out))
+    y = dc.conv2d(t(x), t(w), stride=stride, pad=pad).numpy()
+    assert y.shape == (2, ho, wo, c_out)
+    g = rng.normal(size=y.shape)
+    back = dc.conv_transpose2d(t(g), t(np.transpose(w, (0, 1, 3, 2))),
+                               stride=stride, pad=pad).numpy()
+    assert back.shape == x.shape
+    assert (y * g).sum() == pytest.approx((x * back).sum(), rel=1e-10, abs=1e-10)

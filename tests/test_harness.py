@@ -26,6 +26,7 @@ from egorec.harness import (
     train,
     write_report,
 )
+from egorec.harness.checkpoint import _read_table
 from egorec.harness.cli import main as cli_main
 from egorec.harness.model import interaction_head
 from egorec.synthdata import GenConfig, generate_dataset, load_manifest, load_split, sample_frames
@@ -199,11 +200,11 @@ class TestAdam:
     def test_descends_quadratic(self):
         import egorec.diffcore as dc
         x = Tensor(np.array([5.0, -3.0], dtype=np.float32), requires_grad=True)
-        opt = Adam([("x", x)], lr=0.1)
+        opt = Adam([([x], 0.1, 0.0)])
         for _ in range(300):
             with Tape() as tape:
                 loss = dc.sum_(x * x)
-            opt.zero_grad()
+            x.grad = None
             backward(tape, loss)
             opt.step()
         assert np.abs(x.data).max() < 1e-2
@@ -212,22 +213,41 @@ class TestAdam:
         x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
         y = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
         before = y.data.tobytes()
-        opt = Adam([("x", x), ("y", y)], lr=0.1, weight_decay=0.1)
+        opt = Adam([([x, y], 0.1, 0.1)])
         x.grad = np.ones_like(x.data)
         opt.step()
         assert y.data.tobytes() == before
         assert x.data.tobytes() != np.array([1.0, 2.0], np.float32).tobytes()
 
-    def test_state_round_trip(self):
-        x = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-        opt = Adam([("x", x)], lr=0.05)
-        x.grad = np.array([0.5], np.float32)
-        opt.step()
-        state = opt.state_arrays()
-        opt2 = Adam([("x", x)], lr=0.05)
-        opt2.load_state_arrays(state)
-        assert opt2.step_count == 1
-        np.testing.assert_array_equal(opt2.m["x"], opt.m["x"])
+    def test_two_groups_equal_two_adams(self):
+        """One Adam over two groups is bitwise equal to one Adam per group,
+        stepped side by side, across a learning-rate change."""
+        rng = np.random.default_rng(5)
+        start = [rng.normal(size=s).astype(np.float32) for s in [(3, 4), (4,), (2, 3)]]
+        grads = [[rng.normal(size=a.shape).astype(np.float32) for a in start]
+                 for _ in range(4)]
+        ours = [Tensor(a.copy(), requires_grad=True) for a in start]
+        theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
+        one = Adam([(ours[:2], 0.05, 0.0), (ours[2:], 0.01, 0.2)], beta1=0.8, beta2=0.99)
+        two = [Adam([(theirs[:2], 0.05, 0.0)], beta1=0.8, beta2=0.99),
+               Adam([(theirs[2:], 0.01, 0.2)], beta1=0.8, beta2=0.99)]
+        for i, step_grads in enumerate(grads):
+            if i == 2:
+                one.scale_lr(0.5)
+                for opt in two:
+                    opt.scale_lr(0.5)
+            for p, q, g in zip(ours, theirs, step_grads):
+                p.grad, q.grad = g, g.copy()
+            one.step()
+            for opt in two:
+                opt.step()
+        assert [p.data.tobytes() for p in ours] == [q.data.tobytes() for q in theirs]
+
+    def test_scale_lr_halves_every_group(self):
+        x, y = (Tensor(np.zeros(2, np.float32), requires_grad=True) for _ in range(2))
+        opt = Adam([([x], 0.4, 0.0), ([y], 0.1, 0.05)])
+        opt.scale_lr(0.5)
+        assert [(lr, wd) for _, lr, wd in opt.groups] == [(0.2, 0.0), (0.05, 0.05)]
 
 
 class TestTraining:
@@ -289,6 +309,19 @@ class TestTraining:
         path = tmp_path / "m.ckpt"
         _model_checkpoint(path, reshape="interact.relation_cell.u")
         with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*interact.relation_cell.u"):
+            load_model(path)
+
+    def test_checkpoint_holds_only_parameters(self, tiny_dataset, tmp_path):
+        path = tmp_path / "all.ckpt"
+        state = train(load_manifest(tiny_dataset), tiny_config(), "all", path)
+        names = set(_read_table(path.read_bytes()))
+        assert names == {n for n, _ in state.model.all_named()} | {"meta/config", "meta/stage"}
+
+    def test_load_model_rejects_optimizer_entry(self, tmp_path):
+        """Checkpoints that still carry Adam moments under ``opt/`` are refused."""
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path, extra="opt/m/interact.classifier.w")
+        with pytest.raises(KeyError, match=re.escape(str(path)) + ".*opt/m/interact.classifier.w"):
             load_model(path)
 
     def test_load_model_rejects_unexpected_entry(self, tmp_path):

@@ -187,6 +187,18 @@ class TestRunSequence:
         assert p1.numpy().tobytes() != p3.numpy().tobytes()
 
 
+@pytest.mark.parametrize("variant, unread", [("ego", "exo"), ("exo", "ego")])
+def test_single_stream_head_builds_only_its_projection(variant, unread):
+    m = make_model(variant=variant, seed=26, k=4)
+    names = [n for n, _ in m.named_parameters()]
+    assert f"proj_{variant}.w" in names
+    assert not [n for n in names if n.startswith(f"proj_{unread}.")]
+    rng = np.random.default_rng(27)
+    f = lambda d: Tensor(rng.normal(size=(2, 5, d)).astype(np.float32))
+    _, probs = m.classify(f(3), f(2), f(3), f(2), rng=np.random.default_rng(28))
+    np.testing.assert_allclose(probs.numpy().sum(axis=1), np.ones(2), atol=1e-6)
+
+
 def test_rel_is_full_without_cross_gating():
     rel = make_model(variant="rel", seed=23, k=4)
     full = make_model(variant="full", seed=24, k=4)
