@@ -3,7 +3,9 @@
 A small stack of conv blocks (3x3 conv, relu, 2x2 average pool) stands in
 for a large pretrained CNN. Total downsampling is ``stride`` (one block per
 factor of two), so a stride-8 backbone maps H x W x 3 frames to
-H/8 x W/8 x C feature maps.
+H/8 x W/8 x C feature maps. Each block is one ``conv2d`` op with the ReLU
+and the pool fused in (``relu=True, pool=2``), so the tape never holds a
+block's full-resolution activation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
 from .nn import Conv2d, Module
 
@@ -122,5 +123,5 @@ class ConvBackbone(Module):
             )
         x = frames
         for conv in self.blocks:
-            x = dc.avg_pool2d(conv(x, relu=True), 2)
+            x = conv(x, relu=True, pool=2)
         return x

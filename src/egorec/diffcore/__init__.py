@@ -15,7 +15,6 @@ from .tensor import (
 from .ops import (
     abs_,
     add,
-    avg_pool2d,
     clip,
     concat,
     conv2d,
@@ -46,6 +45,6 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
     "reshape", "concat", "slice_", "sum_", "mean",
     "sigmoid", "tanh_", "relu", "log", "abs_", "clip", "softmax",
-    "conv2d", "conv_transpose2d", "avg_pool2d", "grid_sample", "correlate",
+    "conv2d", "conv_transpose2d", "grid_sample", "correlate",
     "grad_check", "GradCheckReport",
 ]

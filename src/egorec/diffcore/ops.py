@@ -15,9 +15,20 @@ operands follow numpy promotion. ``mean`` divides by a Python int.
 
 Tape memory: a closure keeps only what its backward reads. conv2d and
 conv_transpose2d take ``relu=True`` to apply a ReLU in place and mask the
-gradient by ``out > 0``, so the pre-activation output is not kept;
-grid_sample recomputes its coordinates and taps and correlate re-pads
-``f_prev`` in backward.
+gradient by ``out > 0``, so the pre-activation output is not kept. conv2d
+also takes ``pool=k``, a k-by-k average pool after the ReLU: the tape then
+keeps the pooled output and a boolean ReLU mask, not the full-resolution
+output. grid_sample recomputes its coordinates and taps and correlate
+re-pads ``f_prev`` in backward.
+
+Scratch memory: conv forwards build their largest temporaries (conv2d's
+im2col columns, conv_transpose2d's tap products) one batch slice at a time,
+in slices of at most ``_SCRATCH_BYTES``, whatever the batch size; outputs
+are bitwise the same as from one full-batch product. conv2d's backward
+works one kernel tap at a time (``gw[u, v] = x_tap^T g`` and
+``gx[tap] += g w[u, v]^T``), so its scratch is one input-sized tap, not
+kh*kw of them. grid_sample's backward builds its grid-gradient terms in
+place in two reused buffers.
 
 Conventions:
   - images and feature maps are NHWC;
@@ -294,20 +305,35 @@ def softmax(a, axis: int = -1) -> Tensor:
 # convolution family (NHWC, kernels (kh, kw, c_in, c_out))
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    n, h, w, c = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, ho*, wo*, c, kh, kw)
-    win = win[:, ::stride, ::stride]
-    n_, ho, wo = win.shape[:3]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n_, ho, wo, kh * kw * c)
-    return cols, ho, wo
+# Bytes of scratch a conv op's forward may allocate at once: conv2d builds
+# its im2col columns and conv_transpose2d its tap products one batch slice
+# at a time, so each slice fits.
+_SCRATCH_BYTES = 4 << 20
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
-    """Cross-correlation; ``relu=True`` applies a ReLU to the output in
-    place, so the tape keeps one array instead of the conv and relu outputs."""
+def _batch_slices(n: int, item_bytes: int) -> list[slice]:
+    """Split a batch of ``n`` items into the fewest slices of at most
+    ``_SCRATCH_BYTES`` each (one item if an item alone is larger), with
+    sizes that differ by at most one.
+
+    A row of a matrix product does not depend on how many rows the product
+    has, except that BLAS may switch to another kernel, with another
+    summation order, for a very small product. Equal slices keep each one
+    near half the budget or more, so none is that small."""
+    cap = max(1, _SCRATCH_BYTES // item_bytes)
+    count = max(1, -(-n // cap))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
+           pool: int = 1) -> Tensor:
+    """Cross-correlation, then optionally a ReLU and a ``pool``-by-``pool``
+    average pool, each applied in place per batch slice.
+
+    With ``relu`` and no pool the tape keeps the output, which backward
+    masks the gradient by; with a pool it keeps a boolean mask of the
+    full-resolution ReLU output, a quarter of that output's bytes."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(f"conv2d: input {x.data.shape} incompatible with kernel {w.data.shape}")
@@ -315,31 +341,54 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False) -> T
     n, h, wd, _ = x.data.shape
     if h + 2 * pad < kh or wd + 2 * pad < kw:
         raise ShapeError(f"conv2d: input {x.data.shape} smaller than kernel {w.data.shape}")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
-    wmat = w.data.reshape(kh * kw * ci, co)
-    out = cols.reshape(-1, kh * kw * ci) @ wmat
-    out = out.reshape(n, ho, wo, co)
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    if pool < 1 or ho % pool or wo % pool:
+        raise ShapeError(f"conv2d: output {ho}x{wo} not divisible by pool {pool}")
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
-    if b is not None:
-        out = out + inputs[2].data
-    if relu:
-        np.maximum(out, 0, out=out)
+    dtype = np.result_type(x.data, w.data)
+    wmat = w.data.reshape(kh * kw * ci, co)
+    widths = ((0, 0), (pad, pad), (pad, pad), (0, 0))
+    out = np.empty((n, ho // pool, wo // pool, co), dtype)
+    mask = np.empty((n, ho, wo, co), bool) if relu and pool > 1 else None
+    for s in _batch_slices(n, ho * wo * kh * kw * ci * dtype.itemsize):
+        xs = np.pad(x.data[s], widths) if pad else x.data[s]
+        win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * ci)
+        full = np.empty((len(xs), ho, wo, co), dtype) if pool > 1 else out[s]
+        np.matmul(cols, wmat, out=full.reshape(-1, co))
+        if b is not None:
+            full += inputs[2].data
+        if relu:
+            np.maximum(full, 0, out=full)
+        if mask is not None:
+            np.greater(full, 0, out=mask[s])
+        if pool > 1:
+            full.reshape(-1, ho // pool, pool, wo // pool, pool, co).mean(axis=(2, 4), out=out[s])
+        del xs, win, cols, full  # free this slice's scratch before the next is built
 
     def bwd(g):
-        if relu:
+        if pool > 1:
+            # spread g / pool^2 over each window, straight into one buffer
+            up = np.empty((n, ho, wo, co), g.dtype)
+            np.divide(g[:, :, None, :, None], pool * pool,
+                      out=up.reshape(n, ho // pool, pool, wo // pool, pool, co))
+            g = np.multiply(up, mask, out=up) if relu else up
+        elif relu:
             g = g * (out > 0)
         gflat = g.reshape(-1, co)
-        cols2, _, _ = _im2col(x.data, kh, kw, stride, pad)
-        gw = (cols2.reshape(-1, kh * kw * ci).T @ gflat).reshape(w.data.shape)
-        gx = None
-        if x.requires_grad:
-            dcols = (gflat @ wmat.T).reshape(n, ho, wo, kh, kw, ci)
-            gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, ci), dtype=g.dtype)
-            for u in range(kh):
-                for v in range(kw):
-                    gx[:, u:u + stride * ho:stride,
-                       v:v + stride * wo:stride] += dcols[:, :, :, u, v]
-            gx = gx[:, pad:pad + h, pad:pad + wd] if pad else gx
+        xp = np.pad(x.data, widths) if pad else x.data
+        gw = np.empty_like(w.data)
+        gx = np.zeros_like(xp) if x.requires_grad else None
+        for u in range(kh):
+            for v in range(kw):
+                tap = (slice(None), slice(u, u + stride * ho, stride),
+                       slice(v, v + stride * wo, stride))
+                gw[u, v] = xp[tap].reshape(-1, ci).T @ gflat
+                if gx is not None:
+                    gx[tap] += (gflat @ w.data[u, v].T).reshape(n, ho, wo, ci)
+        if gx is not None and pad:
+            gx = gx[:, pad:pad + h, pad:pad + wd]
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
@@ -361,16 +410,15 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
     ow = (wd - 1) * stride + kw - 2 * pad
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv_transpose2d: empty output for input {x.data.shape}")
-
-    def forward(xd):
-        tmp = np.tensordot(xd, w.data, axes=([3], [2]))  # (n, h, wd, kh, kw, co)
-        full = np.zeros((n, (h - 1) * stride + kh, (wd - 1) * stride + kw, co), dtype=tmp.dtype)
+    dtype = np.result_type(x.data, w.data)
+    full = np.zeros((n, (h - 1) * stride + kh, (wd - 1) * stride + kw, co), dtype)
+    for s in _batch_slices(n, h * wd * kh * kw * co * dtype.itemsize):
+        tmp = np.tensordot(x.data[s], w.data, axes=([3], [2]))  # (ns, h, wd, kh, kw, co)
         for u in range(kh):
             for v in range(kw):
-                full[:, u:u + stride * h:stride, v:v + stride * wd:stride] += tmp[:, :, :, u, v]
-        return full[:, pad:pad + oh, pad:pad + ow]
-
-    out = forward(x.data)
+                full[s, u:u + stride * h:stride, v:v + stride * wd:stride] += tmp[:, :, :, u, v]
+        del tmp  # free this slice's scratch before the next is built
+    out = full[:, pad:pad + oh, pad:pad + ow]
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     if b is not None:
         out = out + inputs[2].data
@@ -393,20 +441,6 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
         return gx, gw, g.sum(axis=(0, 1, 2))
 
     return _result("conv_transpose2d", out, inputs, bwd)
-
-
-def avg_pool2d(x, k: int = 2) -> Tensor:
-    x = as_tensor(x)
-    n, h, w, c = x.data.shape
-    if h % k or w % k:
-        raise ShapeError(f"avg_pool2d: spatial dims of {x.data.shape} not divisible by {k}")
-    out = x.data.reshape(n, h // k, k, w // k, k, c).mean(axis=(2, 4))
-
-    def bwd(g):
-        g = g / (k * k)
-        return (np.repeat(np.repeat(g, k, axis=1), k, axis=2),)
-
-    return _result("avg_pool2d", out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +500,19 @@ def grid_sample(img, grid) -> Tensor:
                 np.add.at(gimg, (bidx, yi * w + xi), g * wgt)
             gimg = gimg.reshape(img.data.shape)
 
-        du = ((i01 - i00) * (1 - fy) + (i11 - i10) * fy) * g
-        dv = ((i10 - i00) * (1 - fx) + (i11 - i01) * fx) * g
+        # ((a - b) * fa + (c - d) * fc) * g for the x and then the y term,
+        # built in place in two buffers the two terms share
+        term, tmp = np.empty_like(i00), np.empty_like(i00)
+
+        def slope(a, b, fa, c, d, fc):
+            np.multiply(np.subtract(a, b, out=term), fa, out=term)
+            np.multiply(np.subtract(c, d, out=tmp), fc, out=tmp)
+            np.multiply(np.add(term, tmp, out=term), g, out=term)
+            return term.sum(axis=-1)
+
         ggrid = np.empty_like(grid.data)
-        ggrid[..., 0] = du.sum(axis=-1) * inx * (0.5 * (w - 1))
-        ggrid[..., 1] = dv.sum(axis=-1) * iny * (0.5 * (h - 1))
+        ggrid[..., 0] = slope(i01, i00, 1 - fy, i11, i10, fy) * inx * (0.5 * (w - 1))
+        ggrid[..., 1] = slope(i10, i00, 1 - fx, i11, i01, fx) * iny * (0.5 * (h - 1))
         return gimg, ggrid
 
     return _result("grid_sample", out, (img, grid), bwd)

@@ -7,8 +7,10 @@ and gradient are freed once it is replayed, and accumulates gradients into
 and inputs). Without an active tape every op is a plain numpy forward pass,
 which is what evaluation and finite-difference probing use. What a node
 keeps is what its backward reads: conv ops fuse a following ReLU (one
-array on the tape, not two), and ops whose backward needs cheap derived
-buffers recompute them from the inputs.
+array on the tape, not two), conv2d also a following average pool (the
+pooled output and a boolean ReLU mask, not the full-resolution output),
+and ops whose backward needs cheap derived buffers recompute them from
+the inputs.
 
 Training runs in float32 from the loss back to the parameters;
 verification (gradient checking) runs in float64 by constructing the

@@ -13,7 +13,7 @@ Layout (all integers little-endian):
 
 Model parameters are stored under their module-qualified names, and the
 config snapshot / stage marker as byte-coded tensors under ``meta/``;
-nothing else. Optimizer state is not kept: every phase starts a fresh
+nothing else. Names are unique: the reader rejects a name it meets twice. Optimizer state is not kept: every phase starts a fresh
 Adam. The reader uses explicit little-endian dtypes, so it is independent
 of host byte order.
 """
@@ -95,6 +95,8 @@ def _read_table(raw: bytes) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
+        if name in table:
+            raise ValueError(f"duplicate entry {name!r}")
         (rank,) = take(1)
         dims = np.frombuffer(take(4 * rank), dtype="<u4").tolist()
         data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")

@@ -101,8 +101,9 @@ class Conv2d(Module):
                             requires_grad=True)
             self.b = Tensor(uniform_init(rng, (c_out,), fan_in), requires_grad=True)
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        return dc.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, relu=relu)
+    def __call__(self, x: Tensor, relu: bool = False, pool: int = 1) -> Tensor:
+        return dc.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, relu=relu,
+                         pool=pool)
 
 
 class ConvTranspose2d(Module):

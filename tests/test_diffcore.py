@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import egorec.diffcore as dc
 from egorec.diffcore import Tape, Tensor, backward, grad_check
+from egorec.diffcore import ops
 from egorec.diffcore.ops import _result
 
 
@@ -259,6 +261,96 @@ class TestFusedRelu:
         assert n_fused == n_ref - 1
 
 
+CONV_CASES = [
+    pytest.param(dc.conv2d, [(5, 6, 8, 3), (3, 3, 3, 4), (4,)], dict(pad=1), id="conv2d"),
+    pytest.param(dc.conv2d, [(5, 7, 6, 3), (3, 3, 3, 4), (4,)], dict(stride=2, relu=True),
+                 id="conv2d-relu"),
+    pytest.param(dc.conv2d, [(5, 6, 8, 3), (3, 3, 3, 4), (4,)], dict(pad=1, relu=True, pool=2),
+                 id="conv2d-relu-pool"),
+    pytest.param(dc.conv_transpose2d, [(5, 3, 4, 3), (4, 4, 3, 2), (2,)],
+                 dict(stride=2, pad=1, relu=True), id="conv_transpose2d"),
+]
+
+
+class TestScratchBudget:
+    """Conv forwards build their scratch one batch slice at a time, and the
+    slices change no bit of any output or gradient."""
+
+    @staticmethod
+    def _run(op, shapes, kwargs):
+        rng = np.random.default_rng(23)
+        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        with Tape() as tape:
+            y = op(*inputs, **kwargs)
+            weights = Tensor(rng.normal(size=y.shape).astype(np.float32))
+            loss = dc.sum_(y * weights)
+        backward(tape, loss)
+        return [y.data] + [x.grad for x in inputs]
+
+    @pytest.mark.parametrize("per_slice", [1, 2])
+    @pytest.mark.parametrize("op, shapes, kwargs", CONV_CASES)
+    def test_slices_change_no_bit(self, op, shapes, kwargs, per_slice, monkeypatch):
+        calls = []
+        real = ops._batch_slices
+
+        def spy(n, item_bytes):
+            slices = real(n, item_bytes)
+            calls.append((item_bytes, len(slices)))
+            return slices
+
+        monkeypatch.setattr(ops, "_batch_slices", spy)
+        ref = self._run(op, shapes, kwargs)
+        [(item_bytes, count)] = calls
+        assert count == 1
+        monkeypatch.setattr(ops, "_SCRATCH_BYTES", per_slice * item_bytes)
+        sliced = self._run(op, shapes, kwargs)
+        assert calls[1] == (item_bytes, -(-shapes[0][0] // per_slice))
+        for a, b in zip(sliced, ref):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("op, shapes, kwargs, track_x, pool", [
+        pytest.param(dc.conv2d, [(160, 32, 64, 3), (3, 3, 3, 12), (12,)],
+                     dict(pad=1, relu=True, pool=2), False, 2, id="backbone-conv1"),
+        pytest.param(dc.conv_transpose2d, [(160, 16, 32, 12), (4, 4, 12, 8), (8,)],
+                     dict(stride=2, pad=1, relu=True), True, 1, id="decoder-up2"),
+    ])
+    def test_scratch_is_bounded(self, op, shapes, kwargs, track_x, pool):
+        """At the full batch of a default training step (8 clips x 20 frames),
+        the traced peak of forward and backward, less what the op holds
+        whatever its scratch (output, output gradient, the gradient at the
+        conv's own full-resolution output, input gradients), is <= 16 MiB.
+        The raw frames into the backbone's first conv need no gradient."""
+        rng = np.random.default_rng(24)
+        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=track_x or i > 0)
+                  for i, s in enumerate(shapes)]
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = op(*inputs, **kwargs)
+            g = rng.normal(size=y.shape).astype(np.float32)
+            [(_, _, bwd, _)] = tape.nodes
+            grads = [a for a in bwd(g) if a is not None]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == len(inputs) - (not track_x)
+        held = y.data.nbytes + g.nbytes * (1 + pool * pool)
+        held += sum((a if a.base is None else a.base).nbytes for a in grads)
+        assert peak - held <= 16 << 20, f"{(peak - held) / 2**20:.1f} MiB"
+
+    def test_slices_are_few_equal_and_within_budget(self, monkeypatch):
+        monkeypatch.setattr(ops, "_SCRATCH_BYTES", 1000)
+        for n in range(1, 30):
+            for item in (1, 70, 300, 999, 1000, 1001):
+                slices = ops._batch_slices(n, item)
+                sizes = [s.stop - s.start for s in slices]
+                assert [s.start for s in slices] == [0] + list(np.cumsum(sizes)[:-1])
+                assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+                cap = max(1, 1000 // item)
+                assert max(sizes) <= cap and len(sizes) == -(-n // cap)
+
+
 class TestRecomputedBuffers:
     """grid_sample and correlate recompute what their backward reads, so the
     tape keeps no buffer of theirs beyond the inputs."""
@@ -387,13 +479,14 @@ def test_primitive_grad_sweep(seed):
          [rt((1, 5, 5, 2)), rt((3, 3, 2, 2))]),
         (lambda u, v, w: _scalarize(dc.conv_transpose2d(u, v, w, stride=2, pad=1)),
          [rt((1, 3, 4, 2)), rt((4, 4, 2, 2)), rt((2,))]),
-        (lambda u: _scalarize(dc.avg_pool2d(u, 2)), [rt((2, 4, 4, 2))]),
         (lambda u, v: _scalarize(dc.correlate(u, v, d=1)),
          [rt((1, 4, 5, 3)), rt((1, 4, 5, 3))]),
         (lambda u, v, w: _scalarize(dc.conv2d(u, v, w, stride=1, pad=1, relu=True)),
          [rt((2, 4, 5, 2)), rt((3, 3, 2, 3)), rt((3,))]),
         (lambda u, v, w: _scalarize(dc.conv_transpose2d(u, v, w, stride=2, pad=1, relu=True)),
          [rt((1, 3, 4, 2)), rt((4, 4, 2, 2)), rt((2,))]),
+        (lambda u, v, w: _scalarize(dc.conv2d(u, v, w, stride=1, pad=1, relu=True, pool=2)),
+         [rt((2, 4, 6, 2)), rt((3, 3, 2, 3)), rt((3,))]),
     ]
     for i, (fn, inputs) in enumerate(cases):
         rep = grad_check(fn, inputs)
@@ -454,12 +547,36 @@ class TestOpSemantics:
         out = dc.grid_sample(t(img), t(grid)).numpy()
         np.testing.assert_allclose(out, np.broadcast_to(img[:, 2:3, 3:4], out.shape), atol=1e-12)
 
-    def test_avg_pool_matches_reshape_mean(self):
+    def test_pool_epilogue_matches_reshape_mean(self):
+        """``pool=2`` equals a numpy reshape-mean of the ReLU'd conv, and its
+        gradients equal those of the ReLU'd conv under the loss the mean
+        spreads: each output gradient over its window, divided by 4."""
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(2, 6, 8, 3))
-        out = dc.avg_pool2d(t(x), 2).numpy()
-        ref = x.reshape(2, 3, 2, 4, 2, 3).mean(axis=(2, 4))
-        np.testing.assert_allclose(out, ref, atol=1e-12)
+        data = [rng.normal(size=s).astype(np.float32)
+                for s in [(2, 6, 8, 3), (3, 3, 3, 4), (4,)]]
+        weights = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        spread = np.repeat(np.repeat(weights / 4, 2, axis=1), 2, axis=2)
+
+        def run(pool, w_out):
+            inputs = [Tensor(d, requires_grad=True) for d in data]
+            with Tape() as tape:
+                y = dc.conv2d(*inputs, pad=1, relu=True, pool=pool)
+                loss = dc.sum_(y * Tensor(w_out))
+            backward(tape, loss)
+            return y.data, [x.grad for x in inputs]
+
+        pooled, g_pooled = run(2, weights)
+        full, g_full = run(1, spread)
+        assert (full == 0).any() and (full > 0).any()
+        ref = full.reshape(2, 3, 2, 4, 2, 4).mean(axis=(2, 4))
+        assert pooled.tobytes() == ref.tobytes()
+        for a, b in zip(g_pooled, g_full):
+            assert a.tobytes() == b.tobytes()
+
+    def test_pool_must_divide_the_output(self):
+        x, w = t(np.zeros((1, 5, 6, 2))), t(np.zeros((3, 3, 2, 3)))
+        with pytest.raises(dc.ShapeError, match=r"conv2d: output 5x6 not divisible by pool 2"):
+            dc.conv2d(x, w, pad=1, pool=2)
 
     def test_conv2d_against_direct_loops(self):
         rng = np.random.default_rng(16)

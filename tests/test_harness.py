@@ -185,6 +185,16 @@ class TestCorruptCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    def test_duplicate_entry_names_the_file_and_entry(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path)
+        raw = path.read_bytes()
+        assert raw.count(b"backbone.blocks.0.b") == 1
+        path.write_bytes(raw.replace(b"backbone.blocks.0.b", b"backbone.blocks.0.w"))
+        with pytest.raises(ValueError, match="duplicate entry 'backbone.blocks.0.w'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("key", ["meta/config", "meta/stage"])
     def test_missing_meta(self, tmp_path, key):
         path = tmp_path / "m.ckpt"
