@@ -24,11 +24,16 @@ re-pads ``f_prev`` in backward.
 Scratch memory: conv forwards build their largest temporaries (conv2d's
 im2col columns, conv_transpose2d's tap products) one batch slice at a time,
 in slices of at most ``_SCRATCH_BYTES``, whatever the batch size; outputs
-are bitwise the same as from one full-batch product. conv2d's backward
-works one kernel tap at a time (``gw[u, v] = x_tap^T g`` and
-``gx[tap] += g w[u, v]^T``), so its scratch is one input-sized tap, not
-kh*kw of them. grid_sample's backward builds its grid-gradient terms in
-place in two reused buffers.
+are bitwise the same as from one full-batch product. grid_sample runs its
+forward and its backward over the same batch slices, recomputing each
+slice's coordinates and taps, so neither holds full-batch float64
+coordinates or taps. conv2d's backward works one kernel tap at a time
+(``gw[u, v] = x_tap^T g`` and ``gx[tap] += g w[u, v]^T``), so its scratch
+is one input-sized tap, not kh*kw of them. conv_transpose2d accumulates
+only the taps that land inside its output, adds the bias in place, and
+writes the ReLU-masked gradient straight into a zeroed padded buffer.
+grid_sample's backward builds its grid-gradient terms in place in two
+reused buffers.
 
 Conventions:
   - images and feature maps are NHWC;
@@ -305,9 +310,10 @@ def softmax(a, axis: int = -1) -> Tensor:
 # convolution family (NHWC, kernels (kh, kw, c_in, c_out))
 
 
-# Bytes of scratch a conv op's forward may allocate at once: conv2d builds
-# its im2col columns and conv_transpose2d its tap products one batch slice
-# at a time, so each slice fits.
+# Bytes of scratch a conv op's forward, or a grid_sample pass, may allocate
+# at once: conv2d builds its im2col columns, conv_transpose2d its tap
+# products and grid_sample its coordinates and taps one batch slice at a
+# time, so each slice fits.
 _SCRATCH_BYTES = 4 << 20
 
 
@@ -396,6 +402,17 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
     return _result("conv2d", out, inputs, bwd)
 
 
+def _tap_span(u: int, size_in: int, size_out: int, stride: int, pad: int):
+    """(input slice, output slice) of the inputs ``i`` whose tap at kernel
+    offset ``u`` lands inside the output, at ``u + stride * i - pad``."""
+    lo = max(0, -((u - pad) // stride))
+    hi = min(size_in, (size_out - 1 + pad - u) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    first = u + stride * lo - pad
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
 def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
                      relu: bool = False) -> Tensor:
     """Adjoint of a strided conv2d; ``relu`` as in ``conv2d``."""
@@ -411,24 +428,31 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv_transpose2d: empty output for input {x.data.shape}")
     dtype = np.result_type(x.data, w.data)
-    full = np.zeros((n, (h - 1) * stride + kh, (wd - 1) * stride + kw, co), dtype)
+    rows = [_tap_span(u, h, oh, stride, pad) for u in range(kh)]
+    cols = [_tap_span(v, wd, ow, stride, pad) for v in range(kw)]
+    out = np.zeros((n, oh, ow, co), dtype)
     for s in _batch_slices(n, h * wd * kh * kw * co * dtype.itemsize):
         tmp = np.tensordot(x.data[s], w.data, axes=([3], [2]))  # (ns, h, wd, kh, kw, co)
-        for u in range(kh):
-            for v in range(kw):
-                full[s, u:u + stride * h:stride, v:v + stride * wd:stride] += tmp[:, :, :, u, v]
+        for u, (iy, oy) in enumerate(rows):
+            for v, (ix, ox) in enumerate(cols):
+                out[s, oy, ox] += tmp[:, iy, ix, u, v]
         del tmp  # free this slice's scratch before the next is built
-    out = full[:, pad:pad + oh, pad:pad + ow]
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     if b is not None:
-        out = out + inputs[2].data
+        out += inputs[2].data
     if relu:
         np.maximum(out, 0, out=out)
 
     def bwd(g):
+        # the (ReLU-masked) gradient, written straight into the interior of
+        # a zeroed padded buffer
+        gfull = np.zeros((n, oh + 2 * pad, ow + 2 * pad, co), g.dtype)
+        inner = gfull[:, pad:pad + oh, pad:pad + ow]
         if relu:
-            g = g * (out > 0)
-        gfull = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else g
+            np.multiply(g, out > 0, out=inner)
+        else:
+            inner[...] = g
+        g = inner
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w.data)
         for u in range(kh):
@@ -474,46 +498,53 @@ def grid_sample(img, grid) -> Tensor:
 
     ``grid`` is (N, Hg, Wg, 2) with channel 0 = x and channel 1 = y in
     [-1, 1] (align-corners). Out-of-range coordinates clamp to the border.
-    Backward recomputes the coordinates and taps from the inputs.
+    Forward and backward run one batch slice at a time; backward recomputes
+    each slice's coordinates and taps from the inputs.
     """
     img, grid = as_tensor(img), as_tensor(grid)
     n, h, w, c = img.data.shape
     if grid.ndim != 4 or grid.data.shape[3] != 2 or grid.data.shape[0] != n:
         raise ShapeError(f"grid_sample: grid {grid.data.shape} incompatible with image {img.data.shape}")
-    _, _, _, fx, fy, _, _, (i00, i01, i10, i11) = _bilinear_taps(img.data, grid.data)
-    top = i00 * (1 - fx) + i01 * fx
-    bot = i10 * (1 - fx) + i11 * fx
-    out = top * (1 - fy) + bot * fy
+    hg, wg = grid.data.shape[1:3]
+    # per sampled pixel: float64 coordinates, int64 corners, and the four
+    # taps with as many products of their size
+    slices = _batch_slices(n, hg * wg * (32 + 8 * c * img.data.itemsize))
+    out = np.empty((n, hg, wg, c), img.data.dtype)
+    for s in slices:
+        _, _, _, fx, fy, _, _, (i00, i01, i10, i11) = _bilinear_taps(img.data[s], grid.data[s])
+        top = i00 * (1 - fx) + i01 * fx
+        bot = i10 * (1 - fx) + i11 * fx
+        out[s] = top * (1 - fy) + bot * fy
 
     def bwd(g):
-        bidx, x0, y0, fx, fy, inx, iny, (i00, i01, i10, i11) = _bilinear_taps(
-            img.data, grid.data)
-        gimg = None
-        if img.requires_grad:
-            gimg = np.zeros((n, h * w, c), dtype=g.dtype)
-            for yi, xi, wgt in (
-                (y0, x0, (1 - fy) * (1 - fx)),
-                (y0, x0 + 1, (1 - fy) * fx),
-                (y0 + 1, x0, fy * (1 - fx)),
-                (y0 + 1, x0 + 1, fy * fx),
-            ):
-                np.add.at(gimg, (bidx, yi * w + xi), g * wgt)
-            gimg = gimg.reshape(img.data.shape)
-
-        # ((a - b) * fa + (c - d) * fc) * g for the x and then the y term,
-        # built in place in two buffers the two terms share
-        term, tmp = np.empty_like(i00), np.empty_like(i00)
-
-        def slope(a, b, fa, c, d, fc):
-            np.multiply(np.subtract(a, b, out=term), fa, out=term)
-            np.multiply(np.subtract(c, d, out=tmp), fc, out=tmp)
-            np.multiply(np.add(term, tmp, out=term), g, out=term)
-            return term.sum(axis=-1)
-
+        gimg = np.zeros((n, h * w, c), dtype=g.dtype) if img.requires_grad else None
         ggrid = np.empty_like(grid.data)
-        ggrid[..., 0] = slope(i01, i00, 1 - fy, i11, i10, fy) * inx * (0.5 * (w - 1))
-        ggrid[..., 1] = slope(i10, i00, 1 - fx, i11, i01, fx) * iny * (0.5 * (h - 1))
-        return gimg, ggrid
+        for s in slices:
+            bidx, x0, y0, fx, fy, inx, iny, (i00, i01, i10, i11) = _bilinear_taps(
+                img.data[s], grid.data[s])
+            gs = g[s]
+            if gimg is not None:
+                for yi, xi, wgt in (
+                    (y0, x0, (1 - fy) * (1 - fx)),
+                    (y0, x0 + 1, (1 - fy) * fx),
+                    (y0 + 1, x0, fy * (1 - fx)),
+                    (y0 + 1, x0 + 1, fy * fx),
+                ):
+                    np.add.at(gimg[s], (bidx, yi * w + xi), gs * wgt)
+
+            # ((a - b) * fa + (c - d) * fc) * g for the x and then the y term,
+            # built in place in two buffers the two terms share
+            term, tmp = np.empty_like(i00), np.empty_like(i00)
+
+            def slope(a, b, fa, c, d, fc):
+                np.multiply(np.subtract(a, b, out=term), fa, out=term)
+                np.multiply(np.subtract(c, d, out=tmp), fc, out=tmp)
+                np.multiply(np.add(term, tmp, out=term), gs, out=term)
+                return term.sum(axis=-1)
+
+            ggrid[s, ..., 0] = slope(i01, i00, 1 - fy, i11, i10, fy) * inx * (0.5 * (w - 1))
+            ggrid[s, ..., 1] = slope(i10, i00, 1 - fx, i11, i01, fx) * iny * (0.5 * (h - 1))
+        return (None if gimg is None else gimg.reshape(img.data.shape)), ggrid
 
     return _result("grid_sample", out, (img, grid), bwd)
 

@@ -56,7 +56,7 @@ def extract_features(model: InteractionModel, clips, config: TrainConfig,
     for start in range(0, len(clips), batch_size):
         batch = clips[start:start + batch_size]
         frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
-        f_ga, f_gm, f_la, f_lm = model.stream_features(frames.astype(np.float32))
+        f_ga, f_gm, f_la, f_lm = model.stream_features(frames)
         gas.append(f_ga)
         gms.append(f_gm)
         las.append(f_la)

@@ -110,8 +110,7 @@ def cmd_viz(args) -> int:
     sampled = sample_frames(clip, config.num_frames)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = sampled.frames[None].astype(np.float32)
-    res = model.forward(frames, None, None, need_rec=True, keep_outputs=True)
+    res = model.forward(sampled.frames[None], None, None, need_rec=True, keep_outputs=True)
     n = sampled.frames.shape[0]
     m3 = res.masks_m3.numpy().reshape(1, n, *res.masks_m3.shape[1:])[0]
     recon = res.recon.numpy()

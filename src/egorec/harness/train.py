@@ -66,9 +66,7 @@ def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
         frames.append(sampled.frames)
         masks.append(sampled.ref_masks)
         labels.append(sampled.label)
-    return (np.stack(frames).astype(np.float32),
-            np.stack(masks).astype(np.float32),
-            np.asarray(labels, dtype=np.int64))
+    return np.stack(frames), np.stack(masks), np.asarray(labels, dtype=np.int64)
 
 
 def _phase_spec(phase: str, model: InteractionModel, config: TrainConfig):

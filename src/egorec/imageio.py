@@ -1,8 +1,9 @@
 """Binary PPM (P6) and PGM (P5) read/write, 8-bit, maxval 255.
 
-Frames and masks are exchanged as float arrays in [0, 1]; files store the
-rounded 8-bit quantization, so arrays that are already multiples of 1/255
-round-trip exactly.
+Frames and masks are exchanged as uint8 arrays: readers return the file's
+pixel bytes, and writers store uint8 arrays as they are. Writers also take
+float arrays in [0, 1] and store their rounded 8-bit quantization (as the
+visualizations do).
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import numpy as np
 
 
 def _quantize(img: np.ndarray) -> np.ndarray:
-    return np.clip(np.round(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
+    img = np.asarray(img)
+    if img.dtype == np.uint8:
+        return img
+    return np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
 
 
 def _read_header(f, magic: bytes):
@@ -38,7 +42,8 @@ def _read_header(f, magic: bytes):
 
 
 def _read_pixels(f, count: int) -> np.ndarray:
-    """The ``count`` bytes after the header, which must end the file."""
+    """The ``count`` bytes after the header, which must end the file, as a
+    read-only uint8 view of them."""
     data = f.read()
     if len(data) < count:
         raise ValueError(f"{f.name}: truncated pixel data")
@@ -48,7 +53,7 @@ def _read_pixels(f, count: int) -> np.ndarray:
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write a (H, W) array in [0, 1] as binary PGM."""
+    """Write a (H, W) uint8 array, or floats in [0, 1], as binary PGM."""
     data = _quantize(img)
     if data.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {data.shape}")
@@ -59,15 +64,15 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a float32 (H, W) array in [0, 1]."""
+    """Read a binary PGM into a read-only uint8 (H, W) array."""
     with open(path, "rb") as f:
         w, h = _read_header(f, b"P5")
         data = _read_pixels(f, w * h)
-    return (data.reshape(h, w).astype(np.float32) / 255.0)
+    return data.reshape(h, w)
 
 
 def write_ppm(path, img: np.ndarray) -> None:
-    """Write a (H, W, 3) array in [0, 1] as binary PPM."""
+    """Write a (H, W, 3) uint8 array, or floats in [0, 1], as binary PPM."""
     data = _quantize(img)
     if data.ndim != 3 or data.shape[2] != 3:
         raise ValueError(f"PPM needs a (H, W, 3) array, got shape {data.shape}")
@@ -78,8 +83,8 @@ def write_ppm(path, img: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM into a float32 (H, W, 3) array in [0, 1]."""
+    """Read a binary PPM into a read-only uint8 (H, W, 3) array."""
     with open(path, "rb") as f:
         w, h = _read_header(f, b"P6")
         data = _read_pixels(f, w * h * 3)
-    return (data.reshape(h, w, 3).astype(np.float32) / 255.0)
+    return data.reshape(h, w, 3)

@@ -19,6 +19,11 @@ Ground truth per raw frame pair: the 6 affine parameters of the global
 transform (normalized [-1, 1] coordinates, mapping current-frame points to
 previous-frame points) and the sprite's world displacement.
 
+Stored clips, from ``generate_clip`` and ``load_clip``, hold their frames
+and masks as uint8, the bytes of the files (mask alpha 0/1 as 0/255).
+``sample_frames`` is the one decoder: the clip it returns holds float32
+frames and masks in [0, 1], which ``augment`` and the model take.
+
 On-disk format: ``manifest.txt`` with ``K=``, ``variant=``, ``seed=``
 headers and ``clip_dir<TAB>label<TAB>split`` lines. Each clip directory
 holds three files: ``frames.ppm``, the L frames stacked top to bottom into
@@ -29,7 +34,7 @@ layout; and ``gt.txt``, a ``frames=<L>`` header followed by one line of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +107,8 @@ class SyntheticScene:
 
 @dataclass
 class VideoClip:
-    frames: np.ndarray       # (L, H, W, 3) float32 in [0, 1]
-    ref_masks: np.ndarray    # (L, H, W) float32 in [0, 1]
+    frames: np.ndarray       # (L, H, W, 3) uint8 stored; float32 in [0, 1] sampled
+    ref_masks: np.ndarray    # (L, H, W) uint8 0/255 stored; float32 in [0, 1] sampled
     label: int
     gt_global: np.ndarray    # (L-1, 6) affine rows [a11 a12 tx a21 a22 ty]
     gt_local: np.ndarray     # (L-1, 2) sprite displacement (dx, dy), normalized
@@ -254,8 +259,8 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
     ay, ax = scene.sprite_axes
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
-    frames = np.empty((length, h, w, 3), np.float32)
-    masks = np.empty((length, h, w), np.float32)
+    frames = np.empty((length, h, w, 3), np.uint8)
+    masks = np.empty((length, h, w), np.uint8)
 
     for t in range(length):
         oy, ox = scene.cam_path[t]
@@ -271,8 +276,8 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
                                  (ys - py)[:, None] + ay + 1.0 + np.zeros(w),
                                  (xs - px)[None, :] + ax + 1.0 + np.zeros((h, 1)))
         out = crop * (1.0 - alpha[..., None]) + tex * alpha[..., None]
-        frames[t] = np.round(out * 255.0) / np.float32(255.0)
-        masks[t] = alpha
+        frames[t] = np.round(out * 255.0)
+        masks[t] = alpha * 255.0
 
     d_cam = np.diff(scene.cam_path, axis=0)       # (L-1, 2) as (dy, dx)
     d_spr = np.diff(scene.sprite_path, axis=0)
@@ -292,13 +297,17 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
 
 def sample_frames(clip: VideoClip, n: int, jitter: bool = False,
                   rng: np.random.Generator | None = None) -> VideoClip:
-    """Pick ``n`` frames, one per equal segment of the clip.
+    """Pick ``n`` frames, one per equal segment of a stored clip, decoded.
 
     Without jitter each segment contributes its first index; with jitter a
-    uniform index from the segment. Short clips repeat indices.
+    uniform index from the segment. Short clips repeat indices. The picked
+    uint8 frames and masks are decoded to float32 in [0, 1] (k / 255).
     """
     if n < 2:
         raise ValueError(f"need at least 2 sampled frames, got {n}")
+    if clip.frames.dtype != np.uint8 or clip.ref_masks.dtype != np.uint8:
+        raise ValueError(f"sample_frames: needs a stored clip with uint8 frames and masks, "
+                         f"got {clip.frames.dtype} and {clip.ref_masks.dtype}")
     length = clip.length
     starts = (np.arange(n) * length) // n
     if jitter:
@@ -310,8 +319,8 @@ def sample_frames(clip: VideoClip, n: int, jitter: bool = False,
     else:
         idx = starts
     return VideoClip(
-        frames=clip.frames[idx],
-        ref_masks=clip.ref_masks[idx],
+        frames=clip.frames[idx].astype(np.float32) / 255.0,
+        ref_masks=clip.ref_masks[idx].astype(np.float32) / 255.0,
         label=clip.label,
         gt_global=_resample_global(clip.gt_global, idx),
         gt_local=_resample_local(clip.gt_local, idx),
@@ -349,7 +358,11 @@ class AugmentConfig:
 
 def augment(clip: VideoClip, rng: np.random.Generator,
             config: AugmentConfig | None = None) -> VideoClip:
-    """Apply flip / HSV jitter / crop-resize consistently to frames, masks, gt."""
+    """Apply flip / HSV jitter / crop-resize consistently to frames, masks, gt
+    of a clip that ``sample_frames`` decoded."""
+    if clip.frames.dtype == np.uint8 or clip.ref_masks.dtype == np.uint8:
+        raise ValueError("augment: needs a sampled clip with float frames and masks, "
+                         "got 8-bit ones; decode them with sample_frames first")
     cfg = config or AugmentConfig()
     out = clip
     if rng.random() < cfg.p_flip:

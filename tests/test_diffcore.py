@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 import egorec.diffcore as dc
 from egorec.diffcore import Tape, Tensor, backward, grad_check
@@ -272,25 +273,34 @@ CONV_CASES = [
 ]
 
 
+# (op, input shapes, kwargs, whether the first input needs a gradient)
+SLICED_CASES = [pytest.param(*case.values, True, id=case.id) for case in CONV_CASES] + [
+    pytest.param(dc.grid_sample, [(5, 6, 8, 3), (5, 4, 7, 2)], {}, track,
+                 id=f"grid_sample-{name}")
+    for track, name in ((True, "image-tracked"), (False, "image-untracked"))
+]
+
+
 class TestScratchBudget:
-    """Conv forwards build their scratch one batch slice at a time, and the
-    slices change no bit of any output or gradient."""
+    """Conv ops and grid_sample build their scratch one batch slice at a
+    time, and the slices change no bit of any output or gradient."""
 
     @staticmethod
-    def _run(op, shapes, kwargs):
+    def _run(op, shapes, kwargs, track_x):
         rng = np.random.default_rng(23)
-        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-                  for s in shapes]
+        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=track_x or i > 0)
+                  for i, s in enumerate(shapes)]
         with Tape() as tape:
             y = op(*inputs, **kwargs)
             weights = Tensor(rng.normal(size=y.shape).astype(np.float32))
             loss = dc.sum_(y * weights)
         backward(tape, loss)
-        return [y.data] + [x.grad for x in inputs]
+        assert (inputs[0].grad is None) != track_x
+        return [y.data] + [x.grad for x in inputs if x.requires_grad]
 
     @pytest.mark.parametrize("per_slice", [1, 2])
-    @pytest.mark.parametrize("op, shapes, kwargs", CONV_CASES)
-    def test_slices_change_no_bit(self, op, shapes, kwargs, per_slice, monkeypatch):
+    @pytest.mark.parametrize("op, shapes, kwargs, track_x", SLICED_CASES)
+    def test_slices_change_no_bit(self, op, shapes, kwargs, track_x, per_slice, monkeypatch):
         calls = []
         real = ops._batch_slices
 
@@ -300,27 +310,31 @@ class TestScratchBudget:
             return slices
 
         monkeypatch.setattr(ops, "_batch_slices", spy)
-        ref = self._run(op, shapes, kwargs)
+        ref = self._run(op, shapes, kwargs, track_x)
         [(item_bytes, count)] = calls
         assert count == 1
         monkeypatch.setattr(ops, "_SCRATCH_BYTES", per_slice * item_bytes)
-        sliced = self._run(op, shapes, kwargs)
+        sliced = self._run(op, shapes, kwargs, track_x)
         assert calls[1] == (item_bytes, -(-shapes[0][0] // per_slice))
         for a, b in zip(sliced, ref):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("op, shapes, kwargs, track_x, pool", [
+    @pytest.mark.parametrize("op, shapes, kwargs, track_x, g_copies", [
         pytest.param(dc.conv2d, [(160, 32, 64, 3), (3, 3, 3, 12), (12,)],
-                     dict(pad=1, relu=True, pool=2), False, 2, id="backbone-conv1"),
+                     dict(pad=1, relu=True, pool=2), False, 5, id="backbone-conv1"),
         pytest.param(dc.conv_transpose2d, [(160, 16, 32, 12), (4, 4, 12, 8), (8,)],
-                     dict(stride=2, pad=1, relu=True), True, 1, id="decoder-up2"),
+                     dict(stride=2, pad=1, relu=True), True, 2, id="decoder-up2"),
+        pytest.param(dc.grid_sample, [(152, 32, 64, 3), (152, 32, 64, 2)], {}, False, 1,
+                     id="reconstruction-warp"),
     ])
-    def test_scratch_is_bounded(self, op, shapes, kwargs, track_x, pool):
-        """At the full batch of a default training step (8 clips x 20 frames),
-        the traced peak of forward and backward, less what the op holds
-        whatever its scratch (output, output gradient, the gradient at the
-        conv's own full-resolution output, input gradients), is <= 16 MiB.
-        The raw frames into the backbone's first conv need no gradient."""
+    def test_scratch_is_bounded(self, op, shapes, kwargs, track_x, g_copies):
+        """At the full batch of a default training step (8 clips x 20 frames,
+        19 frame pairs for the warp), the traced peak of forward and
+        backward, less what the op holds whatever its scratch (output, input
+        gradients and ``g_copies`` arrays the size of the output gradient:
+        the gradient itself and, for a conv with a ReLU, the gradient at its
+        own full-resolution output), is <= 16 MiB. The raw frames into the
+        backbone's first conv and into the warp need no gradient."""
         rng = np.random.default_rng(24)
         inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=track_x or i > 0)
                   for i, s in enumerate(shapes)]
@@ -335,7 +349,7 @@ class TestScratchBudget:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(inputs) - (not track_x)
-        held = y.data.nbytes + g.nbytes * (1 + pool * pool)
+        held = y.data.nbytes + g.nbytes * g_copies
         held += sum((a if a.base is None else a.base).nbytes for a in grads)
         assert peak - held <= 16 << 20, f"{(peak - held) / 2**20:.1f} MiB"
 
@@ -626,3 +640,39 @@ def test_conv_transpose_is_conv_adjoint_property(k, stride, pad, ho, wo, c_in, c
                                stride=stride, pad=pad).numpy()
     assert back.shape == x.shape
     assert (y * g).sum() == pytest.approx((x * back).sum(), rel=1e-10, abs=1e-10)
+
+
+BINARY_OPS = {"add": dc.add, "sub": dc.sub, "mul": dc.mul, "div": dc.div}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BINARY_OPS)),
+       shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, max_side=3),
+       seed=st.integers(0, 2**16))
+def test_broadcast_gradients_property(name, shapes, seed):
+    """add/sub/mul/div pass grad_check in float64 on every broadcast-compatible
+    pair of shapes, so ``_unbroadcast`` sums over leading and size-1 axes
+    back to each input's own shape. Values keep |x| in [0.5, 1.5]: no
+    kink-skipped coordinate, no small divisor."""
+    rng = np.random.default_rng(seed)
+    sa, sb = shapes.input_shapes
+    a, b = (t(rng.uniform(0.5, 1.5, s) * rng.choice([-1.0, 1.0], s)) for s in (sa, sb))
+    weights = t(rng.normal(size=shapes.result_shape))
+    rep = grad_check(lambda x, y: dc.sum_(BINARY_OPS[name](x, y) * weights), [a, b])
+    assert rep.passed and rep.skipped == 0, str(rep)
+    assert a.grad.shape == sa and b.grad.shape == sb
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BINARY_OPS)),
+       shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=4, max_side=3),
+       data=st.data())
+def test_non_broadcastable_shapes_raise_property(name, shapes, data):
+    """Two sizes, both above 1 and different, on one aligned axis raise
+    ``ShapeError`` naming the op and both shapes."""
+    sa, sb = map(list, shapes.input_shapes)
+    axis = data.draw(st.integers(1, min(len(sa), len(sb))), label="axis from the right")
+    sa[-axis], sb[-axis] = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=2,
+                                              unique=True), label="sizes")
+    with pytest.raises(dc.ShapeError, match=rf"^{name}: shapes \(.*\) and \(.*\) do not broadcast"):
+        BINARY_OPS[name](t(np.ones(sa)), t(np.ones(sb)))

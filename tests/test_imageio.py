@@ -39,3 +39,20 @@ def test_pixel_data_must_end_the_file(tmp_path, read, write, img, edit, match):
     with pytest.raises(ValueError, match=match) as err:
         read(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("read, write, shape, magic", [
+    pytest.param(read_ppm, write_ppm, (3, 5, 3), b"P6", id="ppm"),
+    pytest.param(read_pgm, write_pgm, (9, 5), b"P5", id="pgm"),
+])
+def test_uint8_pixels_round_trip_as_they_are(tmp_path, read, write, shape, magic):
+    img = np.resize(np.arange(256, dtype=np.uint8), shape)
+    path = tmp_path / "img"
+    write(path, img)
+    assert path.read_bytes() == magic + b"\n5 %d\n255\n" % shape[0] + img.tobytes()
+    back = read(path)
+    assert back.dtype == np.uint8 and back.shape == shape
+    assert back.tobytes() == img.tobytes()
+    # floats in [0, 1] are stored as their rounded 8-bit quantization
+    write(path, img / 255.0)
+    assert read(path).tobytes() == img.tobytes()

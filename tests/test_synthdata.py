@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ def small_clip(seed=0, class_id=0, variant="standard"):
     return generate_clip(make_scene(class_id, variant, seed, SMALL))
 
 
+def decoded(clip):
+    """A stored clip with its frames and masks decoded as ``sample_frames``
+    decodes them, and its ground truth untouched."""
+    return replace(clip, frames=clip.frames.astype(np.float32) / 255.0,
+                   ref_masks=clip.ref_masks.astype(np.float32) / 255.0)
+
+
 class TestGeneration:
     def test_deterministic_regeneration(self):
         a = small_clip(seed=7)
@@ -39,11 +47,15 @@ class TestGeneration:
         assert a.ref_masks.tobytes() == b.ref_masks.tobytes()
         np.testing.assert_array_equal(a.gt_global, b.gt_global)
 
+    def test_stored_as_8_bit(self):
+        clip = small_clip(seed=8)
+        assert clip.frames.dtype == np.uint8 and clip.ref_masks.dtype == np.uint8
+
     def test_mask_matches_sprite_alpha(self):
         clip = small_clip(seed=8)
         # binary mask, nonzero exactly where the sprite was composited
-        assert set(np.unique(clip.ref_masks)) <= {0.0, 1.0}
-        area = clip.ref_masks.mean(axis=(1, 2))
+        assert set(np.unique(clip.ref_masks)) <= {0, 255}
+        area = clip.ref_masks.mean(axis=(1, 2)) / 255
         assert (area > 0.03).all() and (area < 0.3).all()
 
     def test_static_scene_constant_frames(self):
@@ -101,7 +113,7 @@ def test_gt_conventions_against_warp():
     scene = make_scene(0, "standard", 11, GenConfig(16, 32, 8, area_range=(0.08, 0.12)))
     scene.cam_path = scene.cam_path.round()
     scene.sprite_path = scene.sprite_path.round()
-    clip = generate_clip(scene)
+    clip = decoded(generate_clip(scene))
     t = int(np.argmax(np.abs(clip.gt_global[:, 2]))) + 1  # a pair with camera motion
     prev, cur = clip.frames[t - 1], clip.frames[t]
     g = clip.gt_global[t - 1]
@@ -129,35 +141,38 @@ def test_gt_conventions_against_warp():
 
 class TestSampling:
     def make(self, length):
-        frames = np.zeros((length, 4, 8, 3), np.float32)
+        # each frame's first byte is its index
+        frames = np.zeros((length, 4, 8, 3), np.uint8)
         frames[:, 0, 0, 0] = np.arange(length)
         gt_g = np.zeros((length - 1, 6))
         gt_g[:, 0] = gt_g[:, 4] = 1.0
         gt_g[:, 2] = 0.01
         gt_l = np.full((length - 1, 2), 0.02)
-        return VideoClip(frames=frames, ref_masks=np.zeros((length, 4, 8), np.float32),
+        return VideoClip(frames=frames, ref_masks=np.zeros((length, 4, 8), np.uint8),
                          label=1, gt_global=gt_g, gt_local=gt_l)
+
+    @staticmethod
+    def picked(out):
+        return np.rint(out.frames[:, 0, 0, 0] * 255).astype(int)
 
     def test_exact_coverage(self):
         out = sample_frames(self.make(20), 20)
-        np.testing.assert_array_equal(out.frames[:, 0, 0, 0], np.arange(20))
+        np.testing.assert_array_equal(self.picked(out), np.arange(20))
 
     def test_stride_two(self):
         out = sample_frames(self.make(40), 20)
-        np.testing.assert_array_equal(out.frames[:, 0, 0, 0], np.arange(0, 40, 2))
+        np.testing.assert_array_equal(self.picked(out), np.arange(0, 40, 2))
 
     def test_short_clip_repeats(self):
         out = sample_frames(self.make(10), 20)
-        idx = out.frames[:, 0, 0, 0]
-        np.testing.assert_array_equal(idx, np.repeat(np.arange(10), 2))
+        np.testing.assert_array_equal(self.picked(out), np.repeat(np.arange(10), 2))
 
     def test_jitter_stays_in_segments(self):
         rng = np.random.default_rng(0)
         clip = self.make(40)
         for _ in range(10):
             out = sample_frames(clip, 20, jitter=True, rng=rng)
-            idx = out.frames[:, 0, 0, 0]
-            seg = (idx // 2).astype(int)
+            seg = self.picked(out) // 2
             np.testing.assert_array_equal(seg, np.arange(20))
 
     def test_gt_translation_accumulates(self):
@@ -165,35 +180,52 @@ class TestSampling:
         np.testing.assert_allclose(out.gt_global[:, 2], 0.02, atol=1e-12)
         np.testing.assert_allclose(out.gt_local, 0.04, atol=1e-12)
 
+    def test_decodes_every_code_as_float32_clips_held_it(self):
+        # k / 255 in float64, rounded once to float32: what generated and
+        # loaded clips held before they were stored as 8 bits
+        codes = np.arange(256)
+        clip = self.make(3)
+        clip.frames[:] = np.resize(codes.astype(np.uint8), clip.frames.shape)
+        clip.ref_masks[:, :, :4] = 255
+        out = sample_frames(clip, 3)
+        assert out.frames.dtype == np.float32 and out.ref_masks.dtype == np.float32
+        ref = (codes / 255.0).astype(np.float32)
+        assert out.frames.tobytes() == ref[clip.frames].tobytes()
+        assert out.ref_masks.tobytes() == (clip.ref_masks // 255).astype(np.float32).tobytes()
+
+    def test_decoded_clip_is_rejected(self):
+        with pytest.raises(ValueError, match="sample_frames: needs a stored clip"):
+            sample_frames(decoded(self.make(4)), 2)
+
 
 class TestAugment:
     def test_flip_is_involution(self):
-        clip = small_clip(seed=12)
+        clip = decoded(small_clip(seed=12))
         back = flip_horizontal(flip_horizontal(clip))
         assert back.frames.tobytes() == clip.frames.tobytes()
         np.testing.assert_array_equal(back.gt_global, clip.gt_global)
         np.testing.assert_array_equal(back.gt_local, clip.gt_local)
 
     def test_flip_negates_horizontal_gt(self):
-        clip = small_clip(seed=13)
+        clip = decoded(small_clip(seed=13))
         flipped = flip_horizontal(clip)
         np.testing.assert_array_equal(flipped.gt_global[:, 2], -clip.gt_global[:, 2])
         np.testing.assert_array_equal(flipped.gt_global[:, 5], clip.gt_global[:, 5])
         np.testing.assert_array_equal(flipped.gt_local[:, 0], -clip.gt_local[:, 0])
 
     def test_hsv_leaves_masks_bitwise(self):
-        clip = small_clip(seed=14)
+        clip = decoded(small_clip(seed=14))
         out = hsv_jitter(clip, 0.04, 1.2)
         assert out.ref_masks.tobytes() == clip.ref_masks.tobytes()
         assert out.frames.tobytes() != clip.frames.tobytes()
 
     def test_crop_too_large_raises(self):
-        clip = small_clip(seed=15)
+        clip = decoded(small_clip(seed=15))
         with pytest.raises(ValueError):
             crop_resize(clip, 1.2, np.random.default_rng(0))
 
     def test_crop_scales_gt(self):
-        clip = small_clip(seed=16)
+        clip = decoded(small_clip(seed=16))
         out = crop_resize(clip, 0.75, np.random.default_rng(1))
         ch, cw = round(0.75 * 16), round(0.75 * 32)
         np.testing.assert_allclose(out.gt_global[:, 2],
@@ -203,12 +235,17 @@ class TestAugment:
 
     def test_augment_geometry_consistency(self):
         rng = np.random.default_rng(17)
-        clip = small_clip(seed=18)
+        clip = decoded(small_clip(seed=18))
         out = augment(clip, rng, AugmentConfig(p_flip=1.0, p_hsv=1.0, p_crop=1.0))
         assert out.frames.shape == clip.frames.shape
         assert out.ref_masks.shape == clip.ref_masks.shape
         # mask stays in [0, 1] after the shared geometric transform
         assert out.ref_masks.min() >= 0.0 and out.ref_masks.max() <= 1.0
+
+    def test_undecoded_clip_is_rejected(self):
+        # crop_resize would otherwise resample into uint8 and truncate
+        with pytest.raises(ValueError, match="augment: .* 8-bit"):
+            augment(small_clip(seed=18), np.random.default_rng(17))
 
 
 class TestDatasetIO:
@@ -220,6 +257,7 @@ class TestDatasetIO:
         for i, clip in enumerate(clips):
             write_clip(tmp_path / f"c{i}", clip)
             back = load_clip(tmp_path / f"c{i}", clip.label)
+            assert back.frames.dtype == np.uint8 and back.ref_masks.dtype == np.uint8
             assert back.length == clip.length
             assert back.frames.tobytes() == clip.frames.tobytes()
             assert back.ref_masks.tobytes() == clip.ref_masks.tobytes()
@@ -335,9 +373,13 @@ class TestClipErrors:
 
 
 def _digest(clips):
+    """SHA-256 of the clips, with 8-bit frames and masks decoded to float32
+    k / 255 as ``sample_frames`` decodes them."""
     h = hashlib.sha256()
     for clip in clips:
         for a in (clip.frames, clip.ref_masks, clip.gt_global, clip.gt_local):
+            if a.dtype == np.uint8:
+                a = a.astype(np.float32) / 255.0
             h.update(a.tobytes())
         h.update(str(clip.label).encode())
     return h.hexdigest()
@@ -353,13 +395,25 @@ class TestBitwiseOutputs:
         assert _digest(clips) == (
             "aa5db86c9c221811135fb4a17e928a3dfc43274ab2f3cb0119be68e9232c6301")
 
+    def test_sampled_dataset_from_disk(self, tmp_path):
+        # the digest of float32 clips loaded and sampled before clips were
+        # held as 8 bits: decoding in sample_frames changes no bit
+        man = generate_dataset(tmp_path, clips_per_class=2, variant="standard", seed=5,
+                               config=SMALL)
+        rng = np.random.default_rng(3)
+        clips = [sample_frames(c, 6, jitter=True, rng=rng)
+                 for c in load_split(man, "train") + load_split(man, "test")]
+        assert all(c.frames.dtype == np.float32 for c in clips)
+        assert _digest(clips) == (
+            "41b1ff32e0bb9d0a4623c6d8f0b4d92208ec520efd7ee9de0504056ac5b09d47")
+
     def test_default_config_clips(self):
         clips = [generate_clip(make_scene(c, "relation-only", 11 + c)) for c in (0, 1)]
         assert _digest(clips) == (
             "16a76b628819e05aa2a57af1bbf06878b750ff7b60501580218020b06ecae5ae")
 
     def test_augmented_clip(self):
-        out = augment(small_clip(seed=18), np.random.default_rng(17),
+        out = augment(decoded(small_clip(seed=18)), np.random.default_rng(17),
                       AugmentConfig(p_flip=1.0, p_hsv=1.0, p_crop=1.0))
         assert _digest([out]) == (
             "3fb2baab231b4eb4029bbac7901fd20d56d2a83eb5ae6eb0e5bb0609ae415f37")
