@@ -100,7 +100,7 @@ class ConvBackbone(Module):
         blocks = []
         c_in = 3
         for i, width in enumerate(config.widths):
-            conv = Conv2d(c_in, width, 3, rng, stride=1, pad=1)
+            conv = Conv2d(c_in, width, 3, rng, pad=1)
             if i == 0:
                 conv.w.data = _front_kernels(width, rng)
             else:

@@ -21,19 +21,21 @@ keeps the pooled output and a boolean ReLU mask, not the full-resolution
 output. grid_sample recomputes its coordinates and taps and correlate
 re-pads ``f_prev`` in backward.
 
-Scratch memory: conv forwards build their largest temporaries (conv2d's
-im2col columns, conv_transpose2d's tap products) one batch slice at a time,
-in slices of at most ``_SCRATCH_BYTES``, whatever the batch size; outputs
-are bitwise the same as from one full-batch product. grid_sample runs its
-forward and its backward over the same batch slices, recomputing each
-slice's coordinates and taps, so neither holds full-batch float64
-coordinates or taps. conv2d's backward works one kernel tap at a time
-(``gw[u, v] = x_tap^T g`` and ``gx[tap] += g w[u, v]^T``), so its scratch
-is one input-sized tap, not kh*kw of them. conv_transpose2d accumulates
-only the taps that land inside its output, adds the bias in place, and
-writes the ReLU-masked gradient straight into a zeroed padded buffer.
-grid_sample's backward builds its grid-gradient terms in place in two
-reused buffers.
+Scratch memory: both conv ops run on three kernels. ``_gather`` (conv2d's
+forward, conv_transpose2d's input gradient) builds im2col columns and
+``_scatter`` (conv_transpose2d's forward, conv2d's input gradient) tap
+products one batch slice at a time, in slices of at most
+``_SCRATCH_BYTES`` whatever the batch size; results are bitwise the same
+as from one full-batch product. ``_scatter`` accumulates only the taps
+that land inside its output. ``_kernel_grad`` (both kernel gradients)
+works one kernel tap at a time (``gw[u, v] = a_tap^T g``), so its scratch
+is one input-sized tap, not kh*kw of them. conv_transpose2d adds its bias
+in place and writes the ReLU-masked gradient straight into a zeroed
+padded buffer, which ``_gather`` and ``_kernel_grad`` both read.
+grid_sample runs its forward and its backward over the same batch slices,
+recomputing each slice's coordinates and taps, so neither holds
+full-batch float64 coordinates or taps; its backward builds its
+grid-gradient terms in place in two reused buffers.
 
 Conventions:
   - images and feature maps are NHWC;
@@ -310,10 +312,9 @@ def softmax(a, axis: int = -1) -> Tensor:
 # convolution family (NHWC, kernels (kh, kw, c_in, c_out))
 
 
-# Bytes of scratch a conv op's forward, or a grid_sample pass, may allocate
-# at once: conv2d builds its im2col columns, conv_transpose2d its tap
-# products and grid_sample its coordinates and taps one batch slice at a
-# time, so each slice fits.
+# Bytes of scratch one batch slice may allocate: ``_gather`` builds its
+# im2col columns, ``_scatter`` its tap products and grid_sample its
+# coordinates and taps one batch slice at a time, so each slice fits.
 _SCRATCH_BYTES = 4 << 20
 
 
@@ -330,6 +331,63 @@ def _batch_slices(n: int, item_bytes: int) -> list[slice]:
     count = max(1, -(-n // cap))
     bounds = [i * n // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int, int]):
+    """Yields ``(s, cols, wmat)`` per batch slice, where ``cols @ wmat`` is
+    the cross-correlation of ``x[s]`` with ``w``, of spatial ``size``, as
+    (-1, c_out) rows. The caller deletes ``cols`` before the next slice."""
+    kh, kw, ci, co = w.shape
+    wmat = w.reshape(kh * kw * ci, co)
+    item_bytes = math.prod(size) * kh * kw * ci * np.result_type(x, w).itemsize
+    for s in _batch_slices(len(x), item_bytes):
+        xs = np.pad(x[s], ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x[s]
+        win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        yield s, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * ci), wmat
+
+
+def _tap_span(u: int, size_in: int, size_out: int, stride: int, pad: int):
+    """(input slice, output slice) of the inputs ``i`` whose tap at kernel
+    offset ``u`` lands inside the output, at ``u + stride * i - pad``."""
+    lo = max(0, -((u - pad) // stride))
+    hi = min(size_in, (size_out - 1 + pad - u) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    first = u + stride * lo - pad
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
+def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
+             size: tuple[int, int]) -> np.ndarray:
+    """Sum over taps (u, v), in order, of ``x[:, i, j] @ w[u, v]`` placed at
+    ``(u + stride * i - pad, v + stride * j - pad)`` in a zeroed output of
+    spatial ``size``; taps outside it are dropped."""
+    kh, kw, _, co = w.shape
+    n, h, wd, _ = x.shape
+    dtype = np.result_type(x, w)
+    rows = [_tap_span(u, h, size[0], stride, pad) for u in range(kh)]
+    cols = [_tap_span(v, wd, size[1], stride, pad) for v in range(kw)]
+    out = np.zeros((n, *size, co), dtype)
+    for s in _batch_slices(n, h * wd * kh * kw * co * dtype.itemsize):
+        tmp = np.tensordot(x[s], w, axes=([3], [2]))  # (ns, h, wd, kh, kw, co)
+        for u, (iy, oy) in enumerate(rows):
+            for v, (ix, ox) in enumerate(cols):
+                out[s, oy, ox] += tmp[:, iy, ix, u, v]
+        del tmp  # free this slice's scratch before the next is built
+    return out
+
+
+def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(kh, kw, c_a, c_g) kernel gradient ``a_tap^T g``, ``a_tap`` being ``a``
+    at ``(u + stride * i, v + stride * j)`` for each position (i, j) of g."""
+    ho, wo, cg = g.shape[1:]
+    gflat = g.reshape(-1, cg)
+    gw = np.empty((kh, kw, a.shape[3], cg), np.result_type(a, g))
+    for u in range(kh):
+        for v in range(kw):
+            tap = a[:, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            gw[u, v] = tap.reshape(-1, a.shape[3]).T @ gflat
+    return gw
 
 
 def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
@@ -353,15 +411,10 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
         raise ShapeError(f"conv2d: output {ho}x{wo} not divisible by pool {pool}")
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     dtype = np.result_type(x.data, w.data)
-    wmat = w.data.reshape(kh * kw * ci, co)
-    widths = ((0, 0), (pad, pad), (pad, pad), (0, 0))
     out = np.empty((n, ho // pool, wo // pool, co), dtype)
     mask = np.empty((n, ho, wo, co), bool) if relu and pool > 1 else None
-    for s in _batch_slices(n, ho * wo * kh * kw * ci * dtype.itemsize):
-        xs = np.pad(x.data[s], widths) if pad else x.data[s]
-        win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * ci)
-        full = np.empty((len(xs), ho, wo, co), dtype) if pool > 1 else out[s]
+    for s, cols, wmat in _gather(x.data, w.data, stride, pad, (ho, wo)):
+        full = np.empty((s.stop - s.start, ho, wo, co), dtype) if pool > 1 else out[s]
         np.matmul(cols, wmat, out=full.reshape(-1, co))
         if b is not None:
             full += inputs[2].data
@@ -371,7 +424,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
             np.greater(full, 0, out=mask[s])
         if pool > 1:
             full.reshape(-1, ho // pool, pool, wo // pool, pool, co).mean(axis=(2, 4), out=out[s])
-        del xs, win, cols, full  # free this slice's scratch before the next is built
+        del cols, full  # free this slice's scratch before the next is built
 
     def bwd(g):
         if pool > 1:
@@ -382,19 +435,9 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
             g = np.multiply(up, mask, out=up) if relu else up
         elif relu:
             g = g * (out > 0)
-        gflat = g.reshape(-1, co)
-        xp = np.pad(x.data, widths) if pad else x.data
-        gw = np.empty_like(w.data)
-        gx = np.zeros_like(xp) if x.requires_grad else None
-        for u in range(kh):
-            for v in range(kw):
-                tap = (slice(None), slice(u, u + stride * ho, stride),
-                       slice(v, v + stride * wo, stride))
-                gw[u, v] = xp[tap].reshape(-1, ci).T @ gflat
-                if gx is not None:
-                    gx[tap] += (gflat @ w.data[u, v].T).reshape(n, ho, wo, ci)
-        if gx is not None and pad:
-            gx = gx[:, pad:pad + h, pad:pad + wd]
+        gx = _scatter(g, w.data.transpose(0, 1, 3, 2), stride, pad, (h, wd)) if x.requires_grad else None
+        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
+        gw = _kernel_grad(xp, g, kh, kw, stride)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
@@ -402,20 +445,10 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
     return _result("conv2d", out, inputs, bwd)
 
 
-def _tap_span(u: int, size_in: int, size_out: int, stride: int, pad: int):
-    """(input slice, output slice) of the inputs ``i`` whose tap at kernel
-    offset ``u`` lands inside the output, at ``u + stride * i - pad``."""
-    lo = max(0, -((u - pad) // stride))
-    hi = min(size_in, (size_out - 1 + pad - u) // stride + 1)
-    if hi <= lo:
-        return slice(0, 0), slice(0, 0)
-    first = u + stride * lo - pad
-    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
-
-
 def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
                      relu: bool = False) -> Tensor:
-    """Adjoint of a strided conv2d; ``relu`` as in ``conv2d``."""
+    """Adjoint of a strided conv2d, run on conv2d's kernels with the channel
+    axes of ``w`` swapped; ``relu`` as in ``conv2d``."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(
@@ -427,16 +460,7 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
     ow = (wd - 1) * stride + kw - 2 * pad
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv_transpose2d: empty output for input {x.data.shape}")
-    dtype = np.result_type(x.data, w.data)
-    rows = [_tap_span(u, h, oh, stride, pad) for u in range(kh)]
-    cols = [_tap_span(v, wd, ow, stride, pad) for v in range(kw)]
-    out = np.zeros((n, oh, ow, co), dtype)
-    for s in _batch_slices(n, h * wd * kh * kw * co * dtype.itemsize):
-        tmp = np.tensordot(x.data[s], w.data, axes=([3], [2]))  # (ns, h, wd, kh, kw, co)
-        for u, (iy, oy) in enumerate(rows):
-            for v, (ix, ox) in enumerate(cols):
-                out[s, oy, ox] += tmp[:, iy, ix, u, v]
-        del tmp  # free this slice's scratch before the next is built
+    out = _scatter(x.data, w.data, stride, pad, (oh, ow))
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     if b is not None:
         out += inputs[2].data
@@ -452,17 +476,14 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
             np.multiply(g, out > 0, out=inner)
         else:
             inner[...] = g
-        g = inner
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        for u in range(kh):
-            for v in range(kw):
-                sub = gfull[:, u:u + stride * h:stride, v:v + stride * wd:stride]
-                gx += sub @ w.data[u, v].T
-                gw[u, v] = np.tensordot(x.data, sub, axes=([0, 1, 2], [0, 1, 2]))
+        gx = np.empty(x.data.shape, x.data.dtype)
+        for s, cols, wmat in _gather(gfull, w.data.transpose(0, 1, 3, 2), stride, 0, (h, wd)):
+            np.matmul(cols, wmat, out=gx[s].reshape(-1, ci))
+            del cols
+        gw = _kernel_grad(gfull, x.data, kh, kw, stride).transpose(0, 1, 3, 2)
         if b is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 1, 2))
+        return gx, gw, inner.sum(axis=(0, 1, 2))
 
     return _result("conv_transpose2d", out, inputs, bwd)
 

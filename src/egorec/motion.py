@@ -8,9 +8,9 @@ frame is reconstructed by bilinear sampling of the previous frame at the
 transformed coordinates, trained with a photometric L1 loss plus a
 smoothness penalty on the masked field.
 
-The affine transform is predicted as a residual from the identity and both
-output heads are zero-initialized, so a fresh model starts exactly at
-T = I, D = 0.
+The affine transform is a 2x3 matrix [A | t] acting on (x, y) as A p + t.
+It is predicted as a residual from the identity and both output heads are
+zero-initialized, so a fresh model starts exactly at A = I, t = 0, D = 0.
 """
 
 from __future__ import annotations
@@ -27,20 +27,19 @@ from .attention import global_pool, weighted_pool
 
 @dataclass
 class MotionEstimate:
-    transform: Tensor   # (N, 3, 3), last row fixed [0, 0, 1]
+    transform: Tensor   # (N, 2, 3) affine [A | t], rows [a11 a12 tx], [a21 a22 ty]
     field: Tensor       # (N, H, W, 2) in normalized coordinates
     f_gm: Tensor        # (N, embed_dim) global motion embedding
     f_lm: Tensor        # (N, embed_dim) local motion embedding
 
 
 def identity_grid(h: int, w: int, dtype=np.float32) -> np.ndarray:
-    """Homogeneous pixel-center coordinates (h, w, 3) spanning [-1, 1]^2."""
+    """Pixel-center coordinates (h, w, 2), (x, y) spanning [-1, 1]^2."""
     xs = np.linspace(-1.0, 1.0, w).astype(dtype)
     ys = np.linspace(-1.0, 1.0, h).astype(dtype)
-    grid = np.empty((h, w, 3), dtype=dtype)
+    grid = np.empty((h, w, 2), dtype=dtype)
     grid[..., 0] = xs[None, :]
     grid[..., 1] = ys[:, None]
-    grid[..., 2] = 1.0
     return grid
 
 
@@ -80,10 +79,7 @@ class MotionEstimator(Module):
         g = self.global_conv(corr)
         f_gm = global_pool(g)
         delta = self.affine_head(f_gm)  # (N, 6)
-        zeros = Tensor(np.zeros((n, 3), dtype=delta.dtype.type))
-        delta9 = dc.reshape(dc.concat([delta, zeros], axis=1), (n, 3, 3))
-        eye = Tensor(np.broadcast_to(np.eye(3, dtype=delta.dtype.type), (n, 3, 3)))
-        transform = eye + delta9
+        transform = Tensor(np.eye(2, 3, dtype=delta.dtype.type)) + dc.reshape(delta, (n, 2, 3))
 
         gate = dc.reshape(m0, m0.shape + (1,))
         local_in = dc.concat([corr, f_cur], axis=3) * gate
@@ -102,28 +98,17 @@ class MotionEstimator(Module):
 
 
 def transform_coords(transform: Tensor, field: Tensor, m3: Tensor) -> Tensor:
-    """Per-pixel source coordinates: T applied to (X + M3 (x) D).
+    """Per-pixel source coordinates: ``A p + t`` at the points
+    ``p = X + M3 (x) D``, for ``transform`` = [A | t] (N, 2, 3).
 
-    Returns an (N, H, W, 3) homogeneous grid; with an affine ``transform``
-    the third component stays exactly 1.
+    Returns an (N, H, W, 2) grid of (x, y) for ``dc.grid_sample``.
     """
     n, h, w, _ = field.shape
-    disp = field * dc.reshape(m3, (n, h, w, 1))
-    zeros = Tensor(np.zeros((n, h, w, 1), dtype=field.dtype.type))
-    disp3 = dc.concat([disp, zeros], axis=3)
     base = Tensor(identity_grid(h, w, dtype=field.dtype.type))
-    pts = dc.reshape(base + disp3, (n, h * w, 3))
-    out = dc.matmul(pts, dc.transpose(transform, (0, 2, 1)))
-    return dc.reshape(out, (n, h, w, 3))
-
-
-def bilinear_sample(image: Tensor, grid: Tensor) -> Tensor:
-    """Sample ``image`` (N, H, W, C) at homogeneous grid positions (N, H, W, 3).
-
-    Out-of-range coordinates clamp to the border; fully differentiable in
-    both the image and the grid.
-    """
-    return dc.grid_sample(image, grid[..., :2] if grid.shape[-1] == 3 else grid)
+    pts = dc.reshape(base + field * dc.reshape(m3, (n, h, w, 1)), (n, h * w, 2))
+    a_t = dc.transpose(transform[:, :, :2], (0, 2, 1))
+    out = dc.matmul(pts, a_t) + dc.reshape(transform[:, :, 2], (n, 1, 2))
+    return dc.reshape(out, (n, h, w, 2))
 
 
 def reconstruction_loss(target: Tensor, rebuilt: Tensor) -> Tensor:
@@ -145,5 +130,4 @@ def smoothness_loss(field: Tensor, m3: Tensor) -> Tensor:
 
 def warp_previous(prev_frame: Tensor, est: MotionEstimate, m3: Tensor) -> Tensor:
     """Reconstruct the current frame from the previous one."""
-    grid = transform_coords(est.transform, est.field, m3)
-    return bilinear_sample(prev_frame, grid)
+    return dc.grid_sample(prev_frame, transform_coords(est.transform, est.field, m3))

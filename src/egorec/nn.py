@@ -88,37 +88,29 @@ class Linear(Module):
 
 class Conv2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, zero_init: bool = False,
-                 gain: float = RELU_GAIN):
-        self.stride = stride
+                 pad: int = 0, gain: float = RELU_GAIN):
         self.pad = pad
         fan_in = k * k * c_in
-        if zero_init:
-            self.w = Tensor(np.zeros((k, k, c_in, c_out), np.float32), requires_grad=True)
-            self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
-        else:
-            self.w = Tensor(uniform_init(rng, (k, k, c_in, c_out), fan_in, gain=gain),
-                            requires_grad=True)
-            self.b = Tensor(uniform_init(rng, (c_out,), fan_in), requires_grad=True)
+        self.w = Tensor(uniform_init(rng, (k, k, c_in, c_out), fan_in, gain=gain),
+                        requires_grad=True)
+        self.b = Tensor(uniform_init(rng, (c_out,), fan_in), requires_grad=True)
 
     def __call__(self, x: Tensor, relu: bool = False, pool: int = 1) -> Tensor:
-        return dc.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad, relu=relu,
-                         pool=pool)
+        return dc.conv2d(x, self.w, self.b, pad=self.pad, relu=relu, pool=pool)
 
 
 class ConvTranspose2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, zero_init: bool = False,
-                 gain: float = RELU_GAIN):
+                 stride: int = 1, pad: int = 0, zero_init: bool = False):
         self.stride = stride
         self.pad = pad
         # each output position receives ~(k/stride)^2 taps
-        fan_in = max(1, (k // stride) ** 2 * c_in) if stride > 1 else k * k * c_in
+        fan_in = max(1, (k // stride) ** 2 * c_in)
         if zero_init:
             self.w = Tensor(np.zeros((k, k, c_in, c_out), np.float32), requires_grad=True)
             self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
         else:
-            self.w = Tensor(uniform_init(rng, (k, k, c_in, c_out), fan_in, gain=gain),
+            self.w = Tensor(uniform_init(rng, (k, k, c_in, c_out), fan_in, gain=RELU_GAIN),
                             requires_grad=True)
             self.b = Tensor(uniform_init(rng, (c_out,), fan_in), requires_grad=True)
 

@@ -301,21 +301,27 @@ class TestScratchBudget:
     @pytest.mark.parametrize("per_slice", [1, 2])
     @pytest.mark.parametrize("op, shapes, kwargs, track_x", SLICED_CASES)
     def test_slices_change_no_bit(self, op, shapes, kwargs, track_x, per_slice, monkeypatch):
-        calls = []
+        """Every sliced pass of the op (a conv op's forward and its backward,
+        grid_sample's one list of slices) is forced into slices of
+        ``per_slice`` items."""
+        counts = []
+        forced = False
         real = ops._batch_slices
 
         def spy(n, item_bytes):
+            if forced:
+                monkeypatch.setattr(ops, "_SCRATCH_BYTES", per_slice * item_bytes)
             slices = real(n, item_bytes)
-            calls.append((item_bytes, len(slices)))
+            counts.append(len(slices))
             return slices
 
         monkeypatch.setattr(ops, "_batch_slices", spy)
         ref = self._run(op, shapes, kwargs, track_x)
-        [(item_bytes, count)] = calls
-        assert count == 1
-        monkeypatch.setattr(ops, "_SCRATCH_BYTES", per_slice * item_bytes)
+        passes = 1 if op is dc.grid_sample else 2
+        assert counts == [1] * passes
+        forced = True
         sliced = self._run(op, shapes, kwargs, track_x)
-        assert calls[1] == (item_bytes, -(-shapes[0][0] // per_slice))
+        assert counts[passes:] == [-(-shapes[0][0] // per_slice)] * passes
         for a, b in zip(sliced, ref):
             assert a.tobytes() == b.tobytes()
 
@@ -618,6 +624,31 @@ class TestOpSemantics:
                                    stride=2, pad=1).numpy()
         rhs = (x * back).sum()
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (8, 4, 2), (3, 1, 1)])
+def test_conv_transpose_is_conv_adjoint_bitwise(k, stride, pad):
+    """conv_transpose2d(x, w) is bitwise conv2d's input gradient at g = x
+    with the channel axes of w swapped, and conv_transpose2d's input
+    gradient at g is bitwise conv2d(g, w swapped): the two ops run the same
+    kernels."""
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(3, 5, 6, 4)).astype(np.float32)
+    w = rng.normal(size=(k, k, 4, 3)).astype(np.float32)
+    w_swapped = np.ascontiguousarray(np.transpose(w, (0, 1, 3, 2)))
+
+    def forward(op, inp, kernel):
+        with Tape() as tape:
+            y = op(Tensor(inp, requires_grad=True), Tensor(kernel), stride=stride, pad=pad)
+        [(_, _, bwd, _)] = tape.nodes
+        return y.data, bwd
+
+    up, up_bwd = forward(dc.conv_transpose2d, x, w)
+    _, down_bwd = forward(dc.conv2d, np.zeros_like(up), w_swapped)
+    assert up.tobytes() == down_bwd(x)[0].tobytes()
+    g = rng.normal(size=up.shape).astype(np.float32)
+    down = dc.conv2d(Tensor(g), Tensor(w_swapped), stride=stride, pad=pad).numpy()
+    assert up_bwd(g)[0].tobytes() == down.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

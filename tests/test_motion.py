@@ -5,7 +5,6 @@ import egorec.diffcore as dc
 from egorec.diffcore import ShapeError, Tensor, grad_check
 from egorec.motion import (
     MotionEstimator,
-    bilinear_sample,
     identity_grid,
     reconstruction_loss,
     smoothness_loss,
@@ -15,7 +14,7 @@ from egorec.motion import (
 
 
 def translation(tx, ty, n=1, dtype=np.float64):
-    t = np.broadcast_to(np.eye(3, dtype=dtype), (n, 3, 3)).copy()
+    t = np.broadcast_to(np.eye(2, 3, dtype=dtype), (n, 2, 3)).copy()
     t[:, 0, 2] = tx
     t[:, 1, 2] = ty
     return Tensor(t)
@@ -35,7 +34,7 @@ class TestEstimator:
         m0 = Tensor(rng.uniform(size=(3, 4, 8)).astype(np.float32))
         out = est.estimate(f, g, m0)
         np.testing.assert_array_equal(out.transform.numpy(),
-                                      np.broadcast_to(np.eye(3, dtype=np.float32), (3, 3, 3)))
+                                      np.broadcast_to(np.eye(2, 3, dtype=np.float32), (3, 2, 3)))
         assert not out.field.numpy().any()
 
     def test_output_shapes(self):
@@ -45,11 +44,8 @@ class TestEstimator:
         m0 = Tensor(rng.uniform(size=(2, 4, 8)).astype(np.float32))
         out = est.estimate(f, f, m0)
         assert out.field.shape == (2, 32, 64, 2)
-        assert out.transform.shape == (2, 3, 3)
+        assert out.transform.shape == (2, 2, 3)
         assert out.f_gm.shape == (2, est.global_dim) and out.f_lm.shape == (2, 16)
-        # last row of the transform is exactly [0, 0, 1]
-        np.testing.assert_array_equal(out.transform.numpy()[:, 2],
-                                      np.broadcast_to([0, 0, 1], (2, 3)).astype(np.float32))
 
     def test_mask_mismatch(self):
         est = self.make(4)
@@ -72,8 +68,8 @@ class TestTransformCoords:
         t = translation(0.3, -0.2)
         out = transform_coords(t, d, m3).numpy()
         base = identity_grid(4, 6, np.float64)
-        expected = base @ t.numpy()[0].T
-        np.testing.assert_allclose(out[0], expected, atol=1e-12)
+        a, shift = t.numpy()[0, :, :2], t.numpy()[0, :, 2]
+        np.testing.assert_allclose(out[0], base @ a.T + shift, atol=1e-12)
 
     def test_pure_translation_shifts_x(self):
         d = Tensor(np.zeros((1, 4, 6, 2)))
@@ -82,21 +78,16 @@ class TestTransformCoords:
         base = identity_grid(4, 6, np.float64)
         np.testing.assert_allclose(out[0, ..., 0], base[..., 0] + 0.1, atol=1e-12)
         np.testing.assert_allclose(out[0, ..., 1], base[..., 1], atol=1e-12)
-        np.testing.assert_allclose(out[0, ..., 2], 1.0, atol=1e-12)
+        assert out.shape == (1, 4, 6, 2)
 
 
 class TestWarp:
     def test_identity_warp_reproduces_image(self):
         rng = np.random.default_rng(6)
         img = Tensor(rng.uniform(size=(2, 8, 10, 3)).astype(np.float32))
-        grid = Tensor(np.broadcast_to(identity_grid(8, 10), (2, 8, 10, 3)).copy())
-        out = bilinear_sample(img, grid).numpy()
+        grid = Tensor(np.broadcast_to(identity_grid(8, 10), (2, 8, 10, 2)).copy())
+        out = dc.grid_sample(img, grid).numpy()
         np.testing.assert_allclose(out, img.numpy(), atol=1e-6)
-
-    def test_center_of_2x2(self):
-        img = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 2, 2, 1))
-        grid = Tensor(np.zeros((1, 1, 1, 3)))
-        assert bilinear_sample(img, grid).item() == pytest.approx(1.5)
 
     def test_integer_translation_interior(self):
         # previous frame shifted right by 1 px equals current; exact T warp
@@ -111,7 +102,7 @@ class TestWarp:
         grid = transform_coords(translation(tx, 0.0),
                                 Tensor(np.zeros((1, h, w, 2))),
                                 Tensor(np.zeros((1, h, w))))
-        out = bilinear_sample(Tensor(prev[None]), grid).numpy()[0]
+        out = dc.grid_sample(Tensor(prev[None]), grid).numpy()[0]
         err = np.abs(out - cur)[2:-2, 2:-2].mean()
         assert err < 1e-5
 
@@ -126,7 +117,7 @@ class TestWarp:
             grid = transform_coords(translation(px * unit, 0.0),
                                     Tensor(np.zeros((1, 16, 24, 2))),
                                     Tensor(np.zeros((1, 16, 24))))
-            return bilinear_sample(Tensor(im), grid).numpy()
+            return dc.grid_sample(Tensor(im), grid).numpy()
 
         once = warp_tx(img, t1 + t2)
         twice = warp_tx(warp_tx(img, t1), t2)
@@ -181,10 +172,9 @@ def test_gradcheck_warp_chain():
     field = Tensor(rng.uniform(-0.04, 0.04, size=(1, h, w, 2)) + 0.091, requires_grad=True)
 
     def fn(p, d):
-        delta = dc.reshape(dc.concat([p, Tensor(np.zeros(3))], axis=0), (1, 3, 3))
-        t = Tensor(np.eye(3)[None]) + delta
+        t = Tensor(np.eye(2, 3)[None]) + dc.reshape(p, (1, 2, 3))
         grid = transform_coords(t, d, m3)
-        return reconstruction_loss(cur, bilinear_sample(prev, grid))
+        return reconstruction_loss(cur, dc.grid_sample(prev, grid))
 
     rep = grad_check(fn, [params, field], tol=1e-4)
     assert rep.passed, str(rep)
@@ -195,7 +185,7 @@ def test_warp_previous_identity_estimate():
     rng = np.random.default_rng(12)
     img = Tensor(rng.uniform(size=(1, 16, 32, 3)).astype(np.float32))
     est = MotionEstimate(
-        transform=Tensor(np.eye(3, dtype=np.float32)[None]),
+        transform=Tensor(np.eye(2, 3, dtype=np.float32)[None]),
         field=Tensor(np.zeros((1, 16, 32, 2), np.float32)),
         f_gm=Tensor(np.zeros((1, 4), np.float32)),
         f_lm=Tensor(np.zeros((1, 4), np.float32)),

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import egorec.diffcore as dc
 from egorec.diffcore import Tensor
 from egorec.imageio import write_pgm, write_ppm
-from egorec.motion import bilinear_sample, transform_coords
+from egorec.motion import transform_coords
 from egorec.synthdata import (
     AugmentConfig,
     GenConfig,
@@ -117,14 +118,14 @@ def test_gt_conventions_against_warp():
     t = int(np.argmax(np.abs(clip.gt_global[:, 2]))) + 1  # a pair with camera motion
     prev, cur = clip.frames[t - 1], clip.frames[t]
     g = clip.gt_global[t - 1]
-    T = np.array([[g[0], g[1], g[2]], [g[3], g[4], g[5]], [0, 0, 1]], np.float64)
+    T = g.reshape(1, 2, 3)
     mask_cur = clip.ref_masks[t]
     # local dense motion of the interactor is the negated sprite displacement
     field = np.zeros((1, 16, 32, 2))
     field[..., 0] = -clip.gt_local[t - 1, 0]
     field[..., 1] = -clip.gt_local[t - 1, 1]
-    grid = transform_coords(Tensor(T[None]), Tensor(field), Tensor(mask_cur[None].astype(np.float64)))
-    out = bilinear_sample(Tensor(prev[None].astype(np.float64)), grid).numpy()[0]
+    grid = transform_coords(Tensor(T), Tensor(field), Tensor(mask_cur[None].astype(np.float64)))
+    out = dc.grid_sample(Tensor(prev[None].astype(np.float64)), grid).numpy()[0]
 
     moving = _dilate((clip.ref_masks[t - 1] + mask_cur) > 0, 3)
     valid = np.zeros((16, 32), bool)
