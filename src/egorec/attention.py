@@ -80,8 +80,7 @@ def resize_area(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return mask.reshape(*lead, out_h, fh, out_w, fw).mean(axis=(-3, -1))
 
 
-def segmentation_loss(masks: MultiScaleMasks, ref: np.ndarray,
-                      include_coarsest: bool = False) -> Tensor:
+def segmentation_loss(masks: MultiScaleMasks, ref: np.ndarray) -> Tensor:
     """Pixel-wise cross entropy of the upsampled mask scales against ``ref``.
 
     ``ref`` is (N, H, W) in [0, 1] at frame resolution; each supervised
@@ -90,14 +89,11 @@ def segmentation_loss(masks: MultiScaleMasks, ref: np.ndarray,
     averaged over the batch. Mask values are clamped to
     [MASK_EPS, 1 - MASK_EPS] before entering the logs.
     """
-    supervised = list(masks.scales()[1:])
-    if include_coarsest:
-        supervised.insert(0, masks.m0)
     h, w = masks.m3.shape[1:3]
     if ref.shape[1:] != (h, w):
         raise ShapeError(f"reference mask {ref.shape} does not match frame size {h}x{w}")
     total = None
-    for m in supervised:
+    for m in masks.scales()[1:]:
         mh, mw = m.shape[1:3]
         target = Tensor(resize_area(ref, mh, mw).astype(m.dtype))
         mc = dc.clip(m, MASK_EPS, 1.0 - MASK_EPS)

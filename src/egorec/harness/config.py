@@ -25,7 +25,6 @@ class TrainConfig:
     epochs_joint: int = 60
     batch_size: int = 8
     plateau_patience: int = 5
-    patience: int = 0          # early-stop patience in stage-2 evals; 0 = off
     # model
     proj_dim: int = 32
     hidden_dim: int = 32
@@ -37,8 +36,6 @@ class TrainConfig:
     motion_dim: int = 16
     max_displacement: int = 5
     dropout: float = 0.5
-    # supervise the coarsest mask scale directly (adds a k=0 term)
-    seg_coarse: int = 0
     # data handling; horizontal flips invert direction labels, so they
     # stay off unless the label set is mirror-invariant
     augment: int = 1

@@ -111,8 +111,7 @@ class InteractionModel(Module):
         res = ForwardResult()
         feats, masks = self._features_and_masks(frames)
         if need_seg:
-            res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w),
-                                          include_coarsest=bool(self.config.seg_coarse))
+            res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w))
         if not (need_rec or need_cls):
             return res
         est = self._pair_motion(feats, masks, b)

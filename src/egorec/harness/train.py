@@ -5,10 +5,10 @@ decoder against the segmentation loss, then the motion module against
 reconstruction + smoothness, then the recurrent classifier against cross
 entropy. Stage 2 fine-tunes everything against the weighted sum of all
 four losses. The learning rate halves when the smoothed phase loss stops
-improving by 1% over ``plateau_patience`` epochs; stage 2 optionally early
-stops on held-out accuracy. A non-finite batch loss stops training with a
-``NonFiniteError`` naming the phase, the epoch and the first op whose output
-was not finite.
+improving by 1% over ``plateau_patience`` epochs. Every phase runs all its
+epochs and keeps its last parameters: training reads only the train split.
+A non-finite batch loss stops training with a ``NonFiniteError`` naming the
+phase, the epoch and the first op whose output was not finite.
 """
 
 from __future__ import annotations
@@ -109,18 +109,13 @@ def _phase_adam(phase: str, named, config: TrainConfig) -> Adam:
 
 
 def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
-              config: TrainConfig, rng: np.random.Generator,
-              eval_clips: list[VideoClip] | None = None,
-              log=None) -> None:
+              config: TrainConfig, rng: np.random.Generator, log=None) -> None:
     named, needs, pick, epochs = _phase_spec(phase, model, config)
     params = [p for _, p in named]
     opt = _phase_adam(phase, named, config)
     smoothed = None
     best_smoothed = np.inf
     since_improve = 0
-    best_acc = -1.0
-    since_acc = 0
-    best_params = None
 
     for epoch in range(epochs):
         order = rng.permutation(len(clips))
@@ -158,19 +153,6 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
             if since_improve >= config.plateau_patience:
                 opt.scale_lr(0.5)
                 since_improve = 0
-        if phase == "2" and config.patience > 0 and eval_clips:
-            acc = evaluate_clips(model, eval_clips, config).accuracy
-            if acc > best_acc:
-                best_acc = acc
-                since_acc = 0
-                best_params = {n: p.data.copy() for n, p in model.all_named()}
-            else:
-                since_acc += 1
-                if since_acc >= config.patience:
-                    break
-    if best_params is not None:
-        for n, p in model.all_named():
-            p.data = best_params[n]
 
 
 def _first_non_finite_op(model, batch, needs, pick, rng) -> str:
@@ -207,10 +189,6 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         raise ValueError(f"dataset has K={manifest.num_classes}, "
                          f"config expects {config.num_classes}")
     clips = load_split(manifest, "train")
-    try:
-        eval_clips = load_split(manifest, "test")
-    except ValueError:
-        eval_clips = None
     rng = np.random.default_rng(config.seed)
     model = InteractionModel(config, rng)
     ckpt_path = Path(ckpt_path)
@@ -230,14 +208,17 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         phases = ["1a", "1b", "1c", "2"]
 
     for phase in phases:
-        run_phase(model, phase, clips, config, rng, eval_clips=eval_clips, log=log)
+        run_phase(model, phase, clips, config, rng, log=log)
         save_checkpoint(ckpt_path, model.state_arrays(), config.to_text(), phase)
     return TrainState(model=model, stage=phases[-1])
 
 
 def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:
     table, cfg_text, stage = load_checkpoint(ckpt_path)
-    config = parse_config(cfg_text)
+    try:
+        config = parse_config(cfg_text)
+    except ValueError as exc:
+        raise ValueError(f"{ckpt_path}: {exc}") from None
     model = InteractionModel(config, np.random.default_rng(config.seed))
     _load_params(model, table, ckpt_path)
     return model, config, stage

@@ -15,6 +15,12 @@ Both actors move horizontally inside a motion window of the clip. Labels:
     sampled uniformly per clip, so neither stream's direction alone
     carries any class information.
 
+Rendering contract: the camera pans horizontally at one integer row offset
+into the background, so each frame's background is a two-column bilinear
+blend of the same background rows. The sprite's mask is binary, so the
+sprite is composited by selection: its texture is sampled only at the
+pixels under the mask and replaces the background there.
+
 Ground truth per raw frame pair: the 6 affine parameters of the global
 transform (normalized [-1, 1] coordinates, mapping current-frame points to
 previous-frame points) and the sprite's world displacement.
@@ -254,30 +260,42 @@ def _window_steps(length, start, window, step):
 
 
 def generate_clip(scene: SyntheticScene) -> VideoClip:
-    """Render frames, masks, and per-pair ground truth for a scene."""
+    """Render frames, masks, and per-pair ground truth for a scene.
+
+    The camera must pan at one integer row offset inside the background
+    (``make_scene`` keeps it at its margin); otherwise ``ValueError``.
+    """
     h, w, length = scene.height, scene.width, scene.length
     ay, ax = scene.sprite_axes
+    bh, bw = scene.background.shape[:2]
+    row = int(scene.cam_path[0, 0])
+    if (scene.cam_path[:, 0] != row).any() or not 0 <= row <= bh - h:
+        raise ValueError(f"generate_clip: the camera must pan at one integer row offset in "
+                         f"[0, {bh - h}], got rows {scene.cam_path[:, 0].min():g} to "
+                         f"{scene.cam_path[:, 0].max():g}")
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
+    # the column taps and weights of sample_bilinear_np; its row weight is 0
+    rows = scene.background[row:row + h]
+    x = np.clip(scene.cam_path[:, 1:] + xs, 0, bw - 1)
+    x0 = np.minimum(x.astype(np.int64), bw - 2)
+    fx = (x - x0)[..., None]
     frames = np.empty((length, h, w, 3), np.uint8)
     masks = np.empty((length, h, w), np.uint8)
 
     for t in range(length):
         oy, ox = scene.cam_path[t]
-        crop = sample_bilinear_np(scene.background,
-                                  (oy + ys)[:, None] + np.zeros(w),
-                                  (ox + xs)[None, :] + np.zeros((h, 1)))
+        out = rows[:, x0[t]] * (1 - fx[t]) + rows[:, x0[t] + 1] * fx[t]
         py = scene.sprite_path[t, 0] - oy
         px = scene.sprite_path[t, 1] - ox
         dy = (ys[:, None] - py) / ay
         dx = (xs[None, :] - px) / ax
-        alpha = ((dy * dy + dx * dx) <= 1.0).astype(np.float64)
-        tex = sample_bilinear_np(scene.sprite_tex,
-                                 (ys - py)[:, None] + ay + 1.0 + np.zeros(w),
-                                 (xs - px)[None, :] + ax + 1.0 + np.zeros((h, 1)))
-        out = crop * (1.0 - alpha[..., None]) + tex * alpha[..., None]
+        inside = (dy * dy + dx * dx) <= 1.0
+        iy, ix = np.nonzero(inside)
+        out[iy, ix] = sample_bilinear_np(scene.sprite_tex, ys[iy] - py + ay + 1.0,
+                                         xs[ix] - px + ax + 1.0)
         frames[t] = np.round(out * 255.0)
-        masks[t] = alpha * 255.0
+        masks[t] = inside * np.uint8(255)
 
     d_cam = np.diff(scene.cam_path, axis=0)       # (L-1, 2) as (dy, dx)
     d_spr = np.diff(scene.sprite_path, axis=0)
@@ -395,13 +413,12 @@ def crop_resize(clip: VideoClip, scale: float, rng: np.random.Generator) -> Vide
         raise ValueError(f"bad crop {ch}x{cw} for frame {h}x{w}")
     y0 = int(rng.integers(0, h - ch + 1))
     x0 = int(rng.integers(0, w - cw + 1))
-    frames = np.empty_like(clip.frames)
-    masks = np.empty_like(clip.ref_masks)
-    for t in range(length):
-        sub = clip.frames[t, y0:y0 + ch, x0:x0 + cw]
-        frames[t] = resize_bilinear_np(sub, h, w)
-        msub = clip.ref_masks[t, y0:y0 + ch, x0:x0 + cw]
-        masks[t] = resize_bilinear_np(msub[..., None], h, w)[..., 0]
+    # one resize per clip: the frames ride on the trailing (channel) axis
+    sub = clip.frames[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0, 3)
+    frames = resize_bilinear_np(sub.reshape(ch, cw, length * 3), h, w)
+    frames = frames.reshape(h, w, length, 3).transpose(2, 0, 1, 3).astype(clip.frames.dtype)
+    msub = clip.ref_masks[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0)
+    masks = resize_bilinear_np(msub, h, w).transpose(2, 0, 1).astype(clip.ref_masks.dtype)
     # normalized translations grow when the field of view shrinks
     fx = (w - 1) / max(cw - 1, 1)
     fy = (h - 1) / max(ch - 1, 1)

@@ -141,9 +141,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def _model_checkpoint(path, drop=None, reshape=None, extra=None) -> None:
+def _model_checkpoint(path, drop=None, reshape=None, extra=None, config_line="") -> None:
     """A real model's parameters as a checkpoint, optionally with one
-    parameter left out, given the wrong shape, or one entry added."""
+    parameter left out, given the wrong shape, one entry added, or one
+    line appended to its config text."""
     cfg = tiny_config()
     model = InteractionModel(cfg, np.random.default_rng(0))
     tensors = {n: p.data for n, p in model.all_named() if n != drop}
@@ -151,7 +152,7 @@ def _model_checkpoint(path, drop=None, reshape=None, extra=None) -> None:
         tensors[reshape] = tensors[reshape].reshape(-1)
     if extra:
         tensors[extra] = np.zeros(3, np.float32)
-    save_checkpoint(path, tensors, cfg.to_text(), "2")
+    save_checkpoint(path, tensors, cfg.to_text() + config_line, "2")
 
 
 class TestCorruptCheckpoint:
@@ -338,6 +339,13 @@ class TestTraining:
         path = tmp_path / "m.ckpt"
         _model_checkpoint(path, extra="interact.block_concat.w")
         with pytest.raises(KeyError, match=re.escape(str(path)) + ".*interact.block_concat.w"):
+            load_model(path)
+
+    def test_load_model_names_checkpoint_with_unknown_config_key(self, tmp_path):
+        """A checkpoint whose config holds a since-deleted key names the file."""
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path, config_line="patience=0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*unknown key 'patience'"):
             load_model(path)
 
     def test_stage2_names_the_checkpoint_it_cannot_load(self, tiny_dataset, tmp_path):

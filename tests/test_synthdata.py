@@ -68,6 +68,17 @@ class TestGeneration:
             np.testing.assert_array_equal(clip.frames[t], clip.frames[0])
         assert not clip.gt_global[:, [2, 5]].any()
 
+    @pytest.mark.parametrize("rows", [
+        lambda r: r + 0.5,
+        lambda r: r + np.arange(len(r)) % 2,
+        lambda r: r + 100.0,
+    ], ids=["fractional", "varying", "outside"])
+    def test_camera_pans_at_one_integer_row(self, rows):
+        scene = make_scene(0, "standard", 9, SMALL)
+        scene.cam_path[:, 0] = rows(scene.cam_path[:, 0])
+        with pytest.raises(ValueError, match="one integer row offset"):
+            generate_clip(scene)
+
     def test_sprite_kept_inside_frame(self):
         for seed in range(20):
             clip = small_clip(seed=100 + seed, class_id=seed % 4)
@@ -412,6 +423,9 @@ class TestBitwiseOutputs:
         clips = [generate_clip(make_scene(c, "relation-only", 11 + c)) for c in (0, 1)]
         assert _digest(clips) == (
             "16a76b628819e05aa2a57af1bbf06878b750ff7b60501580218020b06ecae5ae")
+        clips = [generate_clip(make_scene(c, "standard", 21 + c)) for c in range(4)]
+        assert _digest(clips) == (
+            "2638d0f3cb22cbd3b7c374e990d89265fc6668965460f7c178e045268f4c7e8b")
 
     def test_augmented_clip(self):
         out = augment(decoded(small_clip(seed=18)), np.random.default_rng(17),
