@@ -1,10 +1,11 @@
 """Interaction-variant ablations under a shared per-seed budget.
 
 For each seed the shared front end (mask decoder, then motion module) is
-trained once in the stage-1 style and frozen; every variant head then
-trains on identical cached stream features. This isolates what the
-comparison is about, the recurrent interaction structure, and keeps the
-matrix cheap enough to run on a CPU.
+trained once by phases 1a and 1b and frozen; every variant head then
+trains on identical cached stream features, with the head trainer of phase
+1c (``train.extract_features`` and ``train.train_head``). This isolates
+what the comparison is about, the recurrent interaction structure, and
+keeps the matrix cheap enough to run on a CPU.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffcore import Tape, Tensor, backward
-from ..interact import FEATURE_SETS, VARIANTS, InteractiveClassifier, classification_loss
-from ..synthdata import DatasetManifest, load_split, sample_frames
+from ..diffcore import Tensor
+from ..interact import FEATURE_SETS, VARIANTS, InteractiveClassifier
+from ..synthdata import DatasetManifest, load_split
 from .config import TrainConfig
 from .model import InteractionModel, interaction_head
-from .optim import Adam
-from .train import run_phase
+from .train import extract_features, run_phase, train_head
 
 
 @dataclass
@@ -49,48 +49,8 @@ def parse_variants(spec: str) -> list[tuple[str, str]]:
     return out
 
 
-def extract_features(model: InteractionModel, clips, config: TrainConfig,
-                     batch_size: int = 16):
-    """Deterministic per-clip stream features from the frozen front end."""
-    gas, gms, las, lms, labels = [], [], [], [], []
-    for start in range(0, len(clips), batch_size):
-        batch = clips[start:start + batch_size]
-        frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
-        f_ga, f_gm, f_la, f_lm = model.stream_features(frames)
-        gas.append(f_ga)
-        gms.append(f_gm)
-        las.append(f_la)
-        lms.append(f_lm)
-        labels.extend(c.label for c in batch)
-    cat = lambda parts: np.concatenate(parts).astype(np.float32)
-    return (cat(gas), cat(gms), cat(las), cat(lms)), np.asarray(labels, dtype=np.int64)
-
-
-def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
-               rng: np.random.Generator, epochs: int | None = None) -> None:
-    f_ga, f_gm, f_la, f_lm = feats
-    epochs = epochs if epochs is not None else config.epochs_interaction
-    params = head.parameters()
-    opt = Adam([(params, config.lr, config.weight_decay)], beta1=config.beta1,
-               beta2=config.beta2)
-    n = labels.shape[0]
-    bs = max(config.batch_size * 8, 64)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            with Tape() as tape:
-                _, probs = head.classify(Tensor(f_ga[idx]), Tensor(f_gm[idx]),
-                                         Tensor(f_la[idx]), Tensor(f_lm[idx]), rng)
-                loss = classification_loss(probs, labels[idx])
-            backward(tape, loss, params=params)
-            opt.step()
-            head.zero_grad()
-
-
 def eval_head(head: InteractiveClassifier, feats, labels) -> float:
-    f_ga, f_gm, f_la, f_lm = feats
-    _, probs = head.classify(Tensor(f_ga), Tensor(f_gm), Tensor(f_la), Tensor(f_lm), rng=None)
+    _, probs = head.classify(*(Tensor(f) for f in feats), rng=None)
     pred = np.argmax(probs.numpy(), axis=1)
     return float((pred == labels).mean())
 
@@ -111,7 +71,7 @@ def ablate(manifest: DatasetManifest, config: TrainConfig,
         feats_tr, labels_tr = extract_features(model, train_clips, config)
         feats_te, labels_te = extract_features(model, test_clips, config)
         for variant, featset in variants:
-            head_rng = np.random.default_rng(seed + 1)
+            head_rng = np.random.default_rng([seed, 1])   # no front-end seed's stream
             head = interaction_head(config, head_rng, model.motion.global_dim, variant, featset)
             train_head(head, feats_tr, labels_tr, config, head_rng)
             acc = eval_head(head, feats_te, labels_te)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 @dataclass
 class TrainConfig:
-    # loss weights (tuned on the synthetic validation split)
+    # loss weights
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 0.1
@@ -36,11 +36,9 @@ class TrainConfig:
     motion_dim: int = 16
     max_displacement: int = 5
     dropout: float = 0.5
-    # data handling; horizontal flips invert direction labels, so they
-    # stay off unless the label set is mirror-invariant
+    # data handling
     augment: int = 1
     jitter: int = 1
-    aug_flip: float = 0.0
     aug_hsv: float = 0.5
     aug_crop: float = 0.5
     seed: int = 0
@@ -50,6 +48,10 @@ class TrainConfig:
             raise ValueError("loss weights must be nonnegative")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        for name, low in (("batch_size", 1), ("epochs_attention", 0), ("epochs_motion", 0),
+                          ("epochs_interaction", 0), ("epochs_joint", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
     def to_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)]

@@ -3,12 +3,16 @@
 Stage 1 runs three sub-phases on disjoint parameter groups: the mask
 decoder against the segmentation loss, then the motion module against
 reconstruction + smoothness, then the recurrent classifier against cross
-entropy. Stage 2 fine-tunes everything against the weighted sum of all
-four losses. The learning rate halves when the smoothed phase loss stops
-improving by 1% over ``plateau_patience`` epochs. Every phase runs all its
-epochs and keeps its last parameters: training reads only the train split.
-A non-finite batch loss stops training with a ``NonFiniteError`` naming the
-phase, the epoch and the first op whose output was not finite.
+entropy. Phase 1c, like every ablation head, trains on stream features the
+frozen front end computed once (``extract_features``: deterministic
+sampling, no tape). Stage 2 fine-tunes everything against the weighted sum
+of all four losses. Every phase and head runs the same epoch loop
+(``_fit``); its learning rate halves when the smoothed loss stops improving
+by 1% over ``plateau_patience`` epochs. Every phase runs all its epochs and
+keeps its last parameters: training reads only the train split. A
+non-finite batch loss or cached feature stops training with a
+``NonFiniteError`` naming the phase and the first op whose output was not
+finite.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diffcore import NonFiniteError, ShapeError, Tape, backward, set_debug_nan
+from ..diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward, set_debug_nan
 from ..diffcore.tensor import debug_nan_enabled
+from ..interact import InteractiveClassifier, classification_loss
 from ..synthdata import (
     AugmentConfig,
     DatasetManifest,
@@ -53,15 +58,15 @@ class TrainState:
 
 
 def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
-                  rng: np.random.Generator | None, train_mode: bool):
-    """Sample and (in train mode) augment clips, stacked to batch arrays."""
-    aug_cfg = AugmentConfig(p_flip=config.aug_flip, p_hsv=config.aug_hsv,
-                            p_crop=config.aug_crop)
+                  rng: np.random.Generator | None):
+    """Sample clips, stacked to batch arrays; with an ``rng`` (training) the
+    sampling is jittered and the clips augmented as ``config`` says."""
+    aug_cfg = AugmentConfig(p_hsv=config.aug_hsv, p_crop=config.aug_crop)
     frames, masks, labels = [], [], []
     for clip in clips:
-        jitter = bool(train_mode and config.jitter and rng is not None)
+        jitter = bool(config.jitter and rng is not None)
         sampled = sample_frames(clip, config.num_frames, jitter=jitter, rng=rng)
-        if train_mode and config.augment and rng is not None:
+        if config.augment and rng is not None:
             sampled = augment(sampled, rng, aug_cfg)
         frames.append(sampled.frames)
         masks.append(sampled.ref_masks)
@@ -70,7 +75,8 @@ def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
 
 
 def _phase_spec(phase: str, model: InteractionModel, config: TrainConfig):
-    """(trainable named params, needs, loss picker, epochs) for one phase."""
+    """(trainable named params, needs, loss picker, epochs) for a phase that
+    trains through the front end (all but 1c)."""
     if phase == "1a":
         def pick(res):
             return res.l_seg, LossBundle(l_seg=res.l_seg.item(),
@@ -82,10 +88,6 @@ def _phase_spec(phase: str, model: InteractionModel, config: TrainConfig):
             return loss, LossBundle(l_rec=res.l_rec.item(), l_smooth=res.l_smooth.item(),
                                     l_final=loss.item())
         return model.group("motion"), dict(need_rec=True), pick, config.epochs_motion
-    if phase == "1c":
-        def pick(res):
-            return res.l_cls, LossBundle(l_cls=res.l_cls.item(), l_final=res.l_cls.item())
-        return model.group("interact"), dict(need_cls=True), pick, config.epochs_interaction
     if phase == "2":
         def pick(res):
             return total_loss(config, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
@@ -108,9 +110,11 @@ def _phase_adam(phase: str, named, config: TrainConfig) -> Adam:
     return Adam(groups, beta1=config.beta1, beta2=config.beta2)
 
 
-def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
-              config: TrainConfig, rng: np.random.Generator, log=None) -> None:
-    named, needs, pick, epochs = _phase_spec(phase, model, config)
+def _fit(phase: str, module, named, batch_loss, n: int, epochs: int,
+         config: TrainConfig, rng: np.random.Generator, log=None) -> None:
+    """The epoch loop of every phase and head: each epoch batches a fresh
+    permutation of ``n`` items, ``batch_loss(idx, rng)`` returns a batch's
+    (loss Tensor, LossBundle), and Adam steps the ``named`` parameters."""
     params = [p for _, p in named]
     opt = _phase_adam(phase, named, config)
     smoothed = None
@@ -118,26 +122,24 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
     since_improve = 0
 
     for epoch in range(epochs):
-        order = rng.permutation(len(clips))
+        order = rng.permutation(n)
         epoch_loss = 0.0
         nb = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [clips[i] for i in order[start:start + config.batch_size]]
-            frames, masks, labels = _batch_arrays(batch, config, rng, train_mode=True)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
             rng_before = copy.deepcopy(rng)
             with Tape() as tape:
-                res = model.forward(frames, masks, labels, rng=rng, **needs)
-                loss, bundle = pick(res)
+                loss, bundle = batch_loss(idx, rng)
             if not np.isfinite(bundle.l_final):
-                op = _first_non_finite_op(model, (frames, masks, labels), needs, pick,
-                                          rng_before)
+                # replaying from the generator as it was repeats every draw
+                op = _first_non_finite_op(lambda: batch_loss(idx, rng_before))
                 raise NonFiniteError(f"phase {phase} epoch {epoch + 1}/{epochs}: loss is "
                                      f"{bundle.l_final}; first non-finite op: {op}")
             backward(tape, loss, params=params)
             opt.step()
             # frozen groups get gradients too; clearing every parameter keeps
             # them from piling up across steps and phases
-            model.zero_grad()
+            module.zero_grad()
             epoch_loss += bundle.l_final
             nb += 1
         epoch_loss /= max(nb, 1)
@@ -155,19 +157,66 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
                 since_improve = 0
 
 
-def _first_non_finite_op(model, batch, needs, pick, rng) -> str:
-    """Replay one training batch from ``rng`` (the generator as it was before
-    the batch's forward pass, so dropout draws repeat) with every op's output
-    checked; returns the first failing op's message."""
+def _first_non_finite_op(run) -> str:
+    """Call ``run`` again with every op's output checked; returns the first
+    failing op's message."""
     was_on = debug_nan_enabled()
     set_debug_nan(True)
     try:
-        pick(model.forward(*batch, rng=rng, **needs))
+        run()
     except NonFiniteError as exc:
         return str(exc)
     finally:
         set_debug_nan(was_on)
     return "none on replay"
+
+
+def extract_features(model: InteractionModel, clips, config: TrainConfig,
+                     batch_size: int = 16):
+    """Deterministic per-clip stream features from the frozen front end."""
+    gas, gms, las, lms, labels = [], [], [], [], []
+    for start in range(0, len(clips), batch_size):
+        batch = clips[start:start + batch_size]
+        frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
+        f_ga, f_gm, f_la, f_lm = model.stream_features(frames)
+        gas.append(f_ga)
+        gms.append(f_gm)
+        las.append(f_la)
+        lms.append(f_lm)
+        labels.extend(c.label for c in batch)
+    cat = lambda parts: np.concatenate(parts).astype(np.float32)
+    return (cat(gas), cat(gms), cat(las), cat(lms)), np.asarray(labels, dtype=np.int64)
+
+
+def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
+               rng: np.random.Generator, log=None) -> None:
+    """Fit ``head`` for ``epochs_interaction`` epochs on cached stream
+    features (``extract_features``), as phase 1c."""
+    def batch_loss(idx, rng):
+        _, probs = head.classify(*(Tensor(f[idx]) for f in feats), rng)
+        loss = classification_loss(probs, labels[idx])
+        return loss, LossBundle(l_cls=loss.item(), l_final=loss.item())
+    _fit("1c", head, list(head.named_parameters()), batch_loss, len(labels),
+         config.epochs_interaction, config, rng, log)
+
+
+def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
+              config: TrainConfig, rng: np.random.Generator, log=None) -> None:
+    """Train one phase of the schedule on the train ``clips``."""
+    if phase == "1c":
+        feats, labels = extract_features(model, clips, config)
+        if not all(np.isfinite(f).all() for f in feats):
+            op = _first_non_finite_op(lambda: extract_features(model, clips, config))
+            raise NonFiniteError(f"phase 1c: stream features are not finite; "
+                                 f"first non-finite op: {op}")
+        train_head(model.interact, feats, labels, config, rng, log=log)
+        return
+    named, needs, pick, epochs = _phase_spec(phase, model, config)
+
+    def batch_loss(idx, rng):
+        frames, masks, labels = _batch_arrays([clips[i] for i in idx], config, rng)
+        return pick(model.forward(frames, masks, labels, rng=rng, **needs))
+    _fit(phase, model, named, batch_loss, len(clips), epochs, config, rng, log)
 
 
 def _load_params(model: InteractionModel, table, ckpt_path) -> None:
@@ -198,14 +247,12 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
             raise FileNotFoundError(
                 f"stage 2 needs the stage-1 checkpoint at {ckpt_path}")
         table, cfg_text, marker = load_checkpoint(ckpt_path)
-        if marker not in ("1a", "1b", "1c", "2"):
+        if marker not in PHASES:
             raise ValueError(f"unexpected stage marker {marker!r} in {ckpt_path}")
         _load_params(model, table, ckpt_path)
         phases = ["2"]
-    elif stage == "1":
-        phases = ["1a", "1b", "1c"]
     else:
-        phases = ["1a", "1b", "1c", "2"]
+        phases = list(PHASES if stage == "all" else PHASES[:3])
 
     for phase in phases:
         run_phase(model, phase, clips, config, rng, log=log)
@@ -232,7 +279,7 @@ def evaluate_clips(model: InteractionModel, clips: list[VideoClip],
     loss_sum = 0.0
     for start in range(0, len(clips), batch_size):
         batch = clips[start:start + batch_size]
-        frames, masks, labels = _batch_arrays(batch, config, rng=None, train_mode=False)
+        frames, masks, labels = _batch_arrays(batch, config, rng=None)
         res = model.forward(frames, masks, labels, rng=None, need_cls=True)
         pred = np.argmax(res.probs.numpy(), axis=1)
         loss_sum += res.l_cls.item() * len(batch)

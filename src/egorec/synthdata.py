@@ -366,7 +366,6 @@ def _resample_local(gt: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AugmentConfig:
-    p_flip: float = 0.5
     p_hsv: float = 0.5
     p_crop: float = 0.5
     crop_scale: tuple[float, float] = (0.75, 1.0)
@@ -376,15 +375,14 @@ class AugmentConfig:
 
 def augment(clip: VideoClip, rng: np.random.Generator,
             config: AugmentConfig | None = None) -> VideoClip:
-    """Apply flip / HSV jitter / crop-resize consistently to frames, masks, gt
-    of a clip that ``sample_frames`` decoded."""
+    """Apply crop-resize / HSV jitter consistently to frames, masks, gt of a
+    clip that ``sample_frames`` decoded. There is no horizontal flip: it
+    would invert the direction labels."""
     if clip.frames.dtype == np.uint8 or clip.ref_masks.dtype == np.uint8:
         raise ValueError("augment: needs a sampled clip with float frames and masks, "
                          "got 8-bit ones; decode them with sample_frames first")
     cfg = config or AugmentConfig()
     out = clip
-    if rng.random() < cfg.p_flip:
-        out = flip_horizontal(out)
     if rng.random() < cfg.p_crop:
         scale = rng.uniform(*cfg.crop_scale)
         out = crop_resize(out, scale, rng)
@@ -392,18 +390,6 @@ def augment(clip: VideoClip, rng: np.random.Generator,
         out = hsv_jitter(out, rng.uniform(-cfg.hue_delta, cfg.hue_delta),
                          rng.uniform(*cfg.sat_range))
     return out
-
-
-def flip_horizontal(clip: VideoClip) -> VideoClip:
-    gt_g = clip.gt_global.copy()
-    gt_g[:, 1] *= -1.0   # a12
-    gt_g[:, 2] *= -1.0   # tx
-    gt_g[:, 3] *= -1.0   # a21
-    gt_l = clip.gt_local.copy()
-    gt_l[:, 0] *= -1.0
-    return VideoClip(frames=clip.frames[:, :, ::-1].copy(),
-                     ref_masks=clip.ref_masks[:, :, ::-1].copy(),
-                     label=clip.label, gt_global=gt_g, gt_local=gt_l)
 
 
 def crop_resize(clip: VideoClip, scale: float, rng: np.random.Generator) -> VideoClip:

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import re
 import struct
@@ -29,6 +30,7 @@ from egorec.harness import (
 from egorec.harness.checkpoint import _read_table
 from egorec.harness.cli import main as cli_main
 from egorec.harness.model import interaction_head
+from egorec.harness.train import extract_features, train_head
 from egorec.synthdata import GenConfig, generate_dataset, load_manifest, load_split, sample_frames
 
 TINY_GEN = GenConfig(height=16, width=32, length=6, area_range=(0.08, 0.14))
@@ -68,6 +70,13 @@ class TestConfig:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs_attention", -1),
+                                              ("epochs_motion", -1), ("epochs_interaction", -1),
+                                              ("epochs_joint", -1)])
+    def test_schedule_out_of_range_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be at least"):
+            TrainConfig(**{field: value})
 
 
 class TestTotalLoss:
@@ -271,28 +280,60 @@ class TestTraining:
         train(manifest, cfg, "all", ck2)
         assert ck1.read_bytes() == ck2.read_bytes()
 
-    def test_freeze_contract_phase_a(self, tiny_dataset):
-        manifest = load_manifest(tiny_dataset)
+    @staticmethod
+    def _changed_by(phase, tiny_dataset):
+        """Names of the parameters one ``run_phase`` changed."""
         cfg = tiny_config()
-        clips = load_split(manifest, "train")
+        clips = load_split(load_manifest(tiny_dataset), "train")
         rng = np.random.default_rng(cfg.seed)
         model = InteractionModel(cfg, rng)
         before = {n: p.data.tobytes() for n, p in model.all_named()}
-        run_phase(model, "1a", clips, cfg, rng)
-        changed = {n for n, p in model.all_named() if p.data.tobytes() != before[n]}
+        run_phase(model, phase, clips, cfg, rng)
+        return {n for n, p in model.all_named() if p.data.tobytes() != before[n]}
+
+    def test_freeze_contract_phase_a(self, tiny_dataset):
+        changed = self._changed_by("1a", tiny_dataset)
         assert changed  # the decoder actually trained
         assert all(n.startswith("attention.") for n in changed)
 
     def test_freeze_contract_phase_b(self, tiny_dataset):
-        manifest = load_manifest(tiny_dataset)
-        cfg = tiny_config()
-        clips = load_split(manifest, "train")
-        rng = np.random.default_rng(cfg.seed)
-        model = InteractionModel(cfg, rng)
-        before = {n: p.data.tobytes() for n, p in model.all_named()}
-        run_phase(model, "1b", clips, cfg, rng)
-        changed = {n for n, p in model.all_named() if p.data.tobytes() != before[n]}
+        changed = self._changed_by("1b", tiny_dataset)
         assert changed and all(n.startswith("motion.") for n in changed)
+
+    def test_freeze_contract_phase_c(self, tiny_dataset):
+        changed = self._changed_by("1c", tiny_dataset)
+        assert changed and all(n.startswith("interact.") for n in changed)
+
+    def test_phase_1c_is_the_ablation_head_trainer(self, tiny_dataset):
+        """``run_phase(.., "1c", ..)`` trains ``model.interact`` exactly as
+        ablate trains a head: cached features, then ``train_head``."""
+        cfg = tiny_config(epochs_interaction=3)
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        by_phase = InteractionModel(cfg, np.random.default_rng(5))
+        by_head = InteractionModel(cfg, np.random.default_rng(5))
+        before = by_phase.interact.state_arrays()
+        run_phase(by_phase, "1c", clips, cfg, np.random.default_rng(6))
+        feats, labels = extract_features(by_head, clips, cfg)
+        train_head(by_head.interact, feats, labels, cfg, np.random.default_rng(6))
+        got, want = by_phase.state_arrays(), by_head.state_arrays()
+        assert got.keys() == want.keys()
+        assert all(got[n].tobytes() == want[n].tobytes() for n in got)
+        assert any(by_phase.interact.state_arrays()[n].tobytes() != before[n].tobytes()
+                   for n in before)
+
+    def test_train_logs_each_epoch_of_each_phase_in_order(self, tiny_dataset, tmp_path):
+        cfg = tiny_config(epochs_attention=2, epochs_motion=1, epochs_interaction=3,
+                          epochs_joint=2)
+        lines = []
+        train(load_manifest(tiny_dataset), cfg, "all", tmp_path / "log.ckpt", log=lines.append)
+        seen = []
+        for line in lines:
+            match = re.match(r"phase (\S+) epoch (\d+)/(\d+) loss (\S+) ", line)
+            assert match, line
+            assert np.isfinite(float(match.group(4)))
+            seen.append((match.group(1), int(match.group(2)), int(match.group(3))))
+        assert seen == [("1a", 1, 2), ("1a", 2, 2), ("1b", 1, 1), ("1c", 1, 3),
+                        ("1c", 2, 3), ("1c", 3, 3), ("2", 1, 2), ("2", 2, 2)]
 
     def test_stage2_requires_checkpoint(self, tiny_dataset, tmp_path):
         manifest = load_manifest(tiny_dataset)
@@ -373,6 +414,18 @@ class TestTraining:
         dict(model.all_named())[name].data[0] = np.nan
         with pytest.raises(NonFiniteError, match=rf"phase {phase} epoch 1/2: .*\b{op}: "):
             run_phase(model, phase, clips, cfg, rng)
+        assert not debug_nan_enabled()
+
+    def test_non_finite_features_name_phase_1c_and_op(self, tiny_dataset):
+        """A non-finite cached feature names the front-end op that made it,
+        not the head's first op."""
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        dict(model.all_named())["backbone.blocks.0.w"].data[0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"phase 1c: .*\bconv2d: "):
+            run_phase(model, "1c", clips, cfg, rng)
         assert not debug_nan_enabled()
 
     def test_stream_features_are_what_forward_classifies(self, tiny_dataset):
@@ -481,14 +534,13 @@ class TestFloat32Training:
 
     def test_train_head_step(self, tiny_dataset, monkeypatch):
         cfg = tiny_config()
-        ablate_mod = importlib.import_module("egorec.harness.ablate")
         model = InteractionModel(cfg, np.random.default_rng(cfg.seed))
         clips = load_split(load_manifest(tiny_dataset), "train")
-        feats, labels = ablate_mod.extract_features(model, clips, cfg)
+        feats, labels = extract_features(model, clips, cfg)
         rng = np.random.default_rng(cfg.seed + 1)
         head = interaction_head(cfg, rng, model.motion.global_dim, "full", "both")
-        seen = self._spy(monkeypatch, "egorec.harness.ablate")
-        ablate_mod.train_head(head, feats, labels, cfg, rng, epochs=1)
+        seen = self._spy(monkeypatch, "egorec.harness.train")
+        train_head(head, feats, labels, cfg, rng)
         self._assert_float32(seen)
 
 
@@ -500,6 +552,26 @@ class TestAblate:
             parse_variants("bogus")
         with pytest.raises(ValueError):
             parse_variants("ego:bogus")
+
+    def test_seeds_draw_distinct_head_and_front_end_streams(self, tiny_dataset, monkeypatch):
+        """No seed's head generator repeats another seed's front-end one."""
+        ablate_mod = importlib.import_module("egorec.harness.ablate")
+        draws = {"front": [], "head": []}
+
+        def spy(kind, real):
+            def make(config, rng, *args):
+                draws[kind].append(copy.deepcopy(rng).random(4).tobytes())
+                return real(config, rng, *args)
+            return make
+
+        monkeypatch.setattr(ablate_mod, "InteractionModel",
+                            spy("front", ablate_mod.InteractionModel))
+        monkeypatch.setattr(ablate_mod, "interaction_head",
+                            spy("head", ablate_mod.interaction_head))
+        cfg = tiny_config(epochs_attention=0, epochs_motion=0, epochs_interaction=0)
+        ablate(load_manifest(tiny_dataset), cfg, parse_variants("ego"), seeds=[0, 1, 2])
+        assert len(draws["front"]) == len(draws["head"]) == 3
+        assert len(set(draws["front"]) | set(draws["head"])) == 6
 
     def test_two_variants_two_rows(self, tiny_dataset, tmp_path):
         manifest = load_manifest(tiny_dataset)

@@ -14,7 +14,6 @@ from egorec.synthdata import (
     VideoClip,
     augment,
     crop_resize,
-    flip_horizontal,
     generate_clip,
     generate_dataset,
     hsv_jitter,
@@ -211,20 +210,6 @@ class TestSampling:
 
 
 class TestAugment:
-    def test_flip_is_involution(self):
-        clip = decoded(small_clip(seed=12))
-        back = flip_horizontal(flip_horizontal(clip))
-        assert back.frames.tobytes() == clip.frames.tobytes()
-        np.testing.assert_array_equal(back.gt_global, clip.gt_global)
-        np.testing.assert_array_equal(back.gt_local, clip.gt_local)
-
-    def test_flip_negates_horizontal_gt(self):
-        clip = decoded(small_clip(seed=13))
-        flipped = flip_horizontal(clip)
-        np.testing.assert_array_equal(flipped.gt_global[:, 2], -clip.gt_global[:, 2])
-        np.testing.assert_array_equal(flipped.gt_global[:, 5], clip.gt_global[:, 5])
-        np.testing.assert_array_equal(flipped.gt_local[:, 0], -clip.gt_local[:, 0])
-
     def test_hsv_leaves_masks_bitwise(self):
         clip = decoded(small_clip(seed=14))
         out = hsv_jitter(clip, 0.04, 1.2)
@@ -248,7 +233,7 @@ class TestAugment:
     def test_augment_geometry_consistency(self):
         rng = np.random.default_rng(17)
         clip = decoded(small_clip(seed=18))
-        out = augment(clip, rng, AugmentConfig(p_flip=1.0, p_hsv=1.0, p_crop=1.0))
+        out = augment(clip, rng, AugmentConfig(p_hsv=1.0, p_crop=1.0))
         assert out.frames.shape == clip.frames.shape
         assert out.ref_masks.shape == clip.ref_masks.shape
         # mask stays in [0, 1] after the shared geometric transform
@@ -429,6 +414,6 @@ class TestBitwiseOutputs:
 
     def test_augmented_clip(self):
         out = augment(decoded(small_clip(seed=18)), np.random.default_rng(17),
-                      AugmentConfig(p_flip=1.0, p_hsv=1.0, p_crop=1.0))
+                      AugmentConfig(p_hsv=1.0, p_crop=1.0))
         assert _digest([out]) == (
-            "3fb2baab231b4eb4029bbac7901fd20d56d2a83eb5ae6eb0e5bb0609ae415f37")
+            "c819fe97b22a44a9ca4518ff764e973633715e7f45657a95990a22345e5a2239")
