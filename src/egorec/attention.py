@@ -4,8 +4,8 @@ A transposed-conv decoder on top of the backbone features produces sigmoid
 masks at four scales: the coarsest matches the feature map, the finest the
 input frame. The three upsampled scales are supervised with a pixel-wise
 cross entropy against a reference mask resized by area averaging; the
-coarsest mask is trained indirectly through the weighted appearance pooling
-(an optional config flag adds it to the supervision).
+coarsest mask is trained only indirectly, through the weighted appearance
+pooling.
 """
 
 from __future__ import annotations

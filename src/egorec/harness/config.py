@@ -36,11 +36,6 @@ class TrainConfig:
     motion_dim: int = 16
     max_displacement: int = 5
     dropout: float = 0.5
-    # data handling
-    augment: int = 1
-    jitter: int = 1
-    aug_hsv: float = 0.5
-    aug_crop: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -49,9 +44,12 @@ class TrainConfig:
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         for name, low in (("batch_size", 1), ("epochs_attention", 0), ("epochs_motion", 0),
-                          ("epochs_interaction", 0), ("epochs_joint", 0)):
+                          ("epochs_interaction", 0), ("epochs_joint", 0), ("num_frames", 2),
+                          ("max_displacement", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def to_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)]
@@ -72,8 +70,12 @@ def parse_config(text: str) -> TrainConfig:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         if key not in fields:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kind = fields[key]
-        values[key] = float(value) if kind == "float" or kind is float else int(value)
+        is_float = fields[key] == "float"
+        try:
+            values[key] = float(value) if is_float else int(value)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: {key}={value!r} is not "
+                             f"{'a number' if is_float else 'an integer'}") from None
     return TrainConfig(**values)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 
 from ..diffcore import Tensor
 
+EPS = 1e-8
+
 
 class Adam:
     """Adam with decoupled weight decay and a learning rate per group.
@@ -15,12 +17,11 @@ class Adam:
     entirely (no decay), so frozen or unused tensors stay bitwise unchanged.
     """
 
-    def __init__(self, groups, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, groups, beta1: float = 0.9, beta2: float = 0.999):
         self.groups: list[tuple[list[Tensor], float, float]] = [
             (list(params), lr, weight_decay) for params, lr, weight_decay in groups]
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {p: np.zeros_like(p.data) for params, _, _ in self.groups for p in params}
         self.v = {p: np.zeros_like(p.data) for p in self.m}
@@ -40,7 +41,7 @@ class Adam:
                     continue
                 m = self.m[p] = b1 * self.m[p] + (1.0 - b1) * g
                 v = self.v[p] = b2 * self.v[p] + (1.0 - b2) * (g * g)
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
                 if weight_decay:
                     update = update + weight_decay * p.data
                 p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)

@@ -4,15 +4,19 @@ Stage 1 runs three sub-phases on disjoint parameter groups: the mask
 decoder against the segmentation loss, then the motion module against
 reconstruction + smoothness, then the recurrent classifier against cross
 entropy. Phase 1c, like every ablation head, trains on stream features the
-frozen front end computed once (``extract_features``: deterministic
-sampling, no tape). Stage 2 fine-tunes everything against the weighted sum
-of all four losses. Every phase and head runs the same epoch loop
-(``_fit``); its learning rate halves when the smoothed loss stops improving
-by 1% over ``plateau_patience`` epochs. Every phase runs all its epochs and
-keeps its last parameters: training reads only the train split. A
-non-finite batch loss or cached feature stops training with a
-``NonFiniteError`` naming the phase and the first op whose output was not
-finite.
+frozen front end computed once (``extract_features``, no tape). Stage 2
+fine-tunes everything against the weighted sum of all four losses. Every
+phase and head runs the same epoch loop (``_fit``); its learning rate
+halves when the smoothed loss stops improving by 1% over
+``plateau_patience`` epochs. Every phase runs all its epochs and keeps its
+last parameters: training reads only the train split. A non-finite batch
+loss or cached feature stops training with a ``NonFiniteError`` naming the
+phase and the first op whose output was not finite.
+
+An rng is the one switch for data randomness: training batches
+(``_batch_arrays`` with the phase's rng) take a random frame per segment
+and augment each clip; ``extract_features`` and ``evaluate_clips`` take
+each segment's first frame, unaugmented.
 """
 
 from __future__ import annotations
@@ -26,14 +30,7 @@ import numpy as np
 from ..diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward, set_debug_nan
 from ..diffcore.tensor import debug_nan_enabled
 from ..interact import InteractiveClassifier, classification_loss
-from ..synthdata import (
-    AugmentConfig,
-    DatasetManifest,
-    VideoClip,
-    augment,
-    load_split,
-    sample_frames,
-)
+from ..synthdata import DatasetManifest, VideoClip, augment, load_split, sample_frames
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config
 from .losses import LossBundle, total_loss
@@ -41,6 +38,7 @@ from .model import InteractionModel
 from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
+EVAL_BATCH = 16     # clips per forward pass of extract_features and evaluate_clips
 
 
 @dataclass
@@ -60,14 +58,12 @@ class TrainState:
 def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
                   rng: np.random.Generator | None):
     """Sample clips, stacked to batch arrays; with an ``rng`` (training) the
-    sampling is jittered and the clips augmented as ``config`` says."""
-    aug_cfg = AugmentConfig(p_hsv=config.aug_hsv, p_crop=config.aug_crop)
+    sampling is jittered and each clip augmented right after its sampling."""
     frames, masks, labels = [], [], []
     for clip in clips:
-        jitter = bool(config.jitter and rng is not None)
-        sampled = sample_frames(clip, config.num_frames, jitter=jitter, rng=rng)
-        if config.augment and rng is not None:
-            sampled = augment(sampled, rng, aug_cfg)
+        sampled = sample_frames(clip, config.num_frames, rng)
+        if rng is not None:
+            sampled = augment(sampled, rng)
         frames.append(sampled.frames)
         masks.append(sampled.ref_masks)
         labels.append(sampled.label)
@@ -171,12 +167,11 @@ def _first_non_finite_op(run) -> str:
     return "none on replay"
 
 
-def extract_features(model: InteractionModel, clips, config: TrainConfig,
-                     batch_size: int = 16):
+def extract_features(model: InteractionModel, clips, config: TrainConfig):
     """Deterministic per-clip stream features from the frozen front end."""
     gas, gms, las, lms, labels = [], [], [], [], []
-    for start in range(0, len(clips), batch_size):
-        batch = clips[start:start + batch_size]
+    for start in range(0, len(clips), EVAL_BATCH):
+        batch = clips[start:start + EVAL_BATCH]
         frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
         f_ga, f_gm, f_la, f_lm = model.stream_features(frames)
         gas.append(f_ga)
@@ -272,13 +267,13 @@ def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:
 
 
 def evaluate_clips(model: InteractionModel, clips: list[VideoClip],
-                   config: TrainConfig, batch_size: int = 16) -> MetricsReport:
+                   config: TrainConfig) -> MetricsReport:
     """Deterministic evaluation: base frame sampling, no augmentation."""
     k = config.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     loss_sum = 0.0
-    for start in range(0, len(clips), batch_size):
-        batch = clips[start:start + batch_size]
+    for start in range(0, len(clips), EVAL_BATCH):
+        batch = clips[start:start + EVAL_BATCH]
         frames, masks, labels = _batch_arrays(batch, config, rng=None)
         res = model.forward(frames, masks, labels, rng=None, need_cls=True)
         pred = np.argmax(res.probs.numpy(), axis=1)

@@ -46,7 +46,7 @@ def identity_grid(h: int, w: int, dtype=np.float32) -> np.ndarray:
 class MotionEstimator(Module):
     def __init__(self, feat_channels: int, frame_hw: tuple[int, int],
                  rng: np.random.Generator, max_displacement: int = 5,
-                 embed_dim: int = 16, global_dim: int | None = None):
+                 embed_dim: int = 16):
         self.d = max_displacement
         self.embed_dim = embed_dim
         self.frame_hw = frame_hw
@@ -54,7 +54,7 @@ class MotionEstimator(Module):
         # the global embedding is at least as wide as the correlation
         # profile, so the linear head alone can realize any profile readout
         # without waiting for the conv to rotate
-        self.global_dim = global_dim if global_dim is not None else max(corr_ch + 7, embed_dim)
+        self.global_dim = max(corr_ch + 7, embed_dim)
         self.global_conv = Conv2d(corr_ch, self.global_dim, 3, rng, pad=1, gain=1.0)
         self.affine_head = Linear(self.global_dim, 6, rng, zero_init=True)
         self.local_conv = Conv2d(corr_ch + feat_channels, embed_dim, 3, rng, pad=1)

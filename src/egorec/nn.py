@@ -22,17 +22,17 @@ class Module:
     """Base for anything holding parameters.
 
     Parameters are discovered by walking attributes in definition order:
-    a Tensor with ``requires_grad`` is a parameter, a Module recurses, and
-    lists/tuples of Modules recurse with an index in the name. Names are
-    stable across runs, which the checkpoint format relies on.
+    a Tensor is a parameter (whether or not it currently requires grad), a
+    Module recurses, and lists/tuples of Modules recurse with an index in
+    the name. Names are stable across runs, which the checkpoint format
+    relies on.
     """
 
     def named_parameters(self, prefix: str = ""):
         for attr, value in vars(self).items():
             name = f"{prefix}{attr}"
             if isinstance(value, Tensor):
-                if value.requires_grad:
-                    yield name, value
+                yield name, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(f"{name}.")
             elif isinstance(value, (list, tuple)):

@@ -30,6 +30,12 @@ and masks as uint8, the bytes of the files (mask alpha 0/1 as 0/255).
 ``sample_frames`` is the one decoder: the clip it returns holds float32
 frames and masks in [0, 1], which ``augment`` and the model take.
 
+Sampling follows one policy, switched by an rng as in Temporal Segment
+Networks: ``sample_frames`` takes one frame per equal segment, the first
+without an rng (evaluation) and a uniform one with it (training), and
+training clips then pass through ``augment``, which crops and jitters hue
+and saturation with the fixed probabilities of the ``P_*`` constants.
+
 On-disk format: ``manifest.txt`` with ``K=``, ``variant=``, ``seed=``
 headers and ``clip_dir<TAB>label<TAB>split`` lines. Each clip directory
 holds three files: ``frames.ppm``, the L frames stacked top to bottom into
@@ -313,13 +319,14 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
 # frame sampling and augmentation
 
 
-def sample_frames(clip: VideoClip, n: int, jitter: bool = False,
+def sample_frames(clip: VideoClip, n: int,
                   rng: np.random.Generator | None = None) -> VideoClip:
     """Pick ``n`` frames, one per equal segment of a stored clip, decoded.
 
-    Without jitter each segment contributes its first index; with jitter a
-    uniform index from the segment. Short clips repeat indices. The picked
-    uint8 frames and masks are decoded to float32 in [0, 1] (k / 255).
+    Without an ``rng`` each segment contributes its first index; with one
+    (training) a uniform index from the segment. Short clips repeat indices.
+    The picked uint8 frames and masks are decoded to float32 in [0, 1]
+    (k / 255).
     """
     if n < 2:
         raise ValueError(f"need at least 2 sampled frames, got {n}")
@@ -327,15 +334,10 @@ def sample_frames(clip: VideoClip, n: int, jitter: bool = False,
         raise ValueError(f"sample_frames: needs a stored clip with uint8 frames and masks, "
                          f"got {clip.frames.dtype} and {clip.ref_masks.dtype}")
     length = clip.length
-    starts = (np.arange(n) * length) // n
-    if jitter:
-        if rng is None:
-            raise ValueError("jitter sampling needs an rng")
-        ends = np.maximum(((np.arange(n) + 1) * length) // n, starts + 1)
-        idx = np.array([rng.integers(s, e) for s, e in zip(starts, ends)])
-        idx = np.minimum(idx, length - 1)
-    else:
-        idx = starts
+    idx = (np.arange(n) * length) // n
+    if rng is not None:
+        ends = np.maximum(((np.arange(n) + 1) * length) // n, idx + 1)
+        idx = np.array([rng.integers(s, e) for s, e in zip(idx, ends)])
     return VideoClip(
         frames=clip.frames[idx].astype(np.float32) / 255.0,
         ref_masks=clip.ref_masks[idx].astype(np.float32) / 255.0,
@@ -364,31 +366,27 @@ def _resample_local(gt: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cum[idx[1:]] - cum[idx[:-1]]
 
 
-@dataclass
-class AugmentConfig:
-    p_hsv: float = 0.5
-    p_crop: float = 0.5
-    crop_scale: tuple[float, float] = (0.75, 1.0)
-    hue_delta: float = 0.06
-    sat_range: tuple[float, float] = (0.7, 1.3)
+# the one training augmentation policy: each transform fires independently
+P_CROP = 0.5
+CROP_SCALE = (0.75, 1.0)
+P_HSV = 0.5
+HUE_DELTA = 0.06
+SAT_RANGE = (0.7, 1.3)
 
 
-def augment(clip: VideoClip, rng: np.random.Generator,
-            config: AugmentConfig | None = None) -> VideoClip:
-    """Apply crop-resize / HSV jitter consistently to frames, masks, gt of a
-    clip that ``sample_frames`` decoded. There is no horizontal flip: it
-    would invert the direction labels."""
+def augment(clip: VideoClip, rng: np.random.Generator) -> VideoClip:
+    """Apply crop-resize (probability ``P_CROP``) and HSV jitter (``P_HSV``)
+    consistently to frames, masks, gt of a clip that ``sample_frames``
+    decoded. There is no horizontal flip: it would invert the direction
+    labels."""
     if clip.frames.dtype == np.uint8 or clip.ref_masks.dtype == np.uint8:
         raise ValueError("augment: needs a sampled clip with float frames and masks, "
                          "got 8-bit ones; decode them with sample_frames first")
-    cfg = config or AugmentConfig()
     out = clip
-    if rng.random() < cfg.p_crop:
-        scale = rng.uniform(*cfg.crop_scale)
-        out = crop_resize(out, scale, rng)
-    if rng.random() < cfg.p_hsv:
-        out = hsv_jitter(out, rng.uniform(-cfg.hue_delta, cfg.hue_delta),
-                         rng.uniform(*cfg.sat_range))
+    if rng.random() < P_CROP:
+        out = crop_resize(out, rng.uniform(*CROP_SCALE), rng)
+    if rng.random() < P_HSV:
+        out = hsv_jitter(out, rng.uniform(-HUE_DELTA, HUE_DELTA), rng.uniform(*SAT_RANGE))
     return out
 
 

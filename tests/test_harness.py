@@ -30,8 +30,15 @@ from egorec.harness import (
 from egorec.harness.checkpoint import _read_table
 from egorec.harness.cli import main as cli_main
 from egorec.harness.model import interaction_head
-from egorec.harness.train import extract_features, train_head
-from egorec.synthdata import GenConfig, generate_dataset, load_manifest, load_split, sample_frames
+from egorec.harness.train import _batch_arrays, extract_features, train_head
+from egorec.synthdata import (
+    GenConfig,
+    augment,
+    generate_dataset,
+    load_manifest,
+    load_split,
+    sample_frames,
+)
 
 TINY_GEN = GenConfig(height=16, width=32, length=6, area_range=(0.08, 0.14))
 
@@ -73,10 +80,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs_attention", -1),
                                               ("epochs_motion", -1), ("epochs_interaction", -1),
-                                              ("epochs_joint", -1)])
+                                              ("epochs_joint", -1), ("num_frames", 1),
+                                              ("max_displacement", 0)])
     def test_schedule_out_of_range_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be at least"):
             TrainConfig(**{field: value})
+
+    def test_dropout_outside_unit_interval_names_the_field(self):
+        # at dropout 1 the all-zero keep mask is divided by 0: NaN features
+        for value in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\)"):
+                TrainConfig(dropout=value)
+        assert TrainConfig(dropout=0.0).dropout == 0.0
+
+    def test_unparsable_value_names_line_and_key(self):
+        with pytest.raises(ValueError, match=r"^config line 2: batch_size='abc' is not an integer"):
+            parse_config("lr=0.01\nbatch_size=abc\n")
+        with pytest.raises(ValueError, match=r"^config line 1: lr='fast' is not a number"):
+            parse_config("lr=fast\n")
 
 
 class TestTotalLoss:
@@ -270,6 +291,38 @@ class TestAdam:
         assert [(lr, wd) for _, lr, wd in opt.groups] == [(0.2, 0.0), (0.05, 0.05)]
 
 
+class TestBatchArrays:
+    """An rng is the one switch: with it each clip is jittered and then
+    augmented, draw after draw from the same generator; without it each
+    segment gives its first frame."""
+
+    def stacked(self, clips):
+        return (np.stack([c.frames for c in clips]), np.stack([c.ref_masks for c in clips]),
+                np.asarray([c.label for c in clips], dtype=np.int64))
+
+    def assert_bitwise(self, ours, theirs):
+        assert [a.dtype for a in ours] == [b.dtype for b in theirs]
+        assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+
+    def test_rng_jitters_then_augments_each_clip(self, tiny_dataset):
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        rng = np.random.default_rng(11)
+        ref_rng = copy.deepcopy(rng)
+        ours = _batch_arrays(clips, cfg, rng)
+        theirs = self.stacked([augment(sample_frames(c, cfg.num_frames, ref_rng), ref_rng)
+                               for c in clips])
+        self.assert_bitwise(ours, theirs)
+        assert rng.random() == ref_rng.random()
+
+    def test_no_rng_samples_first_frame_per_segment(self, tiny_dataset):
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        ours = _batch_arrays(clips, cfg, None)
+        self.assert_bitwise(ours, self.stacked([sample_frames(c, cfg.num_frames)
+                                                for c in clips]))
+
+
 class TestTraining:
     def test_stage1_then_2_and_determinism(self, tiny_dataset, tmp_path):
         manifest = load_manifest(tiny_dataset)
@@ -385,9 +438,23 @@ class TestTraining:
     def test_load_model_names_checkpoint_with_unknown_config_key(self, tmp_path):
         """A checkpoint whose config holds a since-deleted key names the file."""
         path = tmp_path / "m.ckpt"
-        _model_checkpoint(path, config_line="patience=0\n")
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*unknown key 'patience'"):
-            load_model(path)
+        for key in ("patience", "augment"):
+            _model_checkpoint(path, config_line=f"{key}=1\n")
+            with pytest.raises(ValueError, match=re.escape(str(path)) + f".*unknown key '{key}'"):
+                load_model(path)
+
+    def test_parameter_without_grad_flag_is_still_saved_and_loaded(self, tmp_path):
+        cfg = tiny_config()
+        model = InteractionModel(cfg, np.random.default_rng(0))
+        names = {n for n, _ in model.all_named()}
+        model.motion.affine_head.w.requires_grad = False
+        assert {n for n, _ in model.all_named()} == names
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model.state_arrays(), cfg.to_text(), "2")
+        assert set(_read_table(path.read_bytes())) == names | {"meta/config", "meta/stage"}
+        loaded, _, _ = load_model(path)
+        assert ({n: p.data.tobytes() for n, p in loaded.all_named()}
+                == {n: p.data.tobytes() for n, p in model.all_named()})
 
     def test_stage2_names_the_checkpoint_it_cannot_load(self, tiny_dataset, tmp_path):
         path = tmp_path / "m.ckpt"

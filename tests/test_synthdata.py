@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import egorec.diffcore as dc
+import egorec.synthdata as synthdata
 from egorec.diffcore import Tensor
 from egorec.imageio import write_pgm, write_ppm
 from egorec.motion import transform_coords
 from egorec.synthdata import (
-    AugmentConfig,
     GenConfig,
     VideoClip,
     augment,
@@ -182,7 +182,7 @@ class TestSampling:
         rng = np.random.default_rng(0)
         clip = self.make(40)
         for _ in range(10):
-            out = sample_frames(clip, 20, jitter=True, rng=rng)
+            out = sample_frames(clip, 20, rng)
             seg = self.picked(out) // 2
             np.testing.assert_array_equal(seg, np.arange(20))
 
@@ -230,10 +230,12 @@ class TestAugment:
         np.testing.assert_allclose(out.gt_global[:, 5],
                                    clip.gt_global[:, 5] * (16 - 1) / (ch - 1))
 
-    def test_augment_geometry_consistency(self):
+    def test_augment_geometry_consistency(self, monkeypatch):
+        monkeypatch.setattr(synthdata, "P_CROP", 1.0)
+        monkeypatch.setattr(synthdata, "P_HSV", 1.0)
         rng = np.random.default_rng(17)
         clip = decoded(small_clip(seed=18))
-        out = augment(clip, rng, AugmentConfig(p_hsv=1.0, p_crop=1.0))
+        out = augment(clip, rng)
         assert out.frames.shape == clip.frames.shape
         assert out.ref_masks.shape == clip.ref_masks.shape
         # mask stays in [0, 1] after the shared geometric transform
@@ -398,7 +400,7 @@ class TestBitwiseOutputs:
         man = generate_dataset(tmp_path, clips_per_class=2, variant="standard", seed=5,
                                config=SMALL)
         rng = np.random.default_rng(3)
-        clips = [sample_frames(c, 6, jitter=True, rng=rng)
+        clips = [sample_frames(c, 6, rng)
                  for c in load_split(man, "train") + load_split(man, "test")]
         assert all(c.frames.dtype == np.float32 for c in clips)
         assert _digest(clips) == (
@@ -412,8 +414,9 @@ class TestBitwiseOutputs:
         assert _digest(clips) == (
             "2638d0f3cb22cbd3b7c374e990d89265fc6668965460f7c178e045268f4c7e8b")
 
-    def test_augmented_clip(self):
-        out = augment(decoded(small_clip(seed=18)), np.random.default_rng(17),
-                      AugmentConfig(p_hsv=1.0, p_crop=1.0))
+    def test_augmented_clip(self, monkeypatch):
+        monkeypatch.setattr(synthdata, "P_CROP", 1.0)
+        monkeypatch.setattr(synthdata, "P_HSV", 1.0)
+        out = augment(decoded(small_clip(seed=18)), np.random.default_rng(17))
         assert _digest([out]) == (
             "c819fe97b22a44a9ca4518ff764e973633715e7f45657a95990a22345e5a2239")
