@@ -1,55 +1,20 @@
 """Per-frame feature extraction.
 
 A small stack of conv blocks (3x3 conv, relu, 2x2 average pool) stands in
-for a large pretrained CNN. Total downsampling is ``stride`` (one block per
-factor of two), so a stride-8 backbone maps H x W x 3 frames to
-H/8 x W/8 x C feature maps. Each block is one ``conv2d`` op with the ReLU
-and the pool fused in (``relu=True, pool=2``), so the tape never holds a
-block's full-resolution activation.
+for a large pretrained CNN. Three blocks of widths (C/2, C/2, C) map
+H x W x 3 frames to H/8 x W/8 x C feature maps; the mask decoder's three x2
+stages and the motion field head's x2·x4 upsampling assume this stride of 8.
+Each block is one ``conv2d`` op with the ReLU and the pool fused in
+(``relu=True, pool=2``), so the tape never holds a block's full-resolution
+activation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .diffcore import ShapeError, Tensor
 from .nn import Conv2d, Module
-
-
-@dataclass
-class BackboneConfig:
-    input_height: int = 32
-    input_width: int = 64
-    stride: int = 8
-    channels_out: int = 24
-    widths: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n_blocks = int(np.log2(self.stride))
-        if 2 ** n_blocks != self.stride:
-            raise ValueError(f"stride must be a power of two, got {self.stride}")
-        if not self.widths:
-            base = [self.channels_out // 2] * (n_blocks - 1) + [self.channels_out]
-            self.widths = tuple(base)
-        if len(self.widths) != n_blocks or self.widths[-1] != self.channels_out:
-            raise ValueError(
-                f"widths {self.widths} must have {n_blocks} entries ending in {self.channels_out}"
-            )
-        if self.feature_height < 2 or self.feature_width < 2:
-            raise ValueError(
-                f"{self.input_height}x{self.input_width} at stride {self.stride} "
-                "leaves a feature map smaller than 2x2"
-            )
-
-    @property
-    def feature_height(self) -> int:
-        return self.input_height // self.stride
-
-    @property
-    def feature_width(self) -> int:
-        return self.input_width // self.stride
 
 
 def _front_kernels(width: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,11 +60,11 @@ class ConvBackbone(Module):
     All parameters remain trainable.
     """
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
-        self.config = config
+    def __init__(self, channels: int, frame_hw: tuple[int, int], rng: np.random.Generator):
+        self.frame_hw = frame_hw
         blocks = []
         c_in = 3
-        for i, width in enumerate(config.widths):
+        for i, width in enumerate((channels // 2, channels // 2, channels)):
             conv = Conv2d(c_in, width, 3, rng, pad=1)
             if i == 0:
                 conv.w.data = _front_kernels(width, rng)
@@ -115,12 +80,9 @@ class ConvBackbone(Module):
 
     def extract(self, frames: Tensor) -> Tensor:
         """Map (N, H, W, 3) frames in [0, 1] to (N, H0, W0, C) features."""
-        cfg = self.config
-        if frames.ndim != 4 or frames.shape[1:] != (cfg.input_height, cfg.input_width, 3):
-            raise ShapeError(
-                f"backbone: expected (N, {cfg.input_height}, {cfg.input_width}, 3), "
-                f"got {frames.shape}"
-            )
+        h, w = self.frame_hw
+        if frames.ndim != 4 or frames.shape[1:] != (h, w, 3):
+            raise ShapeError(f"backbone: expected (N, {h}, {w}, 3), got {frames.shape}")
         x = frames
         for conv in self.blocks:
             x = conv(x, relu=True, pool=2)

@@ -19,7 +19,7 @@ from ..interact import FEATURE_SETS, VARIANTS, InteractiveClassifier
 from ..synthdata import DatasetManifest, load_split
 from .config import TrainConfig
 from .model import InteractionModel, interaction_head
-from .train import extract_features, run_phase, train_head
+from .train import check_num_classes, extract_features, run_phase, train_head
 
 
 @dataclass
@@ -59,6 +59,7 @@ def ablate(manifest: DatasetManifest, config: TrainConfig,
            variants: list[tuple[str, str]], seeds: list[int] | None = None,
            log=None) -> list[AblationRow]:
     """Train/evaluate each (variant, feature-set) under identical budgets."""
+    check_num_classes(manifest, config)
     seeds = list(seeds) if seeds is not None else [config.seed]
     train_clips = load_split(manifest, "train")
     test_clips = load_split(manifest, "test")

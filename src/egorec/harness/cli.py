@@ -22,7 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic clip dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, required=True)
     g.add_argument("--clips-per-class", type=int, required=True)
     g.add_argument("--variant", choices=["standard", "relation-only"], required=True)
     g.add_argument("--seed", type=int, required=True)
@@ -56,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     man = generate_dataset(args.out, clips_per_class=args.clips_per_class,
-                           variant=args.variant, seed=args.seed,
-                           num_classes=args.classes)
+                           variant=args.variant, seed=args.seed)
     n_train = len(man.split("train"))
     print(f"wrote {len(man.entries)} clips ({n_train} train) to {man.root}")
     return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,17 +40,28 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name in ("alpha", "beta", "gamma", "lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("alpha", "beta", "gamma", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2", "dropout"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         for name, low in (("batch_size", 1), ("epochs_attention", 0), ("epochs_motion", 0),
-                          ("epochs_interaction", 0), ("epochs_joint", 0), ("num_frames", 2),
-                          ("max_displacement", 1)):
+                          ("epochs_interaction", 0), ("epochs_joint", 0), ("proj_dim", 1),
+                          ("hidden_dim", 1), ("num_classes", 2), ("frame_height", 16),
+                          ("frame_width", 16), ("num_frames", 2), ("channels", 2),
+                          ("motion_dim", 1), ("max_displacement", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        # the backbone and the decoders work at a stride of 8
+        for name in ("frame_height", "frame_width"):
+            if getattr(self, name) % 8:
+                raise ValueError(f"{name} must be a multiple of 8, got {getattr(self, name)}")
 
     def to_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)]

@@ -1,10 +1,9 @@
-"""Composite objective bookkeeping."""
+"""The one training objective and its bookkeeping."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..diffcore import Tensor
 from .config import TrainConfig
 
 
@@ -19,25 +18,23 @@ class LossBundle:
     l_final: float = 0.0
 
 
-def total_loss(config: TrainConfig, l_cls, l_seg, l_rec, l_smooth):
-    """Weighted sum of the four components as a recorded scalar.
+def total_loss(config: TrainConfig, l_cls=None, l_seg=None, l_rec=None, l_smooth=None):
+    """``l_cls + alpha·l_seg + beta·l_rec + gamma·l_smooth`` over the terms given.
 
-    Inputs are scalar Tensors (or None for absent components, which count
-    as zero); returns (total Tensor, LossBundle of floats for logging).
+    Terms are scalar Tensors; an absent one counts as zero and is recorded
+    as 0.0. A weight of exactly 1.0 adds no op to the tape. Returns (total
+    Tensor, LossBundle of floats) with ``l_final = total.item()``, the value
+    backward differentiates.
     """
     total = None
     vals = {}
     for name, term, weight in (("l_cls", l_cls, 1.0), ("l_seg", l_seg, config.alpha),
                                ("l_rec", l_rec, config.beta), ("l_smooth", l_smooth, config.gamma)):
         if term is None:
-            vals[name] = 0.0
             continue
         vals[name] = term.item()
         weighted = term if weight == 1.0 else term * weight
         total = weighted if total is None else total + weighted
     if total is None:
         raise ValueError("total_loss needs at least one component")
-    bundle = LossBundle(**vals, l_final=(vals["l_cls"] + config.alpha * vals["l_seg"]
-                                         + config.beta * vals["l_rec"]
-                                         + config.gamma * vals["l_smooth"]))
-    return total, bundle
+    return total, LossBundle(**vals, l_final=total.item())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..attention import MaskDecoder, global_pool, segmentation_loss, weighted_pool
-from ..backbone import BackboneConfig, ConvBackbone
+from ..backbone import ConvBackbone
 from ..diffcore import Tensor
 from ..interact import InteractiveClassifier, classification_loss
 from ..motion import MotionEstimator, reconstruction_loss, smoothness_loss, warp_previous
@@ -71,9 +71,8 @@ def _streams(feats: Tensor, masks, est, batch: int):
 class InteractionModel(Module):
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
         self.config = config
-        bb = BackboneConfig(config.frame_height, config.frame_width,
-                            stride=8, channels_out=config.channels)
-        self.backbone = ConvBackbone(bb, rng)
+        self.backbone = ConvBackbone(config.channels, (config.frame_height, config.frame_width),
+                                     rng)
         self.attention = MaskDecoder(config.channels, rng)
         self.motion = MotionEstimator(config.channels,
                                       (config.frame_height, config.frame_width),

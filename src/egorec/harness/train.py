@@ -1,17 +1,19 @@
 """Two-stage training schedule, evaluation, and checkpoint round trips.
 
-Stage 1 runs three sub-phases on disjoint parameter groups: the mask
-decoder against the segmentation loss, then the motion module against
-reconstruction + smoothness, then the recurrent classifier against cross
-entropy. Phase 1c, like every ablation head, trains on stream features the
-frozen front end computed once (``extract_features``, no tape). Stage 2
-fine-tunes everything against the weighted sum of all four losses. Every
-phase and head runs the same epoch loop (``_fit``); its learning rate
-halves when the smoothed loss stops improving by 1% over
-``plateau_patience`` epochs. Every phase runs all its epochs and keeps its
-last parameters: training reads only the train split. A non-finite batch
-loss or cached feature stops training with a ``NonFiniteError`` naming the
-phase and the first op whose output was not finite.
+Every phase minimises ``losses.total_loss``, the sum ``l_cls + alpha·l_seg
++ beta·l_rec + gamma·l_smooth`` over the terms its forward pass computes.
+``SCHEDULE`` gives each front-end phase its parameter group, forward flags
+and epochs field: 1a trains the mask decoder on ``alpha·l_seg``, 1b the
+motion module on ``beta·l_rec + gamma·l_smooth``, and stage 2 everything on
+all four terms. Phase 1c, like every ablation head, trains the recurrent
+classifier on ``l_cls`` over stream features the frozen front end computed
+once (``extract_features``, no tape). Every phase and head runs the same
+epoch loop (``_fit``); its learning rate halves when the smoothed loss
+stops improving by 1% over ``plateau_patience`` epochs. Every phase runs
+all its epochs and keeps its last parameters: training reads only the
+train split. A non-finite batch loss or cached feature stops training with
+a ``NonFiniteError`` naming the phase and the first op whose output was not
+finite.
 
 An rng is the one switch for data randomness: training batches
 (``_batch_arrays`` with the phase's rng) take a random frame per segment
@@ -33,12 +35,19 @@ from ..interact import InteractiveClassifier, classification_loss
 from ..synthdata import DatasetManifest, VideoClip, augment, load_split, sample_frames
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config
-from .losses import LossBundle, total_loss
+from .losses import total_loss
 from .model import InteractionModel
 from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
 EVAL_BATCH = 16     # clips per forward pass of extract_features and evaluate_clips
+
+# phase -> (parameter group trained, or None for all; forward flags; epochs field)
+SCHEDULE = {
+    "1a": ("attention", dict(need_seg=True), "epochs_attention"),
+    "1b": ("motion", dict(need_rec=True), "epochs_motion"),
+    "2": (None, dict(need_seg=True, need_rec=True, need_cls=True), "epochs_joint"),
+}
 
 
 @dataclass
@@ -68,28 +77,6 @@ def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
         masks.append(sampled.ref_masks)
         labels.append(sampled.label)
     return np.stack(frames), np.stack(masks), np.asarray(labels, dtype=np.int64)
-
-
-def _phase_spec(phase: str, model: InteractionModel, config: TrainConfig):
-    """(trainable named params, needs, loss picker, epochs) for a phase that
-    trains through the front end (all but 1c)."""
-    if phase == "1a":
-        def pick(res):
-            return res.l_seg, LossBundle(l_seg=res.l_seg.item(),
-                                         l_final=config.alpha * res.l_seg.item())
-        return model.group("attention"), dict(need_seg=True), pick, config.epochs_attention
-    if phase == "1b":
-        def pick(res):
-            loss = res.l_rec + res.l_smooth * config.gamma
-            return loss, LossBundle(l_rec=res.l_rec.item(), l_smooth=res.l_smooth.item(),
-                                    l_final=loss.item())
-        return model.group("motion"), dict(need_rec=True), pick, config.epochs_motion
-    if phase == "2":
-        def pick(res):
-            return total_loss(config, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
-        return (model.all_named(), dict(need_seg=True, need_rec=True, need_cls=True),
-                pick, config.epochs_joint)
-    raise ValueError(f"unknown phase {phase!r}")
 
 
 def _phase_adam(phase: str, named, config: TrainConfig) -> Adam:
@@ -189,8 +176,7 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
     features (``extract_features``), as phase 1c."""
     def batch_loss(idx, rng):
         _, probs = head.classify(*(Tensor(f[idx]) for f in feats), rng)
-        loss = classification_loss(probs, labels[idx])
-        return loss, LossBundle(l_cls=loss.item(), l_final=loss.item())
+        return total_loss(config, l_cls=classification_loss(probs, labels[idx]))
     _fit("1c", head, list(head.named_parameters()), batch_loss, len(labels),
          config.epochs_interaction, config, rng, log)
 
@@ -206,12 +192,17 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
                                  f"first non-finite op: {op}")
         train_head(model.interact, feats, labels, config, rng, log=log)
         return
-    named, needs, pick, epochs = _phase_spec(phase, model, config)
+    if phase not in SCHEDULE:
+        raise ValueError(f"unknown phase {phase!r}")
+    group, needs, epochs_field = SCHEDULE[phase]
 
     def batch_loss(idx, rng):
         frames, masks, labels = _batch_arrays([clips[i] for i in idx], config, rng)
-        return pick(model.forward(frames, masks, labels, rng=rng, **needs))
-    _fit(phase, model, named, batch_loss, len(clips), epochs, config, rng, log)
+        res = model.forward(frames, masks, labels, rng=rng, **needs)
+        return total_loss(config, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
+    named = model.all_named() if group is None else model.group(group)
+    _fit(phase, model, named, batch_loss, len(clips), getattr(config, epochs_field),
+         config, rng, log)
 
 
 def _load_params(model: InteractionModel, table, ckpt_path) -> None:
@@ -224,14 +215,21 @@ def _load_params(model: InteractionModel, table, ckpt_path) -> None:
         raise ShapeError(f"{ckpt_path}: {exc}") from None
 
 
+def check_num_classes(manifest: DatasetManifest, config: TrainConfig,
+                      source: str = "config") -> None:
+    """The class-count check of train, evaluate and ablate; ``source`` names
+    where ``config`` came from."""
+    if manifest.num_classes != config.num_classes:
+        raise ValueError(f"{manifest.root}: dataset has K={manifest.num_classes}, "
+                         f"{source} expects {config.num_classes}")
+
+
 def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
           ckpt_path, log=None) -> TrainState:
     """Run the requested stage(s) and write a checkpoint after each phase."""
     if stage not in ("1", "2", "all"):
         raise ValueError(f"stage must be 1, 2 or all, got {stage!r}")
-    if manifest.num_classes != config.num_classes:
-        raise ValueError(f"dataset has K={manifest.num_classes}, "
-                         f"config expects {config.num_classes}")
+    check_num_classes(manifest, config)
     clips = load_split(manifest, "train")
     rng = np.random.default_rng(config.seed)
     model = InteractionModel(config, rng)
@@ -289,5 +287,6 @@ def evaluate_clips(model: InteractionModel, clips: list[VideoClip],
 
 def evaluate(manifest: DatasetManifest, ckpt_path, split: str) -> MetricsReport:
     model, config, _ = load_model(ckpt_path)
+    check_num_classes(manifest, config, f"checkpoint {ckpt_path}")
     clips = load_split(manifest, split)
     return evaluate_clips(model, clips, config)

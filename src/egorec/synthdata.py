@@ -464,7 +464,7 @@ def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
 
 
 def generate_dataset(out_dir, clips_per_class: int, variant: str, seed: int,
-                     num_classes: int | None = None, train_fraction: float = 2 / 3,
+                     train_fraction: float = 2 / 3,
                      config: GenConfig | None = None) -> DatasetManifest:
     """Write a labeled clip dataset under ``out_dir`` and return its manifest.
 
@@ -472,8 +472,6 @@ def generate_dataset(out_dir, clips_per_class: int, variant: str, seed: int,
     ``train_fraction`` of them land in the train split, the rest in test.
     """
     k = VARIANT_CLASSES[variant]
-    if num_classes is not None and num_classes != k:
-        raise ValueError(f"variant {variant!r} defines {k} classes, not {num_classes}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = DatasetManifest(root=root, num_classes=k, variant=variant, seed=seed)
@@ -576,6 +574,7 @@ def load_manifest(root) -> DatasetManifest:
     """Read ``root/manifest.txt``; a malformed file raises ``ValueError`` naming it."""
     root = Path(root)
     path = root / "manifest.txt"
+    keys = ("K", "variant", "seed")
     header: dict[str, str] = {}
     entries: list[ClipRef] = []
     with open(path, encoding="utf-8") as f:
@@ -583,8 +582,8 @@ def load_manifest(root) -> DatasetManifest:
             line = line.rstrip("\n")
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "\t" in line:
-                where = f"{path}:{lineno}"
                 fields = line.split("\t")
                 if len(fields) != 3:
                     raise ValueError(f"{where}: expected directory, label and split, "
@@ -595,9 +594,17 @@ def load_manifest(root) -> DatasetManifest:
                 entries.append(ClipRef(directory=directory,
                                        label=_integer(label, "label", where), split=split))
             else:
-                key, _, value = line.partition("=")
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"{where}: expected key=value or a tab-separated entry, "
+                                     f"got {line!r}")
+                if key not in keys or key in header:
+                    raise ValueError(f"{where}: {'repeated' if key in header else 'unknown'} "
+                                     f"header key {key!r}")
+                if key == "variant" and value not in VARIANT_CLASSES:
+                    raise ValueError(f"{where}: unknown variant {value!r}")
                 header[key] = value
-    missing = [key for key in ("K", "variant", "seed") if key not in header]
+    missing = [key for key in keys if key not in header]
     if missing:
         raise ValueError(f"{path}: missing header {', '.join(missing)}")
     k = _integer(header["K"], "K", path)

@@ -2,30 +2,28 @@ import numpy as np
 import pytest
 
 import egorec.diffcore as dc
-from egorec.backbone import BackboneConfig, ConvBackbone
+from egorec.backbone import ConvBackbone
 from egorec.diffcore import ShapeError, Tensor, grad_check
 
 
 def test_shape_contract_default():
-    cfg = BackboneConfig(input_height=32, input_width=64, stride=8, channels_out=24)
-    net = ConvBackbone(cfg, np.random.default_rng(0))
+    net = ConvBackbone(24, (32, 64), np.random.default_rng(0))
     out = net.extract(Tensor(np.zeros((2, 32, 64, 3), np.float32)))
     assert out.shape == (2, 4, 8, 24)
 
 
 @pytest.mark.parametrize("hw", [(16, 32), (32, 64), (64, 128)])
-@pytest.mark.parametrize("stride", [4, 8])
-def test_shape_contract_matrix(hw, stride):
+@pytest.mark.parametrize("channels", [4, 8])
+def test_shape_contract_matrix(hw, channels):
     h, w = hw
-    cfg = BackboneConfig(input_height=h, input_width=w, stride=stride, channels_out=12)
-    net = ConvBackbone(cfg, np.random.default_rng(1))
+    net = ConvBackbone(channels, hw, np.random.default_rng(1))
+    assert [conv.w.shape[-1] for conv in net.blocks] == [channels // 2, channels // 2, channels]
     out = net.extract(Tensor(np.zeros((1, h, w, 3), np.float32)))
-    assert out.shape == (1, h // stride, w // stride, 12)
+    assert out.shape == (1, h // 8, w // 8, channels)
 
 
 def test_determinism():
-    cfg = BackboneConfig(16, 32)
-    net = ConvBackbone(cfg, np.random.default_rng(2))
+    net = ConvBackbone(24, (16, 32), np.random.default_rng(2))
     frame = np.random.default_rng(3).uniform(size=(1, 16, 32, 3)).astype(np.float32)
     a = net.extract(Tensor(frame)).numpy()
     b = net.extract(Tensor(frame)).numpy()
@@ -33,17 +31,15 @@ def test_determinism():
 
 
 def test_dimension_mismatch_raises():
-    cfg = BackboneConfig(16, 32)
-    net = ConvBackbone(cfg, np.random.default_rng(4))
-    with pytest.raises(ShapeError):
+    net = ConvBackbone(24, (16, 32), np.random.default_rng(4))
+    with pytest.raises(ShapeError, match=r"expected \(N, 16, 32, 3\)"):
         net.extract(Tensor(np.zeros((1, 32, 32, 3), np.float32)))
 
 
 def test_translation_by_stride_shifts_features():
     # a stride-aligned impulse moved one full stride moves interior feature
     # columns by exactly one
-    cfg = BackboneConfig(32, 64, stride=8, channels_out=8)
-    net = ConvBackbone(cfg, np.random.default_rng(5))
+    net = ConvBackbone(8, (32, 64), np.random.default_rng(5))
     base = np.zeros((1, 32, 64, 3), np.float32)
     shifted = np.zeros_like(base)
     base[0, 16:18, 24:26, :] = 1.0
@@ -53,10 +49,9 @@ def test_translation_by_stride_shifts_features():
     np.testing.assert_allclose(fb[0, 1:-1, 2:-1], fa[0, 1:-1, 1:-2], atol=1e-6)
 
 
-def test_gradcheck_two_layer_stub():
-    cfg = BackboneConfig(8, 8, stride=4, channels_out=6, widths=(4, 6))
-    net = ConvBackbone(cfg, np.random.default_rng(6))
-    frame = Tensor(np.random.default_rng(7).uniform(0.1, 0.9, size=(1, 8, 8, 3)))
+def test_gradcheck_small_stub():
+    net = ConvBackbone(4, (16, 16), np.random.default_rng(6))
+    frame = Tensor(np.random.default_rng(7).uniform(0.1, 0.9, size=(1, 16, 16, 3)))
 
     def fn(*params):
         feats = net.extract(frame)

@@ -78,13 +78,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1.0)
 
-    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs_attention", -1),
-                                              ("epochs_motion", -1), ("epochs_interaction", -1),
-                                              ("epochs_joint", -1), ("num_frames", 1),
-                                              ("max_displacement", 0)])
-    def test_schedule_out_of_range_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=rf"^{field} must be at least"):
+    OUT_OF_RANGE = [
+        ("batch_size", 0, "be at least 1"), ("epochs_attention", -1, "be at least 0"),
+        ("epochs_motion", -1, "be at least 0"), ("epochs_interaction", -1, "be at least 0"),
+        ("epochs_joint", -1, "be at least 0"), ("num_frames", 1, "be at least 2"),
+        ("max_displacement", 0, "be at least 1"),
+        ("lr", float("nan"), "be finite"), ("lr", float("inf"), "be finite"),
+        ("alpha", float("nan"), "be finite"), ("beta", float("inf"), "be finite"),
+        ("gamma", float("-inf"), "be finite"), ("lr", 0.0, "be positive"),
+        ("weight_decay", -1e-4, "be nonnegative"),
+        ("beta1", 1.0, "be in [0, 1)"), ("beta2", 1.0, "be in [0, 1)"),
+        ("beta2", -0.1, "be in [0, 1)"), ("channels", 1, "be at least 2"),
+        ("channels", 0, "be at least 2"), ("hidden_dim", 0, "be at least 1"),
+        ("proj_dim", 0, "be at least 1"), ("motion_dim", 0, "be at least 1"),
+        ("num_classes", 1, "be at least 2"), ("frame_height", 20, "be a multiple of 8"),
+        ("frame_height", 8, "be at least 16"), ("frame_height", 0, "be at least 16"),
+        ("frame_width", 36, "be a multiple of 8"), ("frame_width", 8, "be at least 16"),
+    ]
+
+    @pytest.mark.parametrize("field, value, rule", OUT_OF_RANGE,
+                             ids=[f"{f}-{v}" for f, v, _ in OUT_OF_RANGE])
+    def test_schedule_out_of_range_names_the_field(self, field, value, rule):
+        with pytest.raises(ValueError, match=rf"^{field} must {re.escape(rule)}, got "):
             TrainConfig(**{field: value})
+
+    def test_nan_in_a_config_file_names_the_field(self):
+        # NaN passes every ordered comparison: lr <= 0 and alpha < 0 are false
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got nan"):
+            parse_config("lr=nan\nalpha=nan\n")
+        with pytest.raises(ValueError, match=r"^lr must be finite, got nan"):
+            parse_config("lr=nan\n")
 
     def test_dropout_outside_unit_interval_names_the_field(self):
         # at dropout 1 the all-zero keep mask is divided by 0: NaN features
@@ -125,9 +148,10 @@ class TestTotalLoss:
     def test_decomposition_identity_exact(self):
         cfg = tiny_config(alpha=0.35, beta=1.25, gamma=0.05)
         vals = (0.731, 1.217, 0.454, 0.129)
-        _, bundle = total_loss(cfg, *self.scalars(*vals))
-        expect = vals[0] + cfg.alpha * vals[1] + cfg.beta * vals[2] + cfg.gamma * vals[3]
-        assert bundle.l_final == expect
+        total, bundle = total_loss(cfg, *self.scalars(*vals))
+        assert bundle.l_final == total.item()
+        assert bundle.l_final == pytest.approx(
+            vals[0] + cfg.alpha * vals[1] + cfg.beta * vals[2] + cfg.gamma * vals[3])
 
 
 class TestCheckpoint:
@@ -515,10 +539,52 @@ class TestTraining:
         assert 0.0 <= rep.accuracy <= 1.0
         assert rep.confusion.sum() == rep.count == 4
 
-    def test_wrong_class_count_rejected(self, tiny_dataset, tmp_path):
+    def test_wrong_class_count_rejected(self, tiny_dataset, tmp_path, monkeypatch):
+        """train, evaluate and ablate refuse a 2-class config on the 4-class
+        dataset, naming the dataset, before they load a clip."""
         manifest = load_manifest(tiny_dataset)
-        with pytest.raises(ValueError, match="K="):
-            train(manifest, tiny_config(num_classes=2), "1", tmp_path / "x.ckpt")
+        cfg = tiny_config(num_classes=2)
+        ck = tmp_path / "two.ckpt"
+        save_checkpoint(ck, InteractionModel(cfg, np.random.default_rng(0)).state_arrays(),
+                        cfg.to_text(), "2")
+
+        def no_clips(*args):
+            raise AssertionError("loaded clips before checking the class count")
+        for name in ("egorec.harness.train", "egorec.harness.ablate"):
+            monkeypatch.setattr(importlib.import_module(name), "load_split", no_clips)
+        dataset = re.escape(str(tiny_dataset)) + ": dataset has K=4, "
+        with pytest.raises(ValueError, match=dataset + "config expects 2"):
+            train(manifest, cfg, "1", tmp_path / "x.ckpt")
+        with pytest.raises(ValueError, match=dataset + f"checkpoint {re.escape(str(ck))} expects 2"):
+            evaluate(manifest, ck, "test")
+        with pytest.raises(ValueError, match=dataset + "config expects 2"):
+            ablate(manifest, cfg, parse_variants("ego"))
+
+    def test_unknown_phase_rejected_before_any_work(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(0)
+        model = InteractionModel(cfg, rng)
+        before = {n: a.tobytes() for n, a in model.state_arrays().items()}
+        rng_before = copy.deepcopy(rng)
+        with pytest.raises(ValueError, match="unknown phase '1d'"):
+            run_phase(model, "1d", [], cfg, rng)
+        assert rng.random() == rng_before.random()
+        assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
+
+    def test_phase_1b_loss_is_linear_in_beta(self, tiny_dataset):
+        """Phase 1b trains on beta·l_rec + gamma·l_smooth: one epoch of one
+        batch logs a loss whose step per unit of beta is l_rec > 0."""
+        clips = load_split(load_manifest(tiny_dataset), "train")[:2]
+        losses = []
+        for beta in (0.0, 1.0, 2.0):
+            cfg = tiny_config(beta=beta, batch_size=2)
+            rng = np.random.default_rng(cfg.seed)
+            lines = []
+            run_phase(InteractionModel(cfg, rng), "1b", clips, cfg, rng, log=lines.append)
+            (line,) = lines
+            losses.append(float(re.match(r"phase 1b epoch 1/1 loss (\S+) ", line).group(1)))
+        assert losses[1] - losses[0] > 0
+        assert losses[2] - losses[1] == pytest.approx(losses[1] - losses[0], abs=2e-5)
 
 
 class TestBackwardMemory:
@@ -657,9 +723,8 @@ class TestCli:
     def test_full_cli_flow(self, tmp_path, capsys):
         data = tmp_path / "data"
         # CLI generates at the default desk frame size; keep it tiny in count
-        rc = cli_main(["gen", "--out", str(data), "--classes", "4",
-                       "--clips-per-class", "2", "--variant", "standard",
-                       "--seed", "11"])
+        rc = cli_main(["gen", "--out", str(data), "--clips-per-class", "2",
+                       "--variant", "standard", "--seed", "11"])
         assert rc == 0
         cfg = tiny_config(frame_height=32, frame_width=64, num_frames=4,
                           channels=8, batch_size=2)

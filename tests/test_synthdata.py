@@ -282,11 +282,6 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             man.split("test")
 
-    def test_wrong_class_count_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            generate_dataset(tmp_path / "ds3", clips_per_class=1, variant="standard",
-                             seed=7, num_classes=3, config=SMALL)
-
 
 def test_relation_only_marginals_balanced():
     # camera direction is close to uniform within each class
@@ -321,6 +316,15 @@ class TestManifestErrors:
         pytest.param("K=2\n", "", "missing header K", id="no-K"),
         pytest.param("variant=standard\n", "", "missing header variant", id="no-variant"),
         pytest.param("seed=1\n", "", "missing header seed", id="no-seed"),
+        pytest.param("seed=1\n", "seed=1\ngarbage line\n",
+                     ":4: expected key=value or a tab-separated entry, got 'garbage line'",
+                     id="garbage-line"),
+        pytest.param("seed=1\n", "seed=1\nseed=2\n", ":4: repeated header key 'seed'",
+                     id="repeated-key"),
+        pytest.param("seed=1\n", "seed=1\ncolor=red\n", ":4: unknown header key 'color'",
+                     id="unknown-key"),
+        pytest.param("variant=standard", "variant=bogus", ":2: unknown variant 'bogus'",
+                     id="unknown-variant"),
     ])
     def test_malformed_names_the_file(self, tmp_path, old, new, match):
         (tmp_path / "manifest.txt").write_text(MANIFEST.replace(old, new))
