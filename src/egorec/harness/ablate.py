@@ -3,9 +3,10 @@
 For each seed the shared front end (mask decoder, then motion module) is
 trained once by phases 1a and 1b and frozen; every variant head then
 trains on identical cached stream features, with the head trainer of phase
-1c (``train.extract_features`` and ``train.train_head``). This isolates
-what the comparison is about, the recurrent interaction structure, and
-keeps the matrix cheap enough to run on a CPU.
+1c, and is scored as ``evaluate_clips`` scores a trained model
+(``train.extract_features``, ``train.train_head`` and ``train.eval_head``).
+This isolates what the comparison is about, the recurrent interaction
+structure, and keeps the matrix cheap enough to run on a CPU.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffcore import Tensor
-from ..interact import FEATURE_SETS, VARIANTS, InteractiveClassifier
+from ..interact import FEATURE_SETS, VARIANTS
 from ..synthdata import DatasetManifest, load_split
 from .config import TrainConfig
 from .model import InteractionModel, interaction_head
-from .train import check_num_classes, extract_features, run_phase, train_head
+from .train import check_num_classes, eval_head, extract_features, run_phase, train_head
 
 
 @dataclass
@@ -49,12 +49,6 @@ def parse_variants(spec: str) -> list[tuple[str, str]]:
     return out
 
 
-def eval_head(head: InteractiveClassifier, feats, labels) -> float:
-    _, probs = head.classify(*(Tensor(f) for f in feats), rng=None)
-    pred = np.argmax(probs.numpy(), axis=1)
-    return float((pred == labels).mean())
-
-
 def ablate(manifest: DatasetManifest, config: TrainConfig,
            variants: list[tuple[str, str]], seeds: list[int] | None = None,
            log=None) -> list[AblationRow]:
@@ -75,7 +69,7 @@ def ablate(manifest: DatasetManifest, config: TrainConfig,
             head_rng = np.random.default_rng([seed, 1])   # no front-end seed's stream
             head = interaction_head(config, head_rng, model.motion.global_dim, variant, featset)
             train_head(head, feats_tr, labels_tr, config, head_rng)
-            acc = eval_head(head, feats_te, labels_te)
+            acc = eval_head(head, feats_te, labels_te).accuracy
             rows.append(AblationRow(variant=variant, features=featset,
                                     accuracy=acc, seed=seed))
             if log:

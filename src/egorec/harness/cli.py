@@ -15,6 +15,11 @@ from .config import TrainConfig, load_config
 from .train import evaluate, load_model, train
 
 
+def int_csv(text: str) -> list[int]:
+    """argparse type of a CSV of integers; blank items are skipped."""
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="egorec",
                                 description="Synthetic egocentric interaction recognition")
@@ -43,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--variants", required=True,
                    help="CSV of variant[:features], e.g. ego,concat,full or ego:motion")
     a.add_argument("--out", required=True)
-    a.add_argument("--seeds", default="",
+    a.add_argument("--seeds", type=int_csv, default="",
                    help="optional CSV of seeds; defaults to the config seed")
 
     v = sub.add_parser("viz", help="dump masks, motion fields, reconstructions")
@@ -84,8 +89,7 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     manifest = load_manifest(args.data)
     variants = parse_variants(args.variants)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] or None
-    rows = ablate(manifest, config, variants, seeds=seeds, log=print)
+    rows = ablate(manifest, config, variants, seeds=args.seeds or None, log=print)
     write_report(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -108,7 +112,7 @@ def cmd_viz(args) -> int:
     sampled = sample_frames(clip, config.num_frames)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    res = model.forward(sampled.frames[None], None, None, need_rec=True, keep_outputs=True)
+    res = model.forward(sampled.frames[None], None, None, need_rec=True)
     n = sampled.frames.shape[0]
     m3 = res.masks_m3.numpy().reshape(1, n, *res.masks_m3.shape[1:])[0]
     recon = res.recon.numpy()

@@ -5,8 +5,10 @@ backbone and mask decoder as one flat batch; consecutive-frame pairs run
 through the motion estimator as another flat batch; the per-step stream
 features then drive the recurrent classifier. The ``need_*`` flags of
 ``forward`` skip whole branches, so the staged training phases only pay for
-what they use. ``stream_features`` runs the same front end and stops at the
-stream features, which the ablation heads train on.
+what they use; the result keeps the masks, motion estimate and
+reconstruction it computed for ``egorec viz``. ``stream_features`` runs the
+same front end and stops at the stream features, on which phase 1c, every
+ablation head and evaluation train or score the recurrent classifier.
 """
 
 from __future__ import annotations
@@ -104,35 +106,29 @@ class InteractionModel(Module):
     def forward(self, frames: np.ndarray, ref_masks: np.ndarray | None,
                 labels: np.ndarray | None, rng: np.random.Generator | None = None,
                 need_seg: bool = False, need_rec: bool = False,
-                need_cls: bool = False, keep_outputs: bool = False) -> ForwardResult:
+                need_cls: bool = False) -> ForwardResult:
         """Run the pipeline on (B, N, H, W, 3) sampled frames in [0, 1]."""
         b, n, h, w, _ = frames.shape
-        res = ForwardResult()
         feats, masks = self._features_and_masks(frames)
+        res = ForwardResult(masks_m3=masks.m3)
         if need_seg:
             res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w))
         if not (need_rec or need_cls):
             return res
-        est = self._pair_motion(feats, masks, b)
+        est = res.motion_est = self._pair_motion(feats, masks, b)
 
         if need_rec:
             m3_cur = _pairs(masks.m3, b, False)
             prev_img = Tensor(frames[:, :-1].reshape(b * (n - 1), h, w, 3))
             cur_img = Tensor(frames[:, 1:].reshape(b * (n - 1), h, w, 3))
-            recon = warp_previous(prev_img, est, m3_cur)
-            res.l_rec = reconstruction_loss(cur_img, recon)
+            res.recon = warp_previous(prev_img, est, m3_cur)
+            res.l_rec = reconstruction_loss(cur_img, res.recon)
             res.l_smooth = smoothness_loss(est.field, m3_cur)
-            if keep_outputs:
-                res.recon = recon
 
         if need_cls:
             _, res.probs = self.interact.classify(*_streams(feats, masks, est, b), rng)
             if labels is not None:
                 res.l_cls = classification_loss(res.probs, labels)
-
-        if keep_outputs:
-            res.masks_m3 = masks.m3
-            res.motion_est = est
         return res
 
     def stream_features(self, frames: np.ndarray):

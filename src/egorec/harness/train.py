@@ -11,14 +11,13 @@ once (``extract_features``, no tape). Every phase and head runs the same
 epoch loop (``_fit``); its learning rate halves when the smoothed loss
 stops improving by 1% over ``plateau_patience`` epochs. Every phase runs
 all its epochs and keeps its last parameters: training reads only the
-train split. A non-finite batch loss or cached feature stops training with
-a ``NonFiniteError`` naming the phase and the first op whose output was not
-finite.
+train split. A non-finite batch loss or cached feature raises a
+``NonFiniteError`` naming the first op whose output was not finite.
 
-An rng is the one switch for data randomness: training batches
-(``_batch_arrays`` with the phase's rng) take a random frame per segment
-and augment each clip; ``extract_features`` and ``evaluate_clips`` take
-each segment's first frame, unaugmented.
+``evaluate_clips`` scores ``model.interact`` as the ablation heads are
+scored (``eval_head`` on ``extract_features``). Only training batches
+(``_batch_arrays``) take a random frame per segment and augment each clip;
+``extract_features`` takes each segment's first frame, unaugmented.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .model import InteractionModel
 from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
-EVAL_BATCH = 16     # clips per forward pass of extract_features and evaluate_clips
+EVAL_BATCH = 16     # clips per front-end pass of extract_features
 
 # phase -> (parameter group trained, or None for all; forward flags; epochs field)
 SCHEDULE = {
@@ -55,7 +54,7 @@ class MetricsReport:
     accuracy: float
     confusion: np.ndarray
     count: int
-    mean_loss: float | None = None
+    mean_loss: float
 
 
 @dataclass
@@ -64,15 +63,12 @@ class TrainState:
     stage: str
 
 
-def _batch_arrays(clips: list[VideoClip], config: TrainConfig,
-                  rng: np.random.Generator | None):
-    """Sample clips, stacked to batch arrays; with an ``rng`` (training) the
-    sampling is jittered and each clip augmented right after its sampling."""
+def _batch_arrays(clips: list[VideoClip], config: TrainConfig, rng: np.random.Generator):
+    """A training batch as stacked arrays: each clip's sampling is jittered
+    and the clip augmented right after its sampling."""
     frames, masks, labels = [], [], []
     for clip in clips:
-        sampled = sample_frames(clip, config.num_frames, rng)
-        if rng is not None:
-            sampled = augment(sampled, rng)
+        sampled = augment(sample_frames(clip, config.num_frames, rng), rng)
         frames.append(sampled.frames)
         masks.append(sampled.ref_masks)
         labels.append(sampled.label)
@@ -155,19 +151,25 @@ def _first_non_finite_op(run) -> str:
 
 
 def extract_features(model: InteractionModel, clips, config: TrainConfig):
-    """Deterministic per-clip stream features from the frozen front end."""
-    gas, gms, las, lms, labels = [], [], [], [], []
-    for start in range(0, len(clips), EVAL_BATCH):
-        batch = clips[start:start + EVAL_BATCH]
-        frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
-        f_ga, f_gm, f_la, f_lm = model.stream_features(frames)
-        gas.append(f_ga)
-        gms.append(f_gm)
-        las.append(f_la)
-        lms.append(f_lm)
-        labels.extend(c.label for c in batch)
-    cat = lambda parts: np.concatenate(parts).astype(np.float32)
-    return (cat(gas), cat(gms), cat(las), cat(lms)), np.asarray(labels, dtype=np.int64)
+    """Deterministic per-clip stream features from the frozen front end:
+    ((f_ga, f_gm, f_la, f_lm), labels). A non-finite feature raises a
+    ``NonFiniteError`` naming the first op whose output was not finite."""
+    if not clips:
+        raise ValueError("extract_features: no clips")
+
+    def run():
+        parts = []
+        for start in range(0, len(clips), EVAL_BATCH):
+            batch = clips[start:start + EVAL_BATCH]
+            frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
+            parts.append(model.stream_features(frames))
+        return tuple(np.concatenate(p).astype(np.float32) for p in zip(*parts))
+
+    feats = run()
+    if not all(np.isfinite(f).all() for f in feats):
+        raise NonFiniteError(f"stream features are not finite; first non-finite op: "
+                             f"{_first_non_finite_op(run)}")
+    return feats, np.asarray([c.label for c in clips], dtype=np.int64)
 
 
 def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
@@ -181,15 +183,25 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
          config.epochs_interaction, config, rng, log)
 
 
+def eval_head(head: InteractiveClassifier, feats, labels) -> MetricsReport:
+    """Score ``head`` on cached stream features, without dropout."""
+    _, probs = head.classify(*(Tensor(f) for f in feats), rng=None)
+    mean_loss = classification_loss(probs, labels).item()
+    pred = np.argmax(probs.numpy(), axis=1)
+    k = probs.shape[1]
+    confusion = np.bincount(labels * k + pred, minlength=k * k).reshape(k, k)
+    return MetricsReport(accuracy=float((pred == labels).mean()), confusion=confusion,
+                         count=len(labels), mean_loss=mean_loss)
+
+
 def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
               config: TrainConfig, rng: np.random.Generator, log=None) -> None:
     """Train one phase of the schedule on the train ``clips``."""
     if phase == "1c":
-        feats, labels = extract_features(model, clips, config)
-        if not all(np.isfinite(f).all() for f in feats):
-            op = _first_non_finite_op(lambda: extract_features(model, clips, config))
-            raise NonFiniteError(f"phase 1c: stream features are not finite; "
-                                 f"first non-finite op: {op}")
+        try:
+            feats, labels = extract_features(model, clips, config)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"phase 1c: {exc}") from None
         train_head(model.interact, feats, labels, config, rng, log=log)
         return
     if phase not in SCHEDULE:
@@ -203,6 +215,14 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
     named = model.all_named() if group is None else model.group(group)
     _fit(phase, model, named, batch_loss, len(clips), getattr(config, epochs_field),
          config, rng, log)
+
+
+def _read_checkpoint(ckpt_path) -> tuple[dict[str, np.ndarray], str, str]:
+    """``load_checkpoint`` refusing a stage marker that no phase writes."""
+    table, cfg_text, marker = load_checkpoint(ckpt_path)
+    if marker not in PHASES:
+        raise ValueError(f"unexpected stage marker {marker!r} in {ckpt_path}")
+    return table, cfg_text, marker
 
 
 def _load_params(model: InteractionModel, table, ckpt_path) -> None:
@@ -239,9 +259,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         if not ckpt_path.exists():
             raise FileNotFoundError(
                 f"stage 2 needs the stage-1 checkpoint at {ckpt_path}")
-        table, cfg_text, marker = load_checkpoint(ckpt_path)
-        if marker not in PHASES:
-            raise ValueError(f"unexpected stage marker {marker!r} in {ckpt_path}")
+        table, _, _ = _read_checkpoint(ckpt_path)
         _load_params(model, table, ckpt_path)
         phases = ["2"]
     else:
@@ -254,7 +272,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
 
 
 def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:
-    table, cfg_text, stage = load_checkpoint(ckpt_path)
+    table, cfg_text, stage = _read_checkpoint(ckpt_path)
     try:
         config = parse_config(cfg_text)
     except ValueError as exc:
@@ -266,23 +284,9 @@ def load_model(ckpt_path) -> tuple[InteractionModel, TrainConfig, str]:
 
 def evaluate_clips(model: InteractionModel, clips: list[VideoClip],
                    config: TrainConfig) -> MetricsReport:
-    """Deterministic evaluation: base frame sampling, no augmentation."""
-    k = config.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    loss_sum = 0.0
-    for start in range(0, len(clips), EVAL_BATCH):
-        batch = clips[start:start + EVAL_BATCH]
-        frames, masks, labels = _batch_arrays(batch, config, rng=None)
-        res = model.forward(frames, masks, labels, rng=None, need_cls=True)
-        pred = np.argmax(res.probs.numpy(), axis=1)
-        loss_sum += res.l_cls.item() * len(batch)
-        for t, p in zip(labels, pred):
-            confusion[t, p] += 1
-    correct = np.trace(confusion)
-    total = confusion.sum()
-    return MetricsReport(accuracy=float(correct) / max(int(total), 1),
-                         confusion=confusion, count=int(total),
-                         mean_loss=loss_sum / max(len(clips), 1))
+    """Deterministic evaluation on the path of phase 1c and the ablation
+    heads: ``model.interact`` scored on ``extract_features``' features."""
+    return eval_head(model.interact, *extract_features(model, clips, config))
 
 
 def evaluate(manifest: DatasetManifest, ckpt_path, split: str) -> MetricsReport:

@@ -30,7 +30,7 @@ from egorec.harness import (
 from egorec.harness.checkpoint import _read_table
 from egorec.harness.cli import main as cli_main
 from egorec.harness.model import interaction_head
-from egorec.harness.train import _batch_arrays, extract_features, train_head
+from egorec.harness.train import EVAL_BATCH, _batch_arrays, extract_features, train_head
 from egorec.synthdata import (
     GenConfig,
     augment,
@@ -316,9 +316,8 @@ class TestAdam:
 
 
 class TestBatchArrays:
-    """An rng is the one switch: with it each clip is jittered and then
-    augmented, draw after draw from the same generator; without it each
-    segment gives its first frame."""
+    """A training batch jitters and then augments each clip, draw after draw
+    from the phase's generator."""
 
     def stacked(self, clips):
         return (np.stack([c.frames for c in clips]), np.stack([c.ref_masks for c in clips]),
@@ -338,13 +337,6 @@ class TestBatchArrays:
                                for c in clips])
         self.assert_bitwise(ours, theirs)
         assert rng.random() == ref_rng.random()
-
-    def test_no_rng_samples_first_frame_per_segment(self, tiny_dataset):
-        cfg = tiny_config()
-        clips = load_split(load_manifest(tiny_dataset), "train")
-        ours = _batch_arrays(clips, cfg, None)
-        self.assert_bitwise(ours, self.stacked([sample_frames(c, cfg.num_frames)
-                                                for c in clips]))
 
 
 class TestTraining:
@@ -428,6 +420,55 @@ class TestTraining:
         np.testing.assert_array_equal(direct.confusion, reloaded.confusion)
         assert direct.mean_loss == reloaded.mean_loss
 
+    def test_evaluate_clips_matches_batched_forward(self, tiny_dataset, monkeypatch):
+        """Scoring cached features gives what ``forward`` gives per
+        ``EVAL_BATCH`` clips on each segment's first frame, unaugmented:
+        bitwise-equal probabilities, the same confusion and accuracy."""
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "test")
+        model = InteractionModel(cfg, np.random.default_rng(7))
+        probs, losses = [], []
+        for start in range(0, len(clips), EVAL_BATCH):
+            batch = clips[start:start + EVAL_BATCH]
+            frames = np.stack([sample_frames(c, cfg.num_frames).frames for c in batch])
+            labels = np.array([c.label for c in batch])
+            res = model.forward(frames, None, labels, need_cls=True)
+            probs.append(res.probs.numpy())
+            losses.append(res.l_cls.item() * len(batch))
+        want = np.concatenate(probs)
+        labels = np.array([c.label for c in clips])
+        confusion = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)
+        np.add.at(confusion, (labels, want.argmax(axis=1)), 1)
+
+        seen = []
+        classify = model.interact.classify
+        def spy(*args, **kwargs):
+            out = classify(*args, **kwargs)
+            seen.append(out[1].numpy())
+            return out
+        monkeypatch.setattr(model.interact, "classify", spy)
+        rep = evaluate_clips(model, clips, cfg)
+        (got,) = seen
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(rep.confusion, confusion)
+        assert rep.accuracy == np.trace(confusion) / len(clips)
+        assert rep.count == len(clips)
+        assert rep.mean_loss == pytest.approx(sum(losses) / len(clips), rel=1e-6)
+
+    def test_bogus_stage_marker_rejected_by_every_checkpoint_reader(self, tiny_dataset,
+                                                                    tmp_path):
+        """Stage 2 and ``load_model`` (so ``eval`` and ``viz``) refuse a
+        checkpoint whose stage marker no phase writes."""
+        path = tmp_path / "m.ckpt"
+        cfg = tiny_config()
+        model = InteractionModel(cfg, np.random.default_rng(0))
+        save_checkpoint(path, model.state_arrays(), cfg.to_text(), "bogus")
+        message = re.escape(f"unexpected stage marker 'bogus' in {path}")
+        with pytest.raises(ValueError, match=message):
+            train(load_manifest(tiny_dataset), cfg, "2", path)
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
     def test_load_model_rejects_missing_parameter(self, tmp_path):
         path = tmp_path / "m.ckpt"
         _model_checkpoint(path, drop="interact.block_ego.v")
@@ -507,16 +548,31 @@ class TestTraining:
             run_phase(model, phase, clips, cfg, rng)
         assert not debug_nan_enabled()
 
-    def test_non_finite_features_name_phase_1c_and_op(self, tiny_dataset):
+    def test_non_finite_features_name_phase_1c_and_op(self, tiny_dataset, monkeypatch):
         """A non-finite cached feature names the front-end op that made it,
-        not the head's first op."""
-        cfg = tiny_config()
-        clips = load_split(load_manifest(tiny_dataset), "train")
+        not the head's first op, in phase 1c, evaluation and ablation; only
+        phase 1c names a phase."""
+        cfg = tiny_config(epochs_attention=0, epochs_motion=0)
+        manifest = load_manifest(tiny_dataset)
+        clips = load_split(manifest, "train")
+
+        def broken(config, rng):
+            model = InteractionModel(config, rng)
+            dict(model.all_named())["backbone.blocks.0.w"].data[0] = np.nan
+            return model
         rng = np.random.default_rng(cfg.seed)
-        model = InteractionModel(cfg, rng)
-        dict(model.all_named())["backbone.blocks.0.w"].data[0] = np.nan
-        with pytest.raises(NonFiniteError, match=r"phase 1c: .*\bconv2d: "):
-            run_phase(model, "1c", clips, cfg, rng)
+        with pytest.raises(NonFiniteError, match=r"^phase 1c: .*\bconv2d: "):
+            run_phase(broken(cfg, rng), "1c", clips, cfg, rng)
+        assert not debug_nan_enabled()
+
+        features = r"^stream features are not finite; first non-finite op: .*\bconv2d: "
+        with pytest.raises(NonFiniteError, match=features):
+            evaluate_clips(broken(cfg, rng), load_split(manifest, "test"), cfg)
+        assert not debug_nan_enabled()
+        monkeypatch.setattr(importlib.import_module("egorec.harness.ablate"),
+                            "InteractionModel", broken)
+        with pytest.raises(NonFiniteError, match=features):
+            ablate(manifest, cfg, parse_variants("ego"))
         assert not debug_nan_enabled()
 
     def test_stream_features_are_what_forward_classifies(self, tiny_dataset):
@@ -538,6 +594,8 @@ class TestTraining:
         rep = evaluate_clips(model, load_split(manifest, "test"), cfg)
         assert 0.0 <= rep.accuracy <= 1.0
         assert rep.confusion.sum() == rep.count == 4
+        with pytest.raises(ValueError, match="no clips"):
+            evaluate_clips(model, [], cfg)
 
     def test_wrong_class_count_rejected(self, tiny_dataset, tmp_path, monkeypatch):
         """train, evaluate and ablate refuse a 2-class config on the 4-class
@@ -720,6 +778,14 @@ class TestAblate:
 
 
 class TestCli:
+    def test_malformed_seeds_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ablate", "--data", str(tmp_path), "--config", str(tmp_path / "c.txt"),
+                      "--variants", "ego", "--out", str(tmp_path / "r.tsv"),
+                      "--seeds", "1,x"])
+        assert exc.value.code == 2
+        assert "argument --seeds: invalid int_csv value: '1,x'" in capsys.readouterr().err
+
     def test_full_cli_flow(self, tmp_path, capsys):
         data = tmp_path / "data"
         # CLI generates at the default desk frame size; keep it tiny in count
