@@ -11,7 +11,7 @@ import numpy as np
 from ..imageio import write_pgm, write_ppm
 from ..synthdata import generate_dataset, load_clip, load_manifest, sample_frames
 from .ablate import ablate, parse_variants, write_report
-from .config import TrainConfig, load_config
+from .config import load_config
 from .train import evaluate, load_model, train
 
 

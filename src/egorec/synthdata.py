@@ -16,10 +16,12 @@ Both actors move horizontally inside a motion window of the clip. Labels:
     carries any class information.
 
 Rendering contract: the camera pans horizontally at one integer row offset
-into the background, so each frame's background is a two-column bilinear
-blend of the same background rows. The sprite's mask is binary, so the
-sprite is composited by selection: its texture is sampled only at the
-pixels under the mask and replaces the background there.
+into the background, so a frame's background is a two-column bilinear
+blend of the same rows, rendered once per distinct camera x offset. The
+sprite's mask is binary: its texture is sampled only under the mask, once
+per distinct in-frame position, and replaces the background there. Both
+are rounded to uint8 first: rounding is per element and each pixel is
+background or sprite, so the bytes equal those of rounding each frame.
 
 Ground truth per raw frame pair: the 6 affine parameters of the global
 transform (normalized [-1, 1] coordinates, mapping current-frame points to
@@ -266,7 +268,8 @@ def _window_steps(length, start, window, step):
 
 
 def generate_clip(scene: SyntheticScene) -> VideoClip:
-    """Render frames, masks, and per-pair ground truth for a scene.
+    """Render frames, masks, and per-pair ground truth for a scene in one
+    pass over the whole clip, as the module's rendering contract describes.
 
     The camera must pan at one integer row offset inside the background
     (``make_scene`` keeps it at its margin); otherwise ``ValueError``.
@@ -281,27 +284,25 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
                          f"{scene.cam_path[:, 0].max():g}")
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
-    # the column taps and weights of sample_bilinear_np; its row weight is 0
+    # sample_bilinear_np's column taps and weights (row weight 0) per offset
+    offsets, frame_offset = np.unique(scene.cam_path[:, 1], return_inverse=True)
     rows = scene.background[row:row + h]
-    x = np.clip(scene.cam_path[:, 1:] + xs, 0, bw - 1)
+    x = np.clip(offsets[:, None] + xs, 0, bw - 1)
     x0 = np.minimum(x.astype(np.int64), bw - 2)
     fx = (x - x0)[..., None]
-    frames = np.empty((length, h, w, 3), np.uint8)
-    masks = np.empty((length, h, w), np.uint8)
+    bg = rows[:, x0] * (1 - fx) + rows[:, x0 + 1] * fx          # (h, U, w, 3)
+    frames = np.round(bg * 255.0).astype(np.uint8).transpose(1, 0, 2, 3)[frame_offset]
 
-    for t in range(length):
-        oy, ox = scene.cam_path[t]
-        out = rows[:, x0[t]] * (1 - fx[t]) + rows[:, x0[t] + 1] * fx[t]
-        py = scene.sprite_path[t, 0] - oy
-        px = scene.sprite_path[t, 1] - ox
-        dy = (ys[:, None] - py) / ay
-        dx = (xs[None, :] - px) / ax
-        inside = (dy * dy + dx * dx) <= 1.0
-        iy, ix = np.nonzero(inside)
-        out[iy, ix] = sample_bilinear_np(scene.sprite_tex, ys[iy] - py + ay + 1.0,
-                                         xs[ix] - px + ax + 1.0)
-        frames[t] = np.round(out * 255.0)
-        masks[t] = inside * np.uint8(255)
+    pos, frame_pos = np.unique(scene.sprite_path - scene.cam_path, axis=0, return_inverse=True)
+    dy = (ys[None, :, None] - pos[:, 0, None, None]) / ay
+    dx = (xs[None, None, :] - pos[:, 1, None, None]) / ax
+    inside = (dy * dy + dx * dx) <= 1.0                 # (P, h, w) per sprite position
+    ip, iy, ix = np.nonzero(inside)
+    sprite = np.zeros(inside.shape + (3,), np.uint8)
+    sprite[ip, iy, ix] = np.round(sample_bilinear_np(
+        scene.sprite_tex, ys[iy] - pos[ip, 0] + ay + 1.0, xs[ix] - pos[ip, 1] + ax + 1.0) * 255.0)
+    frames = np.where(inside[frame_pos][..., None], sprite[frame_pos], frames)
+    masks = inside[frame_pos] * np.uint8(255)
 
     d_cam = np.diff(scene.cam_path, axis=0)       # (L-1, 2) as (dy, dx)
     d_spr = np.diff(scene.sprite_path, axis=0)
@@ -496,10 +497,9 @@ def write_clip(clip_dir, clip: VideoClip) -> None:
     length, h, w = clip.ref_masks.shape
     write_ppm(d / "frames.ppm", clip.frames.reshape(length * h, w, 3))
     write_pgm(d / "masks.pgm", clip.ref_masks.reshape(length * h, w))
-    with open(d / "gt.txt", "w", encoding="utf-8") as f:
-        f.write(f"frames={length}\n")
-        for g, l in zip(clip.gt_global, clip.gt_local):
-            f.write(" ".join(f"{v:.17g}" for v in np.concatenate([g, l])) + "\n")
+    rows = np.concatenate([clip.gt_global, clip.gt_local], axis=1).tolist()
+    text = "".join(" ".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    (d / "gt.txt").write_text(f"frames={length}\n" + text, encoding="utf-8")
 
 
 def load_clip(clip_dir, label: int) -> VideoClip:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import egorec.diffcore as dc
 from egorec.attention import (
     MaskDecoder,
     MultiScaleMasks,

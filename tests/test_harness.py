@@ -17,7 +17,6 @@ from egorec.harness import (
     evaluate,
     evaluate_clips,
     load_checkpoint,
-    load_config,
     load_model,
     parse_config,
     parse_variants,

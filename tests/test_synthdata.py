@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egorec.diffcore as dc
 import egorec.synthdata as synthdata
@@ -10,6 +12,7 @@ from egorec.diffcore import Tensor
 from egorec.imageio import write_pgm, write_ppm
 from egorec.motion import transform_coords
 from egorec.synthdata import (
+    VARIANT_CLASSES,
     GenConfig,
     VideoClip,
     augment,
@@ -103,6 +106,74 @@ class TestGeneration:
         spr_active = np.nonzero(np.abs(drift) > 1e-9)[0]
         cam_active = np.nonzero(np.abs(clip.gt_global[:, 2]) > 1e-9)[0]
         assert spr_active.max() < cam_active.min()
+
+
+def reference_render(scene):
+    """Frames and masks of ``scene`` rendered one frame at a time, each a
+    float background blend with the sprite written over it, then rounded:
+    the reference whose bytes ``generate_clip`` must reproduce."""
+    h, w = scene.height, scene.width
+    ay, ax = scene.sprite_axes
+    bw = scene.background.shape[1]
+    row = int(scene.cam_path[0, 0])
+    ys = np.arange(h, dtype=np.float64)
+    xs = np.arange(w, dtype=np.float64)
+    rows = scene.background[row:row + h]
+    x = np.clip(scene.cam_path[:, 1:] + xs, 0, bw - 1)
+    x0 = np.minimum(x.astype(np.int64), bw - 2)
+    fx = (x - x0)[..., None]
+    frames = np.empty((scene.length, h, w, 3), np.uint8)
+    masks = np.empty((scene.length, h, w), np.uint8)
+    for t in range(scene.length):
+        oy, ox = scene.cam_path[t]
+        out = rows[:, x0[t]] * (1 - fx[t]) + rows[:, x0[t] + 1] * fx[t]
+        py = scene.sprite_path[t, 0] - oy
+        px = scene.sprite_path[t, 1] - ox
+        dy = (ys[:, None] - py) / ay
+        dx = (xs[None, :] - px) / ax
+        inside = (dy * dy + dx * dx) <= 1.0
+        iy, ix = np.nonzero(inside)
+        out[iy, ix] = synthdata.sample_bilinear_np(scene.sprite_tex, ys[iy] - py + ay + 1.0,
+                                                   xs[ix] - px + ax + 1.0)
+        frames[t] = np.round(out * 255.0)
+        masks[t] = inside * np.uint8(255)
+    return frames, masks
+
+
+def _camera_x(scene, camera):
+    """The camera x track that ``camera`` names, over ``scene``'s background."""
+    bw, w = scene.background.shape[1], scene.width
+    return {
+        "scene": scene.cam_path[:, 1],
+        # a fractional offset of its own on every frame
+        "distinct": np.linspace(0.25, bw - w - 0.25, scene.length),
+        # the last column lands on bw - 1, so x0 clamps to bw - 2
+        "right-edge": np.full(scene.length, float(bw - w)),
+        "static": np.full(scene.length, scene.cam_path[0, 1]),
+    }[camera]
+
+
+@settings(max_examples=40, deadline=None)
+@given(height=st.integers(12, 24), width=st.integers(24, 48), length=st.integers(6, 16),
+       variant=st.sampled_from(sorted(VARIANT_CLASSES)), seed=st.integers(0, 2**16),
+       camera=st.sampled_from(["scene", "distinct", "right-edge", "static"]), data=st.data())
+def test_generate_clip_matches_per_frame_reference_property(height, width, length, variant,
+                                                            seed, camera, data):
+    class_id = data.draw(st.integers(0, VARIANT_CLASSES[variant] - 1), label="class_id")
+    scene = make_scene(class_id, variant, seed,
+                       GenConfig(height, width, length, area_range=(0.08, 0.14)))
+    scene.cam_path[:, 1] = _camera_x(scene, camera)
+    if camera == "distinct":
+        # a sprite position of its own on every frame, rows included
+        scene.sprite_path[:, 0] += np.linspace(-1.0, 1.0, length)
+    if camera == "static":
+        scene.sprite_path[:] = scene.sprite_path[0]
+    clip = generate_clip(scene)
+    frames, masks = reference_render(scene)
+    assert clip.frames.shape == frames.shape and clip.frames.dtype == np.uint8
+    assert clip.ref_masks.shape == masks.shape and clip.ref_masks.dtype == np.uint8
+    assert clip.frames.tobytes() == frames.tobytes()
+    assert clip.ref_masks.tobytes() == masks.tobytes()
 
 
 def _dilate(mask, r):
@@ -417,6 +488,16 @@ class TestBitwiseOutputs:
         clips = [generate_clip(make_scene(c, "standard", 21 + c)) for c in range(4)]
         assert _digest(clips) == (
             "2638d0f3cb22cbd3b7c374e990d89265fc6668965460f7c178e045268f4c7e8b")
+
+    def test_stored_files(self, tmp_path):
+        write_clip(tmp_path, small_clip(seed=21, class_id=1))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("frames.ppm", "masks.pgm", "gt.txt")}
+        assert digests == {
+            "frames.ppm": "91deb53824ec817fd358460a58c9867e8c0f51f31f3fdd493832c87335903302",
+            "masks.pgm": "658cfe7fe4964413665cd22219f8631f487b89753a933546420e89f620bff4cb",
+            "gt.txt": "bc83cb20d3b9d0a55cdde121f5371b3ea0eb5a6ed509a639ebc2e09a9be6e66a",
+        }
 
     def test_augmented_clip(self, monkeypatch):
         monkeypatch.setattr(synthdata, "P_CROP", 1.0)
