@@ -95,12 +95,9 @@ def segmentation_loss(masks: MultiScaleMasks, ref: np.ndarray) -> Tensor:
     total = None
     for m in masks.scales()[1:]:
         mh, mw = m.shape[1:3]
-        target = Tensor(resize_area(ref, mh, mw).astype(m.dtype))
-        mc = dc.clip(m, MASK_EPS, 1.0 - MASK_EPS)
-        term = target * dc.log(mc) + (1.0 - target) * dc.log(1.0 - mc)
-        term = dc.mean(term, axis=(1, 2))
+        term = dc.binary_cross_entropy(m, resize_area(ref, mh, mw).astype(m.dtype), MASK_EPS)
         total = term if total is None else total + term
-    return dc.mean(-total)
+    return dc.mean(total)
 
 
 def weighted_pool(feats: Tensor, m0: Tensor) -> Tensor:

@@ -13,8 +13,9 @@ from .tensor import (
     set_debug_nan,
 )
 from .ops import (
-    abs_,
+    abs_diff_sum,
     add,
+    binary_cross_entropy,
     clip,
     concat,
     conv2d,
@@ -35,6 +36,7 @@ from .ops import (
     sub,
     sum_,
     tanh_,
+    total_variation,
     transpose,
 )
 from .gradcheck import GradCheckReport, grad_check
@@ -44,7 +46,8 @@ __all__ = [
     "ShapeError", "NonFiniteError", "TapeError", "set_debug_nan",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
     "reshape", "concat", "slice_", "sum_", "mean",
-    "sigmoid", "tanh_", "relu", "log", "abs_", "clip", "softmax",
+    "sigmoid", "tanh_", "relu", "log", "clip", "softmax",
+    "binary_cross_entropy", "abs_diff_sum", "total_variation",
     "conv2d", "conv_transpose2d", "grid_sample", "correlate",
     "grad_check", "GradCheckReport",
 ]

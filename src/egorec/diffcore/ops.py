@@ -19,7 +19,13 @@ gradient by ``out > 0``, so the pre-activation output is not kept. conv2d
 also takes ``pool=k``, a k-by-k average pool after the ReLU: the tape then
 keeps the pooled output and a boolean ReLU mask, not the full-resolution
 output. grid_sample recomputes its coordinates and taps and correlate
-re-pads ``f_prev`` in backward.
+re-pads ``f_prev`` in backward. The per-pixel losses (binary_cross_entropy,
+abs_diff_sum, total_variation) are one node each with a per-item or scalar
+output; their backward recomputes the clamp mask, differences and signs, so
+no per-pixel intermediate of a loss stays on the tape. ``backward`` hands a
+node's gradient to its closure without keeping a reference, and
+conv_transpose2d drops it once it is copied into the padded buffer, before
+the im2col columns of its input gradient are built.
 
 Scratch memory: both conv ops run on three kernels. ``_gather`` (conv2d's
 forward, conv_transpose2d's input gradient) builds im2col columns and
@@ -284,11 +290,6 @@ def log(a) -> Tensor:
     return _result("log", np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def abs_(a) -> Tensor:
-    a = as_tensor(a)
-    return _result("abs", np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
     keep = (a.data >= lo) & (a.data <= hi)
@@ -306,6 +307,108 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return _result("softmax", out, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# per-pixel losses, one node each: the closure keeps the inputs, and backward
+# recomputes the clamp mask, differences and signs it reads. Forward and
+# backward do the float32 arithmetic, in the same order, of the equivalent
+# chain of generic ops (clip, log, mul, sub, abs, mean, slicing), so values
+# and gradients, signed zeros included, are bitwise that chain's.
+
+
+def binary_cross_entropy(p, target, eps: float) -> Tensor:
+    """Per-item mean binary cross entropy of ``p`` against ``target``,
+    (N, ...) -> (N,). ``p`` is clamped to [eps, 1 - eps] before the logs: a
+    pixel beyond a bound gets a zero gradient, one exactly at a bound keeps
+    its gradient. ``target`` gets no gradient."""
+    p, target = as_tensor(p), as_tensor(target)
+    if p.data.shape != target.data.shape:
+        raise ShapeError(f"binary_cross_entropy: shapes {p.data.shape} and "
+                         f"{target.data.shape} differ")
+    axes = tuple(range(1, p.ndim))
+    count = math.prod(p.data.shape[1:])
+    t = target.data
+    pc = np.clip(p.data, eps, 1.0 - eps)
+    loglik = t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)
+
+    def bwd(g):
+        pc = np.clip(p.data, eps, 1.0 - eps)
+        g = np.expand_dims(g, axes) / count
+        gp = g * (1.0 - t)
+        gp /= 1.0 - pc
+        gt = g * t
+        gt /= pc
+        gp -= gt
+        del gt
+        gp *= (p.data >= eps) & (p.data <= 1.0 - eps)
+        return gp, None
+
+    return _result("binary_cross_entropy", -loglik.mean(axis=axes), (p, target), bwd)
+
+
+def abs_diff_sum(a, b) -> Tensor:
+    """Sum of ``|a - b|`` over every element, as a scalar."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"abs_diff_sum: shapes {a.data.shape} and {b.data.shape} differ")
+
+    def bwd(g):
+        ga = np.sign(a.data - b.data)  # in place, np.sign runs several times slower
+        ga *= g
+        if not b.requires_grad:
+            return ga, None
+        if not a.requires_grad:
+            return None, np.negative(ga, out=ga)
+        return ga, -ga
+
+    d = np.subtract(a.data, b.data)
+    out = np.abs(d, out=d).sum()
+    del d
+    return _result("abs_diff_sum", out, (a, b), bwd)
+
+
+def total_variation(x, mask) -> Tensor:
+    """Mean ``|difference|`` of horizontal neighbours plus that of vertical
+    neighbours in ``x * mask``, for ``x`` (N, H, W, C) and a per-pixel
+    ``mask`` (N, H, W), as a scalar."""
+    x, mask = as_tensor(x), as_tensor(mask)
+    if x.ndim != 4 or mask.data.shape != x.data.shape[:3]:
+        raise ShapeError(f"total_variation: mask {mask.data.shape} does not match "
+                         f"input {x.data.shape}")
+
+    def diffs():
+        xm = x.data * mask.data[..., None]
+        return xm[:, :, 1:] - xm[:, :, :-1], xm[:, 1:] - xm[:, :-1]
+
+    dx, dy = diffs()
+    out = np.abs(dx).mean() + np.abs(dy).mean()
+    del dx, dy
+
+    def bwd(g):
+        dx, dy = diffs()
+        dx = np.sign(dx)
+        dx *= g / dx.size
+        dy = np.sign(dy)
+        dy *= g / dy.size
+        # the gradient at x * mask, summed in the chain's order: each vertical
+        # difference onto its two pixels, then each horizontal one
+        m = mask.data[..., None]
+        gxm = np.zeros(x.data.shape, np.result_type(x.data, m))
+        np.negative(dy, out=gxm[:, :-1])
+        gxm[:, 1:] += dy
+        gxm[:, :, :-1] -= dx
+        gxm[:, :, 1:] += dx
+        del dx, dy
+        # the chain adds a zero for each difference a border pixel lacks,
+        # which turns -0.0 there into +0.0
+        for edge in (gxm[:, 0], gxm[:, -1], gxm[:, :, 0], gxm[:, :, -1]):
+            edge += 0.0
+        return (gxm * m if x.requires_grad else None,
+                _unbroadcast(gxm * x.data, m.shape).reshape(mask.data.shape)
+                if mask.requires_grad else None)
+
+    return _result("total_variation", out, (x, mask), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +579,7 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
             np.multiply(g, out > 0, out=inner)
         else:
             inner[...] = g
+        del g  # the padded copy is all the rest reads
         gx = np.empty(x.data.shape, x.data.dtype)
         for s, cols, wmat in _gather(gfull, w.data.transpose(0, 1, 3, 2), stride, 0, (h, wd)):
             np.matmul(cols, wmat, out=gx[s].reshape(-1, ci))

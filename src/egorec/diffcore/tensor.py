@@ -9,8 +9,12 @@ which is what evaluation and finite-difference probing use. What a node
 keeps is what its backward reads: conv ops fuse a following ReLU (one
 array on the tape, not two), conv2d also a following average pool (the
 pooled output and a boolean ReLU mask, not the full-resolution output),
-and ops whose backward needs cheap derived buffers recompute them from
-the inputs.
+each per-pixel loss (binary cross entropy, summed absolute difference,
+total variation) is one node with a per-item or scalar output, and ops
+whose backward needs cheap derived buffers (clamp masks, signs,
+differences, sampling taps) recompute them from the inputs. ``backward``
+hands each node's gradient to its closure without keeping a reference of
+its own, so a closure that drops the gradient once read frees it there.
 
 Training runs in float32 from the loss back to the parameters;
 verification (gradient checking) runs in float64 by constructing the
@@ -167,11 +171,13 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
     nodes = tape.nodes
     while nodes:
         out, inputs, bwd, op_name = nodes.pop()
-        g = grads.pop(id(out), None)
-        hold.pop(id(out), None)
-        if g is None:
+        key = id(out)
+        hold.pop(key, None)
+        if key not in grads:
             continue
-        for inp, gi in zip(inputs, bwd(g)):
+        # hand the gradient over without keeping a reference, so a closure
+        # that drops it once read frees it there
+        for inp, gi in zip(inputs, bwd(grads.pop(key))):
             if gi is None or not inp.requires_grad:
                 continue
             if gi.shape != inp.data.shape:
@@ -190,6 +196,7 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
             else:
                 grads[key] = gi
                 hold[key] = inp
+        gi = None  # nor does the loop keep the last gradient it routed
 
     # Whatever is left belongs to leaf tensors (parameters, inputs).
     for key, g in grads.items():

@@ -113,19 +113,13 @@ def transform_coords(transform: Tensor, field: Tensor, m3: Tensor) -> Tensor:
 
 def reconstruction_loss(target: Tensor, rebuilt: Tensor) -> Tensor:
     """Photometric L1, summed over channels and averaged per pixel and batch."""
-    if target.shape != rebuilt.shape:
-        raise ShapeError(f"reconstruction: shapes differ, {target.shape} vs {rebuilt.shape}")
     n, h, w = target.shape[:3]
-    return dc.sum_(dc.abs_(target - rebuilt)) * (1.0 / (n * h * w))
+    return dc.abs_diff_sum(target, rebuilt) * (1.0 / (n * h * w))
 
 
 def smoothness_loss(field: Tensor, m3: Tensor) -> Tensor:
     """Mean absolute spatial difference of the masked field, both axes."""
-    n, h, w, _ = field.shape
-    masked = field * dc.reshape(m3, (n, h, w, 1))
-    dx = masked[:, :, 1:] - masked[:, :, :-1]
-    dy = masked[:, 1:] - masked[:, :-1]
-    return dc.mean(dc.abs_(dx)) + dc.mean(dc.abs_(dy))
+    return dc.total_variation(field, m3)
 
 
 def warp_previous(prev_frame: Tensor, est: MotionEstimate, m3: Tensor) -> Tensor:

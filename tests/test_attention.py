@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import egorec.diffcore as dc
 from egorec.attention import (
+    MASK_EPS,
     MaskDecoder,
     MultiScaleMasks,
     global_pool,
@@ -10,7 +12,7 @@ from egorec.attention import (
     segmentation_loss,
     weighted_pool,
 )
-from egorec.diffcore import ShapeError, Tensor, grad_check
+from egorec.diffcore import ShapeError, Tape, Tensor, backward, grad_check
 
 
 def const_masks(shapes, value):
@@ -80,6 +82,43 @@ class TestSegmentationLoss:
         mp = mvals.reshape(1, 32)[:, perm].reshape(1, 4, 8)
         rp = ref.reshape(1, 32)[:, perm].reshape(1, 4, 8)
         assert loss_on(mp, rp) == pytest.approx(base, rel=1e-12)
+
+    @staticmethod
+    def _chain_loss(masks, ref):
+        """The loss as a chain of generic ops: the reference it is bitwise
+        equal to."""
+        total = None
+        for m in masks.scales()[1:]:
+            target = Tensor(resize_area(ref, *m.shape[1:3]).astype(m.dtype))
+            mc = dc.clip(m, MASK_EPS, 1.0 - MASK_EPS)
+            term = dc.mean(target * dc.log(mc) + (1.0 - target) * dc.log(1.0 - mc), axis=(1, 2))
+            total = term if total is None else total + term
+        return dc.mean(-total)
+
+    def test_bitwise_equal_to_the_chain(self):
+        """float32 masks with values inside, at and beyond the clamp bounds,
+        against a reference with soft edges: the loss and every scale's
+        gradient are bitwise the chain's."""
+        rng = np.random.default_rng(12)
+        ref = resize_area(np.repeat(np.repeat(rng.uniform(size=(3, 8, 16)) > 0.6, 4, 1), 4, 2)
+                          .astype(np.float64), 32, 64)
+        ref[:, 5:9, 7:20] = 0.37
+        special = np.float32([0.0, 1.0, MASK_EPS, 1.0 - MASK_EPS, 1e-9])
+        data = []
+        for s in MASK_SHAPES:
+            m = rng.uniform(size=(3, *s[1:])).astype(np.float32)
+            m.reshape(-1)[rng.choice(m.size, m.size // 5)] = rng.choice(special, m.size // 5)
+            data.append(m)
+
+        def run(loss_fn):
+            masks = MultiScaleMasks(*[Tensor(m, requires_grad=True) for m in data])
+            with Tape() as tape:
+                loss = loss_fn(masks, ref)
+            backward(tape, loss)
+            return [loss.data] + [m.grad for m in masks.scales()[1:]]
+
+        for a, b in zip(run(segmentation_loss), run(self._chain_loss)):
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
 
     def test_ref_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import mutually_broadcastable_shapes
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 import egorec.diffcore as dc
 from egorec.diffcore import Tape, Tensor, backward, grad_check
@@ -148,6 +148,24 @@ class TestTapeRelease:
         backward(tape, loss)
         assert len(tape) == 0  # the tape itself is still referenced here
         assert ref() is None
+
+    def test_closure_holds_the_only_reference_to_its_gradient(self):
+        """``backward`` keeps no reference to the gradient it passes a
+        closure, so a closure that drops it frees it then."""
+        freed = []
+
+        def bwd(g):
+            ref = weakref.ref(g)
+            del g
+            freed.append(ref() is None)
+            return (np.zeros(4),)
+
+        x = t(np.ones(4), rg=True)
+        with Tape() as tape:
+            y = _result("probe", x.data * 3.0, (x,), bwd)
+            loss = dc.sum_(y * 2.0)
+        backward(tape, loss)
+        assert freed == [True]
 
     @staticmethod
     def _grads_with_input_tracked(op, data, track_input):
@@ -332,6 +350,12 @@ class TestScratchBudget:
                      dict(stride=2, pad=1, relu=True), True, 2, id="decoder-up2"),
         pytest.param(dc.grid_sample, [(152, 32, 64, 3), (152, 32, 64, 2)], {}, False, 1,
                      id="reconstruction-warp"),
+        pytest.param(lambda ref, m3: dc.binary_cross_entropy(m3, ref, 1e-7),
+                     [(160, 32, 64), (160, 32, 64)], {}, False, 1, id="segmentation-m3"),
+        pytest.param(dc.abs_diff_sum, [(152, 32, 64, 3), (152, 32, 64, 3)], {}, False, 1,
+                     id="reconstruction-frames"),
+        pytest.param(dc.total_variation, [(152, 32, 64, 2), (152, 32, 64)], {}, True, 1,
+                     id="smoothness-field"),
     ])
     def test_scratch_is_bounded(self, op, shapes, kwargs, track_x, g_copies):
         """At the full batch of a default training step (8 clips x 20 frames,
@@ -340,7 +364,8 @@ class TestScratchBudget:
         gradients and ``g_copies`` arrays the size of the output gradient:
         the gradient itself and, for a conv with a ReLU, the gradient at its
         own full-resolution output), is <= 16 MiB. The raw frames into the
-        backbone's first conv and into the warp need no gradient."""
+        backbone's first conv, the warp and the photometric loss, and the
+        reference mask, need no gradient."""
         rng = np.random.default_rng(24)
         inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=track_x or i > 0)
                   for i, s in enumerate(shapes)]
@@ -372,8 +397,8 @@ class TestScratchBudget:
 
 
 class TestRecomputedBuffers:
-    """grid_sample and correlate recompute what their backward reads, so the
-    tape keeps no buffer of theirs beyond the inputs."""
+    """grid_sample, correlate and the per-pixel losses recompute what their
+    backward reads, so the tape keeps no buffer of theirs beyond the inputs."""
 
     @staticmethod
     def _arrays(value):
@@ -383,15 +408,18 @@ class TestRecomputedBuffers:
             return [a for v in value for a in TestRecomputedBuffers._arrays(v)]
         return []
 
-    @pytest.mark.parametrize("case", ["grid_sample", "correlate"])
+    @pytest.mark.parametrize("case", ["grid_sample", "correlate", "binary_cross_entropy",
+                                      "abs_diff_sum", "total_variation"])
     def test_closure_keeps_only_the_inputs(self, case):
         rng = np.random.default_rng(22)
-        if case == "grid_sample":
-            op = dc.grid_sample
-            shapes = [(2, 5, 7, 3), (2, 4, 6, 2)]
-        else:
-            op = lambda a, b: dc.correlate(a, b, d=2)
-            shapes = [(2, 4, 5, 3), (2, 4, 5, 3)]
+        op, shapes = {
+            "grid_sample": (dc.grid_sample, [(2, 5, 7, 3), (2, 4, 6, 2)]),
+            "correlate": (lambda a, b: dc.correlate(a, b, d=2), [(2, 4, 5, 3), (2, 4, 5, 3)]),
+            "binary_cross_entropy": (lambda p, r: dc.binary_cross_entropy(p, r, 0.1),
+                                     [(2, 4, 5), (2, 4, 5)]),
+            "abs_diff_sum": (dc.abs_diff_sum, [(2, 4, 5, 3), (2, 4, 5, 3)]),
+            "total_variation": (dc.total_variation, [(2, 4, 5, 3), (2, 4, 5)]),
+        }[case]
         inputs = [Tensor(rng.uniform(-1.2, 1.2, size=s).astype(np.float32), requires_grad=True)
                   for s in shapes]
         with Tape() as tape:
@@ -402,6 +430,138 @@ class TestRecomputedBuffers:
                 assert any(value is x for x in inputs)
         for arr in self._arrays(cells):
             assert any(arr is x.data for x in inputs), arr.shape
+
+
+def _abs_reference(a):
+    """|a| as one node, gradient ``g * sign(a)``: the reference chains' abs."""
+    return _result("abs", np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+
+
+def _bce_chain(p, ref, eps):
+    pc = dc.clip(p, eps, 1.0 - eps)
+    loglik = ref * dc.log(pc) + (1.0 - ref) * dc.log(1.0 - pc)
+    return -dc.mean(loglik, axis=tuple(range(1, p.ndim)))
+
+
+def _tv_chain(x, mask):
+    xm = x * dc.reshape(mask, mask.shape + (1,))
+    dx = xm[:, :, 1:] - xm[:, :, :-1]
+    dy = xm[:, 1:] - xm[:, :-1]
+    return dc.mean(_abs_reference(dx)) + dc.mean(_abs_reference(dy))
+
+
+# The chains of generic ops that binary_cross_entropy, abs_diff_sum and
+# total_variation are bitwise equal to.
+LOSS_CHAINS = {
+    "binary_cross_entropy": _bce_chain,
+    "abs_diff_sum": lambda a, b: dc.sum_(_abs_reference(a - b)),
+    "total_variation": _tv_chain,
+}
+
+EPS32 = float(np.float32(1e-7))
+HI32 = float(np.float32(1.0 - 1e-7))
+
+
+def _f32(lo, hi, special):
+    """float32 values in [lo, hi], often one of ``special`` so that ties,
+    signed zeros and clamp bounds come up."""
+    return st.one_of(st.sampled_from(special), st.floats(lo, hi, width=32))
+
+
+class TestLossOps:
+    """The per-pixel loss ops against the chains of generic ops they fuse."""
+
+    @staticmethod
+    def _run(fn, arrays_in, tracked, weights):
+        inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays_in, tracked)]
+        with Tape() as tape:
+            y = fn(*inputs)
+            loss = dc.sum_(y * Tensor(weights))
+        nodes = len(tape)
+        backward(tape, loss)
+        return y.data, [x.grad for x in inputs if x.requires_grad], nodes
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(LOSS_CHAINS)), data=st.data())
+    def test_bitwise_equal_to_the_chain(self, name, data):
+        """Forward bytes and gradient bytes (signed zeros included) equal the
+        chain's on float32 inputs with ties, zeros of both signs, values
+        at, inside and beyond the clamp bounds, and output gradients of
+        either sign or zero."""
+        n, h, w, c = data.draw(st.tuples(*[st.integers(lo, 4) for lo in (1, 2, 2, 1)]), "shape")
+        if name == "binary_cross_entropy":
+            shapes, eps = [(n, h, w)] * 2, [1e-7]
+            elems = [_f32(0.0, 1.0, [0.0, EPS32, HI32, 1.0, 0.5, 1e-8]),
+                     _f32(0.0, 1.0, [0.0, 1.0, 0.25])]
+            tracked = [True, False]
+        else:
+            shapes, eps = [(n, h, w, c), (n, h, w, c) if name == "abs_diff_sum" else (n, h, w)], []
+            elems = [_f32(-2.0, 2.0, [0.0, -0.0, 0.5, -1.5])] * 2
+            tracked = data.draw(st.sampled_from([[True, True], [False, True], [True, False]]),
+                                "tracked")
+        ins = [data.draw(arrays(np.float32, s, elements=e), f"input{i}")
+               for i, (s, e) in enumerate(zip(shapes, elems))]
+        wshape = (n,) if name == "binary_cross_entropy" else ()
+        weights = data.draw(arrays(np.float32, wshape, elements=_f32(-2.0, 2.0, [1.0, 0.0, -0.5])),
+                            "output gradient")
+        fused = getattr(dc, name)
+        y, grads, nodes = self._run(lambda *a: fused(*a, *eps), ins, tracked, weights)
+        y_ref, grads_ref, _ = self._run(lambda *a: LOSS_CHAINS[name](*a, *eps), ins, tracked,
+                                        weights)
+        assert nodes == 3  # the op, the weighting and the sum
+        assert y.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
+        for a, b in zip(grads, grads_ref):
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+    def test_gradcheck_clamped_values_and_ties(self):
+        """float64 gradients agree with central differences for mask values
+        inside and beyond both clamp bounds (the bounds at 0.05 and 0.95,
+        so a difference step stays on one side), and for exact ties, whose
+        |difference| has the subgradient 0."""
+        rng = np.random.default_rng(26)
+        p = t(np.array([[0.01, 0.04, 0.2, 0.5, 0.8, 0.96, 0.99, 1.0, 0.65]]))
+        ref = t(np.array([[0.0, 1.0, 1.0, 0.3, 0.0, 1.0, 0.0, 0.7, 0.6]]))
+        rep = grad_check(lambda u: dc.sum_(dc.binary_cross_entropy(u, ref, 0.05)), [p])
+        assert rep.passed and rep.skipped == 0, str(rep)
+        assert np.count_nonzero(p.grad) == 4
+
+        a = rng.uniform(0.5, 1.5, size=(2, 3, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4))
+        b = np.where(rng.uniform(size=a.shape) < 0.4, a, -a[::-1])
+        rep = grad_check(dc.abs_diff_sum, [t(a), t(b)])
+        assert rep.passed and rep.skipped == 0 and (a == b).sum() >= 5, str(rep)
+
+        # 2x3 pixels, one tie along each axis at the top left
+        x = t(np.array([0.7, 0.7, -0.4, 0.7, 1.3, 0.9]).reshape(1, 2, 3, 1))
+        m = t(np.array([0.5, 0.5, 0.8, 0.5, 0.3, 0.6]).reshape(1, 2, 3))
+        rep = grad_check(dc.total_variation, [x, m])
+        assert rep.passed and rep.skipped == 0, str(rep)
+        assert x.grad[0, 0, 0, 0] == 0.0 and m.grad[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("bound", [0.05, 0.95])
+    def test_gradient_at_a_clamp_bound_is_the_inner_slope(self, bound):
+        """A mask value exactly at a bound keeps its gradient, as ``clip``'s
+        does; it is the one-sided slope from inside the range, which a
+        central difference straddling the kink cannot check."""
+        ref = t([[0.3]])
+        f = lambda v: dc.binary_cross_entropy(t([[v]]), ref, 0.05).item()
+        p = t([[bound]], rg=True)
+        with Tape() as tape:
+            loss = dc.sum_(dc.binary_cross_entropy(p, ref, 0.05))
+        backward(tape, loss)
+        step = 1e-7 if bound < 0.5 else -1e-7
+        inner = (f(bound + step) - f(bound)) / step
+        assert p.grad[0, 0] == pytest.approx(inner, rel=1e-5)
+        assert f(bound - step) == f(bound)
+
+    @pytest.mark.parametrize("name, shapes", [
+        ("binary_cross_entropy", [(2, 3), (2, 4)]),
+        ("abs_diff_sum", [(2, 3), (3, 2)]),
+        ("total_variation", [(1, 3, 4, 2), (1, 3, 5)]),
+    ])
+    def test_shape_mismatch_names_the_op(self, name, shapes):
+        args = [t(np.zeros(s)) for s in shapes] + ([0.1] if name == "binary_cross_entropy" else [])
+        with pytest.raises(dc.ShapeError, match=name):
+            getattr(dc, name)(*args)
 
 
 class TestShapeErrors:
@@ -472,6 +632,7 @@ def test_primitive_grad_sweep(seed):
         return t(rng.uniform(lo, hi, size=shape), rg=True)
 
     a, b = rt((3, 4)), rt((3, 4))
+    ref = t(rng.uniform(size=(2, 3, 4)))
     cases = [
         (lambda u, v: _scalarize(u + v), [a, b]),
         (lambda u, v: _scalarize(u - v), [rt((3, 4)), rt((3, 4))]),
@@ -490,7 +651,12 @@ def test_primitive_grad_sweep(seed):
         (lambda u: _scalarize(dc.tanh_(u)), [rt((3, 4))]),
         (lambda u: _scalarize(dc.relu(u)), [rt((3, 4))]),
         (lambda u: _scalarize(dc.log(u)), [rt((3, 4), lo=0.5, hi=3.0)]),
-        (lambda u: _scalarize(dc.abs_(u)), [rt((3, 4))]),
+        (lambda u: _scalarize(dc.binary_cross_entropy(u, ref, 0.05)),
+         [rt((2, 3, 4), lo=0.0, hi=1.0)]),
+        (lambda u, v: dc.abs_diff_sum(u, v), [rt((3, 4)), rt((3, 4))]),
+        # 2x3 pixels: no pixel's sign terms cancel to an exact zero gradient,
+        # which a central difference cannot resolve
+        (lambda u, v: dc.total_variation(u, v), [rt((2, 2, 3, 2)), rt((2, 2, 3), lo=0.0)]),
         (lambda u: _scalarize(dc.clip(u, -1.0, 1.0)), [rt((3, 4))]),
         (lambda u: _scalarize(dc.softmax(u, axis=-1)), [rt((3, 4))]),
         (lambda u, v, w: _scalarize(dc.conv2d(u, v, w, stride=1, pad=1)),

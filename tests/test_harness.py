@@ -644,17 +644,55 @@ class TestTraining:
         assert losses[2] - losses[1] == pytest.approx(losses[1] - losses[0], abs=2e-5)
 
 
+def _phase2_batch(cfg, dataset):
+    """(frames, reference masks, labels) of the first ``cfg.batch_size``
+    train clips, sampled without jitter."""
+    batch = load_split(load_manifest(dataset), "train")[:cfg.batch_size]
+    sampled = [sample_frames(c, cfg.num_frames) for c in batch]
+    return (np.stack([s.frames for s in sampled]).astype(np.float32),
+            np.stack([s.ref_masks for s in sampled]).astype(np.float32),
+            np.array([s.label for s in sampled]))
+
+
+class TestLossNodes:
+    def test_per_pixel_losses_tape_no_per_pixel_output(self, tiny_dataset, monkeypatch):
+        """In a phase-2 forward, no node that the mask, photometric or
+        smoothness loss records has an output with more elements than the
+        batch has frames: their per-pixel work is inside one op each."""
+        cfg = tiny_config()
+        frames, masks, labels = _phase2_batch(cfg, tiny_dataset)
+        model_module = importlib.import_module("egorec.harness.model")
+        spans = []
+
+        def spy(fn):
+            def call(*args):
+                start = len(tape.nodes)
+                out = fn(*args)
+                spans.append((fn.__name__, start, len(tape.nodes)))
+                return out
+            return call
+
+        for name in ("segmentation_loss", "reconstruction_loss", "smoothness_loss"):
+            monkeypatch.setattr(model_module, name, spy(getattr(model_module, name)))
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        with Tape() as tape:
+            model.forward(frames, masks, labels, rng=rng,
+                          need_seg=True, need_rec=True, need_cls=True)
+        assert sorted(name for name, _, _ in spans) == [
+            "reconstruction_loss", "segmentation_loss", "smoothness_loss"]
+        for name, start, end in spans:
+            sizes = [tape.nodes[i][0].size for i in range(start, end)]
+            assert sizes and max(sizes) <= frames.shape[0] * frames.shape[1], (name, sizes)
+
+
 class TestBackwardMemory:
     def test_phase2_backward_frees_the_tape(self, tiny_dataset):
         """The tape's buffers go as backward replays it: backward adds less
         than half the tape on top of the forward pass, and afterwards only
         the parameters' gradients remain, the tape object included."""
         cfg = tiny_config()
-        batch = load_split(load_manifest(tiny_dataset), "train")[:cfg.batch_size]
-        sampled = [sample_frames(c, cfg.num_frames) for c in batch]
-        frames = np.stack([s.frames for s in sampled]).astype(np.float32)
-        masks = np.stack([s.ref_masks for s in sampled]).astype(np.float32)
-        labels = np.array([s.label for s in sampled])
+        frames, masks, labels = _phase2_batch(cfg, tiny_dataset)
         rng = np.random.default_rng(cfg.seed)
         model = InteractionModel(cfg, rng)
         params = model.parameters()
