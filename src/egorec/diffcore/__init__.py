@@ -27,13 +27,11 @@ from .ops import (
     matmul,
     mean,
     mul,
-    neg,
     relu,
     reshape,
     sigmoid,
     slice_,
     softmax,
-    sub,
     sum_,
     tanh_,
     total_variation,
@@ -44,7 +42,7 @@ from .gradcheck import GradCheckReport, grad_check
 __all__ = [
     "Tensor", "Tape", "backward", "active_tape", "as_tensor",
     "ShapeError", "NonFiniteError", "TapeError", "set_debug_nan",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose",
+    "add", "mul", "div", "matmul", "transpose",
     "reshape", "concat", "slice_", "sum_", "mean",
     "sigmoid", "tanh_", "relu", "log", "clip", "softmax",
     "binary_cross_entropy", "abs_diff_sum", "total_variation",

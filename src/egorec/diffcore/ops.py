@@ -2,14 +2,13 @@
 
 Every op computes a numpy forward result and, when a tape is active and an
 input requires grad, appends a node whose backward closure maps the output
-gradient to per-input gradients. add/sub/mul/div/concat, conv2d and
+gradient to per-input gradients. add/mul/div/concat, conv2d and
 grid_sample return None for an input that does not require grad (a dropout
-mask, a one-hot label, the identity grid, raw frames) instead of computing
-it. Shapes are validated eagerly; shape errors name the op and the
-offending shapes.
+mask, a one-hot label) instead of computing it. Shapes are validated
+eagerly; shape errors name the op and the offending shapes.
 
-Dtypes: a Python or numpy scalar operand of add/sub/mul/div takes the dtype
-of its tensor partner, so ``1.0 - x`` or ``x * 0.5`` stays float32 for a
+Dtypes: a Python or numpy scalar operand of add/mul/div takes the dtype
+of its tensor partner, so ``1.0 + x`` or ``x * 0.5`` stays float32 for a
 float32 ``x`` (NEP 50 would make the scalar a float64 operand); other
 operands follow numpy promotion. ``mean`` divides by a Python int.
 
@@ -18,14 +17,18 @@ conv_transpose2d take ``relu=True`` to apply a ReLU in place and mask the
 gradient by ``out > 0``, so the pre-activation output is not kept. conv2d
 also takes ``pool=k``, a k-by-k average pool after the ReLU: the tape then
 keeps the pooled output and a boolean ReLU mask, not the full-resolution
-output. grid_sample recomputes its coordinates and taps and correlate
-re-pads ``f_prev`` in backward. The per-pixel losses (binary_cross_entropy,
-abs_diff_sum, total_variation) are one node each with a per-item or scalar
-output; their backward recomputes the clamp mask, differences and signs, so
-no per-pixel intermediate of a loss stays on the tape. ``backward`` hands a
-node's gradient to its closure without keeping a reference, and
-conv_transpose2d drops it once it is copied into the padded buffer, before
-the im2col columns of its input gradient are built.
+output. grid_sample, the reconstruction warp, keeps only its transform,
+field and mask: forward and backward recompute the displaced points, their
+coordinates and the taps, and read the image rows in place by index, so
+no per-pixel array of the warp and no copy of the frames is on the tape.
+correlate re-pads ``f_prev`` in backward. The per-pixel losses
+(binary_cross_entropy, abs_diff_sum, total_variation) are one node each
+with a per-item or scalar output; their backward recomputes the clamp
+mask, differences and signs, so no per-pixel intermediate of a loss stays
+on the tape. ``backward`` hands a node's gradient to its closure without
+keeping a reference, and conv_transpose2d drops it once it is copied into
+the padded buffer, before the im2col columns of its input gradient are
+built.
 
 Scratch memory: both conv ops run on three kernels. ``_gather`` (conv2d's
 forward, conv_transpose2d's input gradient) builds im2col columns and
@@ -39,16 +42,18 @@ is one input-sized tap, not kh*kw of them. conv_transpose2d adds its bias
 in place and writes the ReLU-masked gradient straight into a zeroed
 padded buffer, which ``_gather`` and ``_kernel_grad`` both read.
 grid_sample runs its forward and its backward over the same batch slices,
-recomputing each slice's coordinates and taps, so neither holds
-full-batch float64 coordinates or taps; its backward builds its
-grid-gradient terms in place in two reused buffers.
+recomputing each slice's points, coordinates and taps (one take per corner
+from a flat view of the image's pixels), so neither holds a full-batch
+per-pixel buffer besides its output or gradients; its backward
+builds its coordinate-gradient terms in place in two reused buffers and
+writes the transform, field and mask gradients slice by slice.
 
 Conventions:
   - images and feature maps are NHWC;
   - conv kernels are (kh, kw, c_in, c_out), for transposed conv as well;
   - linear weights are (d_in, d_out) so forward is ``x @ w``;
-  - sampling grids are normalized to [-1, 1] with align-corners semantics
-    (grid value -1 is the center of the first pixel, +1 the last).
+  - sampling coordinates are normalized to [-1, 1] with align-corners
+    semantics (-1 is the center of the first pixel, +1 the last).
 """
 
 from __future__ import annotations
@@ -127,16 +132,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    _check_broadcast("sub", a, b)
-    return _result(
-        "sub", a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                   _unbroadcast(-g, b.data.shape) if b.requires_grad else None),
-    )
-
-
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
     _check_broadcast("mul", a, b)
@@ -160,11 +155,6 @@ def div(a, b) -> Tensor:
         )
 
     return _result("div", out, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _result("neg", -a.data, (a,), lambda g: (-g,))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +303,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 # per-pixel losses, one node each: the closure keeps the inputs, and backward
 # recomputes the clamp mask, differences and signs it reads. Forward and
 # backward do the float32 arithmetic, in the same order, of the equivalent
-# chain of generic ops (clip, log, mul, sub, abs, mean, slicing), so values
+# chain of generic ops (clip, log, add, mul, abs, mean, slicing), so values
 # and gradients, signed zeros included, are bitwise that chain's.
 
 
@@ -596,14 +586,26 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
 # sampling and correlation
 
 
-def _bilinear_taps(img: np.ndarray, grid: np.ndarray):
-    """Everything bilinear sampling of ``img`` at ``grid`` reads: batch and
-    corner indices, fractional offsets, in-range masks and the four taps."""
-    n, h, w, _ = img.shape
+def _identity_grid(h: int, w: int, dtype) -> np.ndarray:
+    """Pixel-center coordinates (h, w, 2), (x, y) spanning [-1, 1]^2."""
+    grid = np.empty((h, w, 2), dtype=dtype)
+    grid[..., 0] = np.linspace(-1.0, 1.0, w).astype(dtype)[None, :]
+    grid[..., 1] = np.linspace(-1.0, 1.0, h).astype(dtype)[:, None]
+    return grid
+
+
+def _bilinear_taps(img: np.ndarray, rows: np.ndarray, xy: np.ndarray):
+    """Everything bilinear sampling of the rows ``img[rows]`` at the
+    normalized coordinates ``xy`` (ns, P, 2) reads: fractional offsets,
+    in-range masks and the four taps, each (ns, P, ...). The taps are
+    gathered from a flat view of ``img``'s pixels, not from a copy of the
+    rows."""
+    _, h, w, _ = img.shape
     # pixel coordinates in float64: the only remaining identity-warp error
-    # is the float32 storage error of the grid itself (< 1e-6 at desk sizes)
-    gx = (grid[..., 0].astype(np.float64) + 1.0) * 0.5 * (w - 1)
-    gy = (grid[..., 1].astype(np.float64) + 1.0) * 0.5 * (h - 1)
+    # is the float32 storage error of the coordinates themselves (< 1e-6 at
+    # desk sizes)
+    gx = (xy[..., 0].astype(np.float64) + 1.0) * 0.5 * (w - 1)
+    gy = (xy[..., 1].astype(np.float64) + 1.0) * 0.5 * (h - 1)
     inx = (gx > 0.0) & (gx < w - 1.0)
     iny = (gy > 0.0) & (gy < h - 1.0)
     gx = np.clip(gx, 0.0, w - 1.0)
@@ -612,50 +614,70 @@ def _bilinear_taps(img: np.ndarray, grid: np.ndarray):
     y0 = np.minimum(gy.astype(np.int64), h - 2)
     fx = (gx - x0).astype(img.dtype)[..., None]
     fy = (gy - y0).astype(img.dtype)[..., None]
-    bidx = np.arange(n).reshape(n, 1, 1)
-    taps = (img[bidx, y0, x0], img[bidx, y0, x0 + 1],
-            img[bidx, y0 + 1, x0], img[bidx, y0 + 1, x0 + 1])
-    return bidx, x0, y0, fx, fy, inx, iny, taps
+    # one take per corner from the (M * H * W, C) pixel table: several times
+    # faster than indexing (row, y, x) arrays
+    corner = (rows[:, None] * h + y0) * w + x0
+    pixels = img.reshape(-1, img.shape[3])
+    taps = tuple(np.take(pixels, corner + k, axis=0) for k in (0, 1, w, w + 1))
+    return fx, fy, inx, iny, taps
 
 
-def grid_sample(img, grid) -> Tensor:
-    """Bilinear sampling of ``img`` (NHWC) at normalized grid coordinates.
+def grid_sample(img, index, transform, field, mask) -> Tensor:
+    """Warp of image rows: bilinear sampling of ``img[index[i]]`` at the
+    coordinates ``A p + t`` of the points ``p = X + mask * field``.
 
-    ``grid`` is (N, Hg, Wg, 2) with channel 0 = x and channel 1 = y in
-    [-1, 1] (align-corners). Out-of-range coordinates clamp to the border.
-    Forward and backward run one batch slice at a time; backward recomputes
-    each slice's coordinates and taps from the inputs.
+    ``img`` is a constant (M, Hi, Wi, C) array, read in place by the row
+    ``index[i]`` of each batch item and given no gradient. ``transform`` is
+    (N, 2, 3) [A | t], ``field`` (N, H, W, 2) and ``mask`` (N, H, W); X is
+    the identity grid of H x W, the output (N, H, W, C). Coordinates are
+    (x, y) normalized to [-1, 1] (align-corners); out-of-range ones clamp
+    to the border. Forward and backward run one batch slice at a time and
+    recompute each slice's points, coordinates and taps from the inputs, so
+    the tape keeps no per-pixel buffer of the warp.
     """
-    img, grid = as_tensor(img), as_tensor(grid)
-    n, h, w, c = img.data.shape
-    if grid.ndim != 4 or grid.data.shape[3] != 2 or grid.data.shape[0] != n:
-        raise ShapeError(f"grid_sample: grid {grid.data.shape} incompatible with image {img.data.shape}")
-    hg, wg = grid.data.shape[1:3]
-    # per sampled pixel: float64 coordinates, int64 corners, and the four
-    # taps with as many products of their size
-    slices = _batch_slices(n, hg * wg * (32 + 8 * c * img.data.itemsize))
-    out = np.empty((n, hg, wg, c), img.data.dtype)
+    transform, field, mask = as_tensor(transform), as_tensor(field), as_tensor(mask)
+    img, index = np.asarray(img), np.asarray(index)
+    if img.ndim != 4 or field.ndim != 4 or field.data.shape[3] != 2:
+        raise ShapeError(f"grid_sample: image rows {img.shape} and field {field.data.shape} "
+                         "are not (M, H, W, C) and (N, H, W, 2)")
+    n, h, w, _ = field.data.shape
+    if (transform.data.shape != (n, 2, 3) or mask.data.shape != (n, h, w)
+            or index.shape != (n,)):
+        raise ShapeError(f"grid_sample: transform {transform.data.shape}, mask "
+                         f"{mask.data.shape} and index {index.shape} do not match field "
+                         f"{field.data.shape}")
+    if index.dtype.kind not in "iu" or (n and not 0 <= index.min() <= index.max() < len(img)):
+        raise ShapeError(f"grid_sample: index must hold rows of the {len(img)} image rows")
+    _, hi, wi, c = img.shape
+
+    def coords(s):
+        """The points and their coordinates for batch slice ``s``, each
+        (ns, H * W, 2), computed as the chain ``reshape(X + field * mask)``,
+        ``matmul`` with the stacked A^T, ``+ t``."""
+        ns = s.stop - s.start
+        base = _identity_grid(h, w, field.data.dtype.type)
+        pts = (base + field.data[s] * mask.data[s, ..., None]).reshape(ns, h * w, 2)
+        a_t = transform.data[s, :, :2].transpose(0, 2, 1)
+        return pts, pts @ a_t + transform.data[s, None, :, 2]
+
+    # per sampled pixel: points and coordinates, float64 coordinates, int64
+    # corners, and the four taps with as many products of their size
+    slices = _batch_slices(n, h * w * (32 + 8 * field.data.itemsize + 8 * c * img.itemsize))
+    out = np.empty((n, h, w, c), img.dtype)
     for s in slices:
-        _, _, _, fx, fy, _, _, (i00, i01, i10, i11) = _bilinear_taps(img.data[s], grid.data[s])
+        fx, fy, _, _, (i00, i01, i10, i11) = _bilinear_taps(img, index[s], coords(s)[1])
         top = i00 * (1 - fx) + i01 * fx
         bot = i10 * (1 - fx) + i11 * fx
-        out[s] = top * (1 - fy) + bot * fy
+        out[s] = (top * (1 - fy) + bot * fy).reshape(-1, h, w, c)
 
     def bwd(g):
-        gimg = np.zeros((n, h * w, c), dtype=g.dtype) if img.requires_grad else None
-        ggrid = np.empty_like(grid.data)
+        gt = np.empty_like(transform.data) if transform.requires_grad else None
+        gf = np.empty_like(field.data) if field.requires_grad else None
+        gm = np.empty_like(mask.data) if mask.requires_grad else None
         for s in slices:
-            bidx, x0, y0, fx, fy, inx, iny, (i00, i01, i10, i11) = _bilinear_taps(
-                img.data[s], grid.data[s])
-            gs = g[s]
-            if gimg is not None:
-                for yi, xi, wgt in (
-                    (y0, x0, (1 - fy) * (1 - fx)),
-                    (y0, x0 + 1, (1 - fy) * fx),
-                    (y0 + 1, x0, fy * (1 - fx)),
-                    (y0 + 1, x0 + 1, fy * fx),
-                ):
-                    np.add.at(gimg[s], (bidx, yi * w + xi), gs * wgt)
+            pts, xy = coords(s)
+            fx, fy, inx, iny, (i00, i01, i10, i11) = _bilinear_taps(img, index[s], xy)
+            gs = g[s].reshape(i00.shape)
 
             # ((a - b) * fa + (c - d) * fc) * g for the x and then the y term,
             # built in place in two buffers the two terms share
@@ -667,11 +689,24 @@ def grid_sample(img, grid) -> Tensor:
                 np.multiply(np.add(term, tmp, out=term), gs, out=term)
                 return term.sum(axis=-1)
 
-            ggrid[s, ..., 0] = slope(i01, i00, 1 - fy, i11, i10, fy) * inx * (0.5 * (w - 1))
-            ggrid[s, ..., 1] = slope(i10, i00, 1 - fx, i11, i01, fx) * iny * (0.5 * (h - 1))
-        return (None if gimg is None else gimg.reshape(img.data.shape)), ggrid
+            gxy = np.empty_like(xy)
+            gxy[..., 0] = slope(i01, i00, 1 - fy, i11, i10, fy) * inx * (0.5 * (wi - 1))
+            gxy[..., 1] = slope(i10, i00, 1 - fx, i11, i01, fx) * iny * (0.5 * (hi - 1))
+            del fx, fy, inx, iny, i00, i01, i10, i11, term, tmp
+            # the chain's matmul and ``+ t`` gradients, then those of the points
+            if gt is not None:
+                gt[s, :, :2] = (np.swapaxes(pts, -1, -2) @ gxy).transpose(0, 2, 1)
+                gt[s, :, 2] = gxy.sum(axis=1)
+            if gf is None and gm is None:
+                continue
+            gp = (gxy @ transform.data[s, :, :2]).reshape(-1, h, w, 2)
+            if gf is not None:
+                np.multiply(gp, mask.data[s, ..., None], out=gf[s])
+            if gm is not None:
+                gm[s] = np.multiply(gp, field.data[s], out=gp).sum(axis=-1)
+        return gt, gf, gm
 
-    return _result("grid_sample", out, (img, grid), bwd)
+    return _result("grid_sample", out, (transform, field, mask), bwd)
 
 
 def correlate(f_prev, f_cur, d: int) -> Tensor:
@@ -719,12 +754,9 @@ def correlate(f_prev, f_cur, d: int) -> Tensor:
 
 Tensor.__add__ = lambda self, other: add(self, other)
 Tensor.__radd__ = lambda self, other: add(other, self)
-Tensor.__sub__ = lambda self, other: sub(self, other)
-Tensor.__rsub__ = lambda self, other: sub(other, self)
 Tensor.__mul__ = lambda self, other: mul(self, other)
 Tensor.__rmul__ = lambda self, other: mul(other, self)
 Tensor.__truediv__ = lambda self, other: div(self, other)
 Tensor.__rtruediv__ = lambda self, other: div(other, self)
-Tensor.__neg__ = lambda self: neg(self)
 Tensor.__matmul__ = lambda self, other: matmul(self, other)
 Tensor.__getitem__ = lambda self, index: slice_(self, index)

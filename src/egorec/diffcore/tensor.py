@@ -10,17 +10,20 @@ keeps is what its backward reads: conv ops fuse a following ReLU (one
 array on the tape, not two), conv2d also a following average pool (the
 pooled output and a boolean ReLU mask, not the full-resolution output),
 each per-pixel loss (binary cross entropy, summed absolute difference,
-total variation) is one node with a per-item or scalar output, and ops
-whose backward needs cheap derived buffers (clamp masks, signs,
-differences, sampling taps) recompute them from the inputs. ``backward``
-hands each node's gradient to its closure without keeping a reference of
-its own, so a closure that drops the gradient once read frees it there.
+total variation) is one node with a per-item or scalar output, the
+reconstruction warp is one node that keeps its transform, field and mask
+and reads the frames in place by row index, and ops whose backward needs
+cheap derived buffers (clamp masks, signs, differences, the warp's
+displaced points, coordinates and taps) recompute them from the inputs.
+``backward`` hands each node's gradient to its closure without keeping a
+reference of its own, so a closure that drops the gradient once read frees
+it there.
 
 Training runs in float32 from the loss back to the parameters;
 verification (gradient checking) runs in float64 by constructing the
 inputs as float64 arrays. An op's output has the dtype numpy promotion
 gives its tensor inputs, with one rule on top: a Python or numpy scalar
-operand of add/sub/mul/div takes the dtype of its tensor partner. Without
+operand of add/mul/div takes the dtype of its tensor partner. Without
 it, NEP 50 (numpy 2) treats the scalar as a float64 array that promotes a
 float32 partner to float64. ``backward`` raises ``TapeError`` naming the op
 when a gradient's dtype differs from its input's, so float64 cannot leak

@@ -119,10 +119,12 @@ class InteractionModel(Module):
 
         if need_rec:
             m3_cur = _pairs(masks.m3, b, False)
-            prev_img = Tensor(frames[:, :-1].reshape(b * (n - 1), h, w, 3))
-            cur_img = Tensor(frames[:, 1:].reshape(b * (n - 1), h, w, 3))
-            res.recon = warp_previous(prev_img, est, m3_cur)
-            res.l_rec = reconstruction_loss(cur_img, res.recon)
+            # the warp reads each pair's earlier frame by its row of the flat
+            # frames, and the loss the later frames in place: neither is copied
+            prev_rows = (n * np.arange(b)[:, None] + np.arange(n - 1)).reshape(-1)
+            res.recon = warp_previous(frames.reshape(b * n, h, w, 3), prev_rows, est, m3_cur)
+            res.l_rec = reconstruction_loss(Tensor(frames[:, 1:]),
+                                            dc.reshape(res.recon, (b, n - 1, h, w, 3)))
             res.l_smooth = smoothness_loss(est.field, m3_cur)
 
         if need_cls:

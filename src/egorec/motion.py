@@ -6,7 +6,9 @@ motion. Pixel coordinates are normalized to [-1, 1] with align-corners
 semantics, so predicted magnitudes are resolution independent. The current
 frame is reconstructed by bilinear sampling of the previous frame at the
 transformed coordinates, trained with a photometric L1 loss plus a
-smoothness penalty on the masked field.
+smoothness penalty on the masked field. The warp is one op
+(``dc.grid_sample``) that recomputes the displaced points and their
+coordinates in forward and backward, so they are never stored.
 
 The affine transform is a 2x3 matrix [A | t] acting on (x, y) as A p + t.
 It is predicted as a residual from the identity and both output heads are
@@ -31,16 +33,6 @@ class MotionEstimate:
     field: Tensor       # (N, H, W, 2) in normalized coordinates
     f_gm: Tensor        # (N, embed_dim) global motion embedding
     f_lm: Tensor        # (N, embed_dim) local motion embedding
-
-
-def identity_grid(h: int, w: int, dtype=np.float32) -> np.ndarray:
-    """Pixel-center coordinates (h, w, 2), (x, y) spanning [-1, 1]^2."""
-    xs = np.linspace(-1.0, 1.0, w).astype(dtype)
-    ys = np.linspace(-1.0, 1.0, h).astype(dtype)
-    grid = np.empty((h, w, 2), dtype=dtype)
-    grid[..., 0] = xs[None, :]
-    grid[..., 1] = ys[:, None]
-    return grid
 
 
 class MotionEstimator(Module):
@@ -97,24 +89,10 @@ class MotionEstimator(Module):
         return MotionEstimate(transform=transform, field=field, f_gm=f_gm, f_lm=f_lm)
 
 
-def transform_coords(transform: Tensor, field: Tensor, m3: Tensor) -> Tensor:
-    """Per-pixel source coordinates: ``A p + t`` at the points
-    ``p = X + M3 (x) D``, for ``transform`` = [A | t] (N, 2, 3).
-
-    Returns an (N, H, W, 2) grid of (x, y) for ``dc.grid_sample``.
-    """
-    n, h, w, _ = field.shape
-    base = Tensor(identity_grid(h, w, dtype=field.dtype.type))
-    pts = dc.reshape(base + field * dc.reshape(m3, (n, h, w, 1)), (n, h * w, 2))
-    a_t = dc.transpose(transform[:, :, :2], (0, 2, 1))
-    out = dc.matmul(pts, a_t) + dc.reshape(transform[:, :, 2], (n, 1, 2))
-    return dc.reshape(out, (n, h, w, 2))
-
-
 def reconstruction_loss(target: Tensor, rebuilt: Tensor) -> Tensor:
-    """Photometric L1, summed over channels and averaged per pixel and batch."""
-    n, h, w = target.shape[:3]
-    return dc.abs_diff_sum(target, rebuilt) * (1.0 / (n * h * w))
+    """Photometric L1 of (..., H, W, 3) frames, summed over channels and
+    averaged over every pixel of every frame."""
+    return dc.abs_diff_sum(target, rebuilt) * (1.0 / (target.size // target.shape[-1]))
 
 
 def smoothness_loss(field: Tensor, m3: Tensor) -> Tensor:
@@ -122,6 +100,8 @@ def smoothness_loss(field: Tensor, m3: Tensor) -> Tensor:
     return dc.total_variation(field, m3)
 
 
-def warp_previous(prev_frame: Tensor, est: MotionEstimate, m3: Tensor) -> Tensor:
-    """Reconstruct the current frame from the previous one."""
-    return dc.grid_sample(prev_frame, transform_coords(est.transform, est.field, m3))
+def warp_previous(frames: np.ndarray, prev_rows: np.ndarray, est: MotionEstimate,
+                  m3: Tensor) -> Tensor:
+    """Reconstruct each pair's current frame from its previous one, the row
+    ``prev_rows[i]`` of the (M, H, W, 3) ``frames``, read in place."""
+    return dc.grid_sample(frames, prev_rows, est.transform, est.field, m3)

@@ -91,9 +91,11 @@ class TestSegmentationLoss:
         for m in masks.scales()[1:]:
             target = Tensor(resize_area(ref, *m.shape[1:3]).astype(m.dtype))
             mc = dc.clip(m, MASK_EPS, 1.0 - MASK_EPS)
-            term = dc.mean(target * dc.log(mc) + (1.0 - target) * dc.log(1.0 - mc), axis=(1, 2))
+            # 1 - x as -1 * x + 1, bitwise the same
+            term = dc.mean(target * dc.log(mc) + (target * -1.0 + 1.0) * dc.log(mc * -1.0 + 1.0),
+                           axis=(1, 2))
             total = term if total is None else total + term
-        return dc.mean(-total)
+        return dc.mean(total * -1.0)
 
     def test_bitwise_equal_to_the_chain(self):
         """float32 masks with values inside, at and beyond the clamp bounds,

@@ -10,7 +10,6 @@ import egorec.diffcore as dc
 import egorec.synthdata as synthdata
 from egorec.diffcore import Tensor
 from egorec.imageio import write_pgm, write_ppm
-from egorec.motion import transform_coords
 from egorec.synthdata import (
     VARIANT_CLASSES,
     GenConfig,
@@ -205,8 +204,8 @@ def test_gt_conventions_against_warp():
     field = np.zeros((1, 16, 32, 2))
     field[..., 0] = -clip.gt_local[t - 1, 0]
     field[..., 1] = -clip.gt_local[t - 1, 1]
-    grid = transform_coords(Tensor(T), Tensor(field), Tensor(mask_cur[None].astype(np.float64)))
-    out = dc.grid_sample(Tensor(prev[None].astype(np.float64)), grid).numpy()[0]
+    out = dc.grid_sample(prev[None].astype(np.float64), np.array([0]), Tensor(T), Tensor(field),
+                         Tensor(mask_cur[None].astype(np.float64))).numpy()[0]
 
     moving = _dilate((clip.ref_masks[t - 1] + mask_cur) > 0, 3)
     valid = np.zeros((16, 32), bool)
