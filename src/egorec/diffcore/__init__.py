@@ -35,14 +35,13 @@ from .ops import (
     sum_,
     tanh_,
     total_variation,
-    transpose,
 )
 from .gradcheck import GradCheckReport, grad_check
 
 __all__ = [
     "Tensor", "Tape", "backward", "active_tape", "as_tensor",
     "ShapeError", "NonFiniteError", "TapeError", "set_debug_nan",
-    "add", "mul", "div", "matmul", "transpose",
+    "add", "mul", "div", "matmul",
     "reshape", "concat", "slice_", "sum_", "mean",
     "sigmoid", "tanh_", "relu", "log", "clip", "softmax",
     "binary_cross_entropy", "abs_diff_sum", "total_variation",

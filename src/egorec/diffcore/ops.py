@@ -175,13 +175,6 @@ def matmul(a, b) -> Tensor:
     return _result("matmul", out, (a, b), bwd)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _result("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -610,8 +603,10 @@ def _bilinear_taps(img: np.ndarray, rows: np.ndarray, xy: np.ndarray):
     iny = (gy > 0.0) & (gy < h - 1.0)
     gx = np.clip(gx, 0.0, w - 1.0)
     gy = np.clip(gy, 0.0, h - 1.0)
-    x0 = np.minimum(gx.astype(np.int64), w - 2)
-    y0 = np.minimum(gy.astype(np.int64), h - 2)
+    # a NaN coordinate reads the first corner, so its output is NaN, not an
+    # out-of-range index
+    x0 = np.minimum(np.fmax(gx, 0.0).astype(np.int64), w - 2)
+    y0 = np.minimum(np.fmax(gy, 0.0).astype(np.int64), h - 2)
     fx = (gx - x0).astype(img.dtype)[..., None]
     fy = (gy - y0).astype(img.dtype)[..., None]
     # one take per corner from the (M * H * W, C) pixel table: several times

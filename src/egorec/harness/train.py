@@ -11,8 +11,15 @@ once (``extract_features``, no tape). Every phase and head runs the same
 epoch loop (``_fit``); its learning rate halves when the smoothed loss
 stops improving by 1% over ``plateau_patience`` epochs. Every phase runs
 all its epochs and keeps its last parameters: training reads only the
-train split. A non-finite batch loss or cached feature raises a
+train split. A non-finite pass loss or cached feature raises a
 ``NonFiniteError`` naming the first op whose output was not finite.
+
+The front end runs on at most ``FRONT_END_CLIPS`` clips per pass, in
+training and in ``extract_features``. Every loss is a mean over clips and
+no layer couples the clips of a batch, so a front-end phase accumulates
+each optimizer batch's gradient over passes of that many clips, each on
+its own tape, and Adam steps once per batch. The heads' tape is small, so
+phase 1c and the ablation heads run one pass per batch.
 
 ``evaluate_clips`` scores ``model.interact`` as the ablation heads are
 scored (``eval_head`` on ``extract_features``). Only training batches
@@ -34,12 +41,16 @@ from ..interact import InteractiveClassifier, classification_loss
 from ..synthdata import DatasetManifest, VideoClip, augment, load_split, sample_frames
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config
-from .losses import total_loss
+from .losses import LossBundle, total_loss
 from .model import InteractionModel
 from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
-EVAL_BATCH = 16     # clips per front-end pass of extract_features
+# Clips per front-end pass, in training steps and in extract_features. A
+# pass's tape grows with its clips; below two clips a pass the memory saved
+# is small and the per-op overhead is not (a default phase-2 step of 8
+# clips at 8/4/2/1 clips a pass: 116/83/68/58 MiB peak, 0.79/0.88/0.88/1.13 s).
+FRONT_END_CLIPS = 2
 
 # phase -> (parameter group trained, or None for all; forward flags; epochs field)
 SCHEDULE = {
@@ -89,11 +100,19 @@ def _phase_adam(phase: str, named, config: TrainConfig) -> Adam:
     return Adam(groups, beta1=config.beta1, beta2=config.beta2)
 
 
-def _fit(phase: str, module, named, batch_loss, n: int, epochs: int,
+def _fit(phase: str, module, named, batch_loss, n: int, clips_per_pass: int, epochs: int,
          config: TrainConfig, rng: np.random.Generator, log=None) -> None:
     """The epoch loop of every phase and head: each epoch batches a fresh
-    permutation of ``n`` items, ``batch_loss(idx, rng)`` returns a batch's
-    (loss Tensor, LossBundle), and Adam steps the ``named`` parameters."""
+    permutation of ``n`` items and splits each batch into passes of at most
+    ``clips_per_pass`` items. ``batch_loss(idx, rng)`` returns a pass's
+    (loss Tensor, LossBundle), each a mean over its items. Each pass is
+    recorded on its own tape and differentiated at once, weighted by its
+    share of the batch's items (a weight of exactly 1.0 adds no op), so the
+    ``named`` parameters' gradients sum to the batch's; Adam then steps
+    once per batch. A batch's logged loss and components are the
+    item-weighted means over its passes, averaged over the epoch's batches.
+    A non-finite pass loss is replayed from the generator as it was before
+    that pass, to name its first non-finite op."""
     params = [p for _, p in named]
     opt = _phase_adam(phase, named, config)
     smoothed = None
@@ -102,30 +121,38 @@ def _fit(phase: str, module, named, batch_loss, n: int, epochs: int,
 
     for epoch in range(epochs):
         order = rng.permutation(n)
-        epoch_loss = 0.0
+        sums = dict.fromkeys(vars(LossBundle()), 0.0)
         nb = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            rng_before = copy.deepcopy(rng)
-            with Tape() as tape:
-                loss, bundle = batch_loss(idx, rng)
-            if not np.isfinite(bundle.l_final):
-                # replaying from the generator as it was repeats every draw
-                op = _first_non_finite_op(lambda: batch_loss(idx, rng_before))
-                raise NonFiniteError(f"phase {phase} epoch {epoch + 1}/{epochs}: loss is "
-                                     f"{bundle.l_final}; first non-finite op: {op}")
-            backward(tape, loss, params=params)
+            for first in range(0, len(idx), clips_per_pass):
+                part = idx[first:first + clips_per_pass]
+                weight = len(part) / len(idx)
+                rng_before = copy.deepcopy(rng)
+                with Tape() as tape:
+                    loss, bundle = batch_loss(part, rng)
+                    if weight != 1.0:
+                        loss = loss * weight
+                if not np.isfinite(bundle.l_final):
+                    # replaying from the generator as it was repeats every draw
+                    op = _first_non_finite_op(lambda: batch_loss(part, rng_before))
+                    raise NonFiniteError(f"phase {phase} epoch {epoch + 1}/{epochs}: loss is "
+                                         f"{bundle.l_final}; first non-finite op: {op}")
+                backward(tape, loss, params=params)
+                for name, value in vars(bundle).items():
+                    sums[name] += weight * value
             opt.step()
             # frozen groups get gradients too; clearing every parameter keeps
             # them from piling up across steps and phases
             module.zero_grad()
-            epoch_loss += bundle.l_final
             nb += 1
-        epoch_loss /= max(nb, 1)
+        means = {name: total / max(nb, 1) for name, total in sums.items()}
+        epoch_loss = means.pop("l_final")
         smoothed = epoch_loss if smoothed is None else 0.6 * smoothed + 0.4 * epoch_loss
         if log:
             log(f"phase {phase} epoch {epoch + 1}/{epochs} loss {epoch_loss:.5f} "
-                f"(smoothed {smoothed:.5f})")
+                f"(smoothed {smoothed:.5f}) "
+                + " ".join(f"{name} {value:.5f}" for name, value in means.items()))
         if smoothed < best_smoothed * 0.99:
             best_smoothed = smoothed
             since_improve = 0
@@ -159,8 +186,8 @@ def extract_features(model: InteractionModel, clips, config: TrainConfig):
 
     def run():
         parts = []
-        for start in range(0, len(clips), EVAL_BATCH):
-            batch = clips[start:start + EVAL_BATCH]
+        for start in range(0, len(clips), FRONT_END_CLIPS):
+            batch = clips[start:start + FRONT_END_CLIPS]
             frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])
             parts.append(model.stream_features(frames))
         return tuple(np.concatenate(p).astype(np.float32) for p in zip(*parts))
@@ -180,7 +207,7 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
         _, probs = head.classify(*(Tensor(f[idx]) for f in feats), rng)
         return total_loss(config, l_cls=classification_loss(probs, labels[idx]))
     _fit("1c", head, list(head.named_parameters()), batch_loss, len(labels),
-         config.epochs_interaction, config, rng, log)
+         config.batch_size, config.epochs_interaction, config, rng, log)
 
 
 def eval_head(head: InteractiveClassifier, feats, labels) -> MetricsReport:
@@ -213,8 +240,8 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
         res = model.forward(frames, masks, labels, rng=rng, **needs)
         return total_loss(config, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
     named = model.all_named() if group is None else model.group(group)
-    _fit(phase, model, named, batch_loss, len(clips), getattr(config, epochs_field),
-         config, rng, log)
+    _fit(phase, model, named, batch_loss, len(clips), FRONT_END_CLIPS,
+         getattr(config, epochs_field), config, rng, log)
 
 
 def _read_checkpoint(ckpt_path) -> tuple[dict[str, np.ndarray], str, str]:

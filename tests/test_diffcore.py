@@ -453,6 +453,12 @@ def _abs_reference(a):
     return _result("abs", np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
+def _transpose_reference(a, axes):
+    """``a`` with its axes permuted, as one node: the reference chains' transpose."""
+    inv = tuple(np.argsort(axes))
+    return _result("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+
+
 def _minus(a, b):
     """``a - b`` as ``a + b * -1``: bitwise the same value and gradients."""
     return a + b * -1.0
@@ -591,7 +597,7 @@ def _coords_chain(transform, field, mask):
     n, h, w, _ = field.shape
     base = Tensor(ops._identity_grid(h, w, field.dtype.type))
     pts = dc.reshape(base + field * dc.reshape(mask, (n, h, w, 1)), (n, h * w, 2))
-    a_t = dc.transpose(transform[:, :, :2], (0, 2, 1))
+    a_t = _transpose_reference(transform[:, :, :2], (0, 2, 1))
     out = dc.matmul(pts, a_t) + dc.reshape(transform[:, :, 2], (n, 1, 2))
     return dc.reshape(out, (n, h, w, 2))
 
@@ -772,7 +778,7 @@ def test_primitive_grad_sweep(seed):
         (lambda u, v: _scalarize(u / v), [rt((3, 4)), rt((3, 4), lo=0.5, hi=2.0)]),
         (lambda u, v: _scalarize(dc.matmul(u, v)), [rt((3, 4)), rt((4, 2))]),
         (lambda u, v: _scalarize(dc.matmul(u, v)), [rt((2, 3, 4)), rt((4, 2))]),
-        (lambda u: _scalarize(dc.transpose(u, (1, 0, 2))), [rt((2, 3, 2))]),
+        (lambda u: _scalarize(_transpose_reference(u, (1, 0, 2))), [rt((2, 3, 2))]),
         (lambda u: _scalarize(dc.reshape(u, (6,))), [rt((2, 3))]),
         (lambda u, v: _scalarize(dc.concat([u, v], axis=1)), [rt((2, 3)), rt((2, 2))]),
         (lambda u: _scalarize(u[1:, :2]), [rt((3, 4))]),
@@ -871,6 +877,15 @@ class TestOpSemantics:
         out = dc.grid_sample(img, np.array([1]), shift, t(rng.uniform(size=(1, 3, 4, 2))),
                              t(rng.uniform(size=(1, 3, 4)))).numpy()
         np.testing.assert_allclose(out, np.broadcast_to(img[1:, 2:3, 3:4], out.shape), atol=1e-12)
+
+    def test_grid_sample_nan_transform_gives_nan(self):
+        """A non-finite transform samples NaN, so the loss it feeds is not
+        finite, instead of indexing outside the image."""
+        img = np.random.default_rng(16).uniform(size=(1, 3, 4, 2))
+        shift = t([[[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        out = dc.grid_sample(img, np.array([0]), shift, t(np.zeros((1, 3, 4, 2))),
+                             t(np.ones((1, 3, 4)))).numpy()
+        assert np.isnan(out).all()
 
     def test_pool_epilogue_matches_reshape_mean(self):
         """``pool=2`` equals a numpy reshape-mean of the ReLU'd conv, and its
