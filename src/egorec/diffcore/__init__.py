@@ -24,6 +24,7 @@ from .ops import (
     div,
     grid_sample,
     log,
+    lstm_cell,
     matmul,
     mean,
     mul,
@@ -43,7 +44,7 @@ __all__ = [
     "ShapeError", "NonFiniteError", "TapeError", "set_debug_nan",
     "add", "mul", "div", "matmul",
     "reshape", "concat", "slice_", "sum_", "mean",
-    "sigmoid", "tanh_", "relu", "log", "clip", "softmax",
+    "sigmoid", "tanh_", "relu", "log", "clip", "softmax", "lstm_cell",
     "binary_cross_entropy", "abs_diff_sum", "total_variation",
     "conv2d", "conv_transpose2d", "grid_sample", "correlate",
     "grad_check", "GradCheckReport",

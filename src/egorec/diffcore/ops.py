@@ -2,9 +2,10 @@
 
 Every op computes a numpy forward result and, when a tape is active and an
 input requires grad, appends a node whose backward closure maps the output
-gradient to per-input gradients. add/mul/div/concat, conv2d and
-grid_sample return None for an input that does not require grad (a dropout
-mask, a one-hot label) instead of computing it. Shapes are validated
+gradient to per-input gradients. add/mul/div/concat, conv2d, grid_sample
+and lstm_cell return None for an input that does not require grad (a
+dropout mask, a one-hot label, a first step's zero state) instead of
+computing it. Shapes are validated
 eagerly; shape errors name the op and the offending shapes.
 
 Dtypes: a Python or numpy scalar operand of add/mul/div takes the dtype
@@ -25,7 +26,10 @@ correlate re-pads ``f_prev`` in backward. The per-pixel losses
 (binary_cross_entropy, abs_diff_sum, total_variation) are one node each
 with a per-item or scalar output; their backward recomputes the clamp
 mask, differences and signs, so no per-pixel intermediate of a loss stays
-on the tape. ``backward`` hands a node's gradient to its closure without
+on the tape. lstm_cell, one LSTM step, keeps its four gate activations,
+the tanh of the new cell state and, when cross-gated, a boolean mask of
+the cross-gate's positive pre-activations; it reads the previous states
+in place. ``backward`` hands a node's gradient to its closure without
 keeping a reference, and conv_transpose2d drops it once it is copied into
 the padded buffer, before the im2col columns of its input gradient are
 built.
@@ -245,14 +249,16 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # activations and pointwise nonlinearities
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one exp of
+    -|x|, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(a.data)
     return _result("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -290,6 +296,84 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return _result("softmax", out, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# recurrent cell
+
+
+def lstm_cell(xw, hc, u, b, hc_other=None, v=None, vb=None) -> Tensor:
+    """One LSTM step with the [i; o; g; a] gate layout, as one node.
+
+    ``xw`` (B, 4H) is the step's input term x·W, ``hc`` (B, 2H) the cell's
+    previous state packed as [h | c], ``u`` (H, 4H) and ``b`` (4H,). A
+    cross-gated cell also passes the other cell's previous packed state
+    ``hc_other`` and its own ``v`` (H, 4H) and ``vb`` (4H,). The
+    pre-activation is ``xw + h·U``, plus ``relu(h_other·V + vb)`` when
+    cross-gated, plus ``b``; i, o and g are its sigmoids and a its tanh.
+    Returns the packed new state [o·tanh(c) | c], c = i·a + g·c_prev.
+    Forward and backward do the arithmetic, in the same order, of the
+    equivalent chain of generic ops (matmul, add, relu, slicing, sigmoid,
+    tanh, mul), so values and gradients are bitwise that chain's."""
+    cross = (hc_other, v, vb)
+    if all(t is None for t in cross):
+        cross = ()
+    elif any(t is None for t in cross):
+        raise ShapeError("lstm_cell: hc_other, v and vb come together")
+    inputs = tuple(as_tensor(t) for t in (xw, hc, u, b) + cross)
+    xw, hc, u, b = inputs[:4]
+    n, hid = (xw.data.shape[0] if xw.ndim else 0), (u.data.shape[0] if u.ndim else 0)
+    want = [(n, 4 * hid), (n, 2 * hid), (hid, 4 * hid), (4 * hid,)]
+    if [t.data.shape for t in inputs] != (want + want[1:])[:len(inputs)]:
+        raise ShapeError(f"lstm_cell: shapes {[t.data.shape for t in inputs]} are not "
+                         "xw (B, 4H), hc (B, 2H), u (H, 4H), b (4H,), hc_other (B, 2H), "
+                         "v (H, 4H), vb (4H,)")
+    h_prev, c_prev = hc.data[:, :hid], hc.data[:, hid:]
+    pre = xw.data + h_prev @ u.data
+    if cross:
+        hc_other, v, vb = inputs[4:]
+        h_other = hc_other.data[:, :hid]
+        j = h_other @ v.data + vb.data
+        pre += np.maximum(j, 0.0)
+        j_pos = j > 0
+    pre += b.data
+    # [i | o | g | a]; tanh reads the gate's strided view, as the chain does
+    gates = np.empty_like(pre)
+    gates[:, :3 * hid] = _sigmoid(pre[:, :3 * hid])
+    gates[:, 3 * hid:] = np.tanh(pre[:, 3 * hid:])
+    i, o, g, a = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+    c = i * a + g * c_prev
+    tc = np.tanh(c)
+
+    def bwd(grad):
+        gh = grad[:, :hid]
+        gc = grad[:, hid:] + gh * o * (1.0 - tc * tc)
+        # summed into zeros, as the chain sums the gradients of its slices,
+        # so that a -0.0 there becomes +0.0
+        gpre = np.zeros_like(gates)
+        sig = gates[:, :3 * hid]
+        gsig = np.concatenate([gc * a, gh * tc, gc * c_prev], axis=1)  # at i, o and g
+        gpre[:, :3 * hid] += gsig * sig * (1.0 - sig)
+        gpre[:, 3 * hid:] += gc * i * (1.0 - a * a)
+        ghc = None
+        if hc.requires_grad:
+            ghc = np.zeros_like(hc.data)
+            ghc[:, :hid] += gpre @ u.data.T
+            ghc[:, hid:] += gc * g
+        grads = [gpre if xw.requires_grad else None, ghc,
+                 h_prev.T @ gpre if u.requires_grad else None,
+                 gpre.sum(axis=0) if b.requires_grad else None]
+        if cross:
+            gj = gpre * j_pos
+            gho = None
+            if hc_other.requires_grad:
+                gho = np.zeros_like(hc_other.data)
+                gho[:, :hid] = gj @ v.data.T
+            grads += [gho, h_other.T @ gj if v.requires_grad else None,
+                      gj.sum(axis=0) if vb.requires_grad else None]
+        return tuple(grads)
+
+    return _result("lstm_cell", np.concatenate([o * tc, c], axis=1), inputs, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +750,7 @@ def grid_sample(img, index, transform, field, mask) -> Tensor:
         out[s] = (top * (1 - fy) + bot * fy).reshape(-1, h, w, c)
 
     def bwd(g):
-        gt = np.empty_like(transform.data) if transform.requires_grad else None
+        gt = np.zeros_like(transform.data) if transform.requires_grad else None
         gf = np.empty_like(field.data) if field.requires_grad else None
         gm = np.empty_like(mask.data) if mask.requires_grad else None
         for s in slices:
@@ -690,8 +774,10 @@ def grid_sample(img, index, transform, field, mask) -> Tensor:
             del fx, fy, inx, iny, i00, i01, i10, i11, term, tmp
             # the chain's matmul and ``+ t`` gradients, then those of the points
             if gt is not None:
-                gt[s, :, :2] = (np.swapaxes(pts, -1, -2) @ gxy).transpose(0, 2, 1)
-                gt[s, :, 2] = gxy.sum(axis=1)
+                # added into zeros, as the chain sums the gradients of its two
+                # slices of the transform, so that a -0.0 there becomes +0.0
+                gt[s, :, :2] += (np.swapaxes(pts, -1, -2) @ gxy).transpose(0, 2, 1)
+                gt[s, :, 2] += gxy.sum(axis=1)
             if gf is None and gm is None:
                 continue
             gp = (gxy @ transform.data[s, :, :2]).reshape(-1, h, w, 2)

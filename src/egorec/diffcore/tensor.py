@@ -12,9 +12,11 @@ pooled output and a boolean ReLU mask, not the full-resolution output),
 each per-pixel loss (binary cross entropy, summed absolute difference,
 total variation) is one node with a per-item or scalar output, the
 reconstruction warp is one node that keeps its transform, field and mask
-and reads the frames in place by row index, and ops whose backward needs
-cheap derived buffers (clamp masks, signs, differences, the warp's
-displaced points, coordinates and taps) recompute them from the inputs.
+and reads the frames in place by row index, an LSTM step is one node that
+keeps its gate activations and the tanh of its cell state, and ops whose
+backward needs cheap derived buffers (clamp masks, signs, differences, the
+warp's displaced points, coordinates and taps) recompute them from the
+inputs.
 ``backward`` hands each node's gradient to its closure without keeping a
 reference of its own, so a closure that drops the gradient once read frees
 it there.

@@ -18,8 +18,9 @@ The front end runs on at most ``FRONT_END_CLIPS`` clips per pass, in
 training and in ``extract_features``. Every loss is a mean over clips and
 no layer couples the clips of a batch, so a front-end phase accumulates
 each optimizer batch's gradient over passes of that many clips, each on
-its own tape, and Adam steps once per batch. The heads' tape is small, so
-phase 1c and the ablation heads run one pass per batch.
+its own tape, and Adam steps once per batch: with one clip a pass, a
+phase-2 step holds the tape of one clip at a time. The heads' tape is
+small, so phase 1c and the ablation heads run one pass per batch.
 
 ``evaluate_clips`` scores ``model.interact`` as the ablation heads are
 scored (``eval_head`` on ``extract_features``). Only training batches
@@ -47,10 +48,11 @@ from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
 # Clips per front-end pass, in training steps and in extract_features. A
-# pass's tape grows with its clips; below two clips a pass the memory saved
-# is small and the per-op overhead is not (a default phase-2 step of 8
-# clips at 8/4/2/1 clips a pass: 116/83/68/58 MiB peak, 0.79/0.88/0.88/1.13 s).
-FRONT_END_CLIPS = 2
+# pass's tape grows with its clips, and each pass pays the recurrent head's
+# fixed cost, which is small since each cell step is one op. A default
+# phase-2 step of 8 clips at 8/4/2/1 clips a pass peaked at 115/82/67/57 MiB
+# and took 0.56/0.53/0.54/0.58 s (2 vCPU, one BLAS thread).
+FRONT_END_CLIPS = 1
 
 # phase -> (parameter group trained, or None for all; forward flags; epochs field)
 SCHEDULE = {

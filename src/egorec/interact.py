@@ -22,6 +22,13 @@ one piece:
 Without the relation branch the classifier reads the final hidden states
 (concatenated when there are two). A single-stream variant (ego, exo)
 builds and projects only the stream it reads.
+
+Each cell carries its state packed as [h | c], and each cell step is one
+``diffcore.lstm_cell`` op that adds the cross-gate signal inside it. A
+cell's input term x·W is one matmul over the whole sequence, taken
+before the loop; only the relation cell, whose input depends on the step,
+multiplies by its W per step. The probabilities are bitwise those of the
+same step written as a chain of generic ops.
 """
 
 from __future__ import annotations
@@ -51,40 +58,47 @@ PROB_EPS = 1e-7
 
 @dataclass
 class State:
-    """Recurrent state after one step.
+    """Recurrent state after ``steps`` steps.
 
-    ``f`` and ``c`` hold one (B, hidden) array per cell, in input order;
-    ``j`` holds the (B, 4*hidden) signal each cross-gated cell adds to its
-    next gates. ``r``, ``relation`` and ``c_rel`` belong to the relation
-    branch.
+    ``hc`` holds one (B, 2*hidden) state per cell, in input order, packed
+    as [h | c]; ``rel`` is the relation cell's and ``r`` the relation
+    input of the last step. ``f``, ``c`` and ``relation`` read the hidden
+    and cell halves.
     """
 
-    f: tuple[Tensor, ...]
-    c: tuple[Tensor, ...]
-    j: tuple[Tensor, ...] | None = None
+    hc: tuple[Tensor, ...]
+    rel: Tensor | None = None
     r: Tensor | None = None
-    relation: Tensor | None = None
-    c_rel: Tensor | None = None
+    steps: int = 0
+
+    @property
+    def f(self) -> tuple[Tensor, ...]:
+        return tuple(_half(t, 0) for t in self.hc)
+
+    @property
+    def c(self) -> tuple[Tensor, ...]:
+        return tuple(_half(t, 1) for t in self.hc)
+
+    @property
+    def relation(self) -> Tensor:
+        return _half(self.rel, 0)
 
 
-def _step_input(name: str, ego_seq: Tensor, exo_seq: Tensor, n: int) -> Tensor:
-    if name == "ego":
-        return ego_seq[:, n]
-    if name == "exo":
-        return exo_seq[:, n]
-    return dc.concat([ego_seq[:, n], exo_seq[:, n]], axis=1)
+def _half(hc: Tensor, k: int) -> Tensor:
+    """The hidden (``k`` = 0) or cell (``k`` = 1) half of a packed state."""
+    h = hc.shape[1] // 2
+    return hc[:, k * h:(k + 1) * h]
 
 
 class LSTMCell(Module):
     """LSTM with the [i; o; g; a] gate layout; holds {W, U, b}.
 
-    A cross-gated cell also holds {V, v}, from which it computes the
-    relu-modulated signal that enters its own gates next step.
+    A cross-gated cell also holds {V, v}: its gates add the relu-modulated
+    signal relu(h_other·V + v) of the other cell's previous hidden state.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
                  cross_gated: bool = False):
-        self.hidden = hidden
         self.w = Tensor(uniform_init(rng, (in_dim, 4 * hidden), in_dim), requires_grad=True)
         self.u = Tensor(uniform_init(rng, (hidden, 4 * hidden), hidden), requires_grad=True)
         # attribute order w, u, v, b, vb fixes the init draws and the checkpoint layout
@@ -94,22 +108,12 @@ class LSTMCell(Module):
         if cross_gated:
             self.vb = Tensor(np.zeros(4 * hidden, np.float32), requires_grad=True)
 
-    def step(self, x: Tensor, f_prev: Tensor, c_prev: Tensor, j_prev: Tensor | None = None):
-        pre = dc.matmul(x, self.w) + dc.matmul(f_prev, self.u)
-        if j_prev is not None:
-            pre = pre + j_prev
-        pre = pre + self.b
-        h = self.hidden
-        i = dc.sigmoid(pre[:, :h])
-        o = dc.sigmoid(pre[:, h:2 * h])
-        g = dc.sigmoid(pre[:, 2 * h:3 * h])
-        a = dc.tanh_(pre[:, 3 * h:])
-        c = i * a + g * c_prev
-        return o * dc.tanh_(c), c
-
-    def modulate(self, dual_state: Tensor) -> Tensor:
-        """Signal this cell injects into its own gates next step."""
-        return dc.relu(dc.matmul(dual_state, self.v) + self.vb)
+    def step(self, xw: Tensor, hc: Tensor, hc_other: Tensor | None = None) -> Tensor:
+        """The packed new state from the input term ``xw`` = x·W, the packed
+        previous state ``hc`` and, to cross-gate, the other cell's."""
+        if hc_other is None:
+            return dc.lstm_cell(xw, hc, self.u, self.b)
+        return dc.lstm_cell(xw, hc, self.u, self.b, hc_other, self.v, self.vb)
 
 
 class InteractiveClassifier(Module):
@@ -157,33 +161,45 @@ class InteractiveClassifier(Module):
     # spec surface: one step, full sequence
 
     def initial_state(self, batch: int, dtype=np.float32) -> State:
-        z = lambda dim: Tensor(np.zeros((batch, dim), dtype=dtype))
-        n, h = len(self.inputs), self.hidden
-        return State(f=tuple(z(h) for _ in range(n)), c=tuple(z(h) for _ in range(n)),
-                     j=tuple(z(4 * h) for _ in range(n)) if self.cross_gated else None,
-                     relation=z(h), c_rel=z(h))
+        z = lambda: Tensor(np.zeros((batch, 2 * self.hidden), dtype=dtype))
+        return State(hc=tuple(z() for _ in self.inputs),
+                     rel=z() if self.has_relation else None)
+
+    def _cells(self) -> list[LSTMCell]:
+        return [getattr(self, f"block_{name}") for name in self.inputs]
 
     def step(self, state: State, xs: tuple[Tensor, ...]) -> State:
-        """Advance every cell on its input in ``xs``, then the relation branch.
+        """``advance`` on each cell's (B, in) input in ``xs``."""
+        return self.advance(state, tuple(dc.matmul(x, cell.w)
+                                         for cell, x in zip(self._cells(), xs)))
 
-        All cells update from the step-(n-1) state before any new modulated
-        signal is computed, so the result does not depend on cell order.
+    def advance(self, state: State, xws: tuple[Tensor, ...]) -> State:
+        """Advance every cell on its input term x·W in ``xws``, then the
+        relation branch.
+
+        Every cell updates from the step-(n-1) states, so the result does
+        not depend on cell order. A cross-gated cell reads the other cell's
+        previous hidden state from the second step on; at the first the
+        signal is zero.
         """
-        cells = [getattr(self, f"block_{name}") for name in self.inputs]
-        js = state.j if self.cross_gated else (None,) * len(cells)
-        f, c = zip(*(cell.step(*args) for cell, *args in zip(cells, xs, state.f, state.c, js)))
-        j = (cells[0].modulate(f[1]), cells[1].modulate(f[0])) if self.cross_gated else None
-        if not self.has_relation:
-            return State(f=f, c=c, j=j)
-        r = dc.tanh_(f[0] + f[1])
-        relation, c_rel = self.relation_cell.step(r, state.relation, state.c_rel)
-        return State(f=f, c=c, j=j, r=r, relation=relation, c_rel=c_rel)
+        gated = self.cross_gated and state.steps > 0
+        others = state.hc[::-1] if gated else (None,) * len(xws)
+        new = State(hc=tuple(cell.step(*args) for cell, *args
+                             in zip(self._cells(), xws, state.hc, others)),
+                    steps=state.steps + 1)
+        if self.has_relation:
+            f = new.f
+            new.r = dc.tanh_(f[0] + f[1])
+            rel_cell = self.relation_cell
+            new.rel = rel_cell.step(dc.matmul(new.r, rel_cell.w), state.rel)
+        return new
 
     def run_sequence(self, ego_seq: Tensor | None, exo_seq: Tensor | None,
                      rng: np.random.Generator | None = None):
         """Classify a (B, S, P) pair of projected sequences; the sequence of
         a stream the variant does not read may be None.
 
+        Each cell's input term x·W is one matmul over the whole sequence.
         Returns (final read-out state, class probabilities (B, K)).
         ``rng`` enables dropout (training); None disables it (evaluation).
         """
@@ -193,14 +209,20 @@ class InteractiveClassifier(Module):
         batch, steps = seqs[0].shape[:2]
         if steps < 1:
             raise ShapeError("run_sequence: empty sequence")
+        named = {"ego": ego_seq, "exo": exo_seq}
+        xws = []
+        for name, cell in zip(self.inputs, self._cells()):
+            x = dc.concat(seqs, axis=2) if name == "concat" else named[name]
+            flat = dc.matmul(dc.reshape(x, (batch * steps, x.shape[2])), cell.w)
+            xws.append(dc.reshape(flat, (batch, steps, flat.shape[1])))
         state = self.initial_state(batch, seqs[0].dtype.type)
         for n in range(steps):
-            state = self.step(state, tuple(_step_input(name, ego_seq, exo_seq, n)
-                                           for name in self.inputs))
+            state = self.advance(state, tuple(xw[:, n] for xw in xws))
         if self.has_relation:
             readout = state.relation
         else:
-            readout = state.f[0] if len(state.f) == 1 else dc.concat(list(state.f), axis=1)
+            f = state.f
+            readout = f[0] if len(f) == 1 else dc.concat(list(f), axis=1)
 
         readout = dropout(readout, self.dropout_ratio, rng)
         logits = self.classifier(readout)

@@ -703,6 +703,153 @@ class TestWarp:
             dc.grid_sample(img, np.array(rows), *[t(a) for a in args])
 
 
+def _lstm_chain(xw, hc, u, b, hc_other=None, v=None, vb=None):
+    """The former ``LSTMCell.step``, with the cross-gate signal of its
+    ``modulate``, as generic ops on packed [h | c] states: the chain that
+    lstm_cell fuses."""
+    h = u.shape[0]
+    f_prev, c_prev = hc[:, :h], hc[:, h:]
+    pre = xw + dc.matmul(f_prev, u)
+    if hc_other is not None:
+        pre = pre + dc.relu(dc.matmul(hc_other[:, :h], v) + vb)
+    pre = pre + b
+    i = dc.sigmoid(pre[:, :h])
+    o = dc.sigmoid(pre[:, h:2 * h])
+    g = dc.sigmoid(pre[:, 2 * h:3 * h])
+    a = dc.tanh_(pre[:, 3 * h:])
+    c = i * a + g * c_prev
+    return dc.concat([o * dc.tanh_(c), c], axis=1)
+
+
+def _lstm_shapes(n, h, cross):
+    """Input shapes of lstm_cell: xw, hc, u, b and, cross-gated, hc_other, v, vb."""
+    shapes = [(n, 4 * h), (n, 2 * h), (h, 4 * h), (4 * h,)]
+    return shapes + shapes[1:] if cross else shapes
+
+
+class TestLstmCell:
+    """lstm_cell, one LSTM step, against the chain of generic ops it fuses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_the_chain(self, data):
+        """Forward bytes and every gradient's bytes (signed zeros included)
+        equal the chain's on float32 inputs with zeros of both signs and
+        all-zero states, plain or cross-gated, for any set of tracked
+        inputs."""
+        n, h = data.draw(st.integers(1, 4), "batch"), data.draw(st.integers(1, 4), "hidden")
+        cross = data.draw(st.booleans(), "cross-gated")
+        shapes = _lstm_shapes(n, h, cross)
+        elems = _f32(-2.0, 2.0, [0.0, -0.0, 1.0, -1.0, 0.5])
+        ins = [data.draw(arrays(np.float32, s, elements=elems), f"input{k}")
+               for k, s in enumerate(shapes)]
+        for k in (1, 4)[:1 + cross]:
+            if data.draw(st.booleans(), f"input{k} is a first step's zero state"):
+                ins[k] = np.zeros_like(ins[k])
+        tracked = data.draw(st.lists(st.booleans(), min_size=len(ins), max_size=len(ins))
+                            .filter(any), "tracked")
+        weights = data.draw(arrays(np.float32, (n, 2 * h),
+                                   elements=_f32(-2.0, 2.0, [1.0, 0.0, -0.5])), "output gradient")
+
+        def run(cell):
+            inputs = [Tensor(a, requires_grad=r) for a, r in zip(ins, tracked)]
+            with Tape() as tape:
+                y = cell(*inputs)
+                loss = dc.sum_(y * Tensor(weights))
+            nodes = len(tape)
+            backward(tape, loss)
+            return [y.data] + [x.grad for x in inputs if x.requires_grad], nodes
+
+        fused, nodes = run(dc.lstm_cell)
+        chain, _ = run(_lstm_chain)
+        assert nodes == 3  # the op, the weighting and the sum
+        assert len(fused) == len(chain) == 1 + sum(tracked)
+        for a, b in zip(fused, chain):
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", ["plain", "cross-gated", "relation"])
+    def test_gradcheck_every_input(self, case):
+        """float64 gradients of every input against central differences. The
+        cross-gate pre-activations sit at least 0.1 from relu's kink; the
+        relation cell reads tanh(h_ego + h_exo)·W as its input term."""
+        rng = np.random.default_rng(31)
+        n, h = 3, 3
+        shapes = _lstm_shapes(n, h, case == "cross-gated")
+        data = [rng.uniform(-1.0, 1.0, size=s) for s in shapes]
+        if case == "cross-gated":
+            data[5] *= 0.3
+            data[6] = rng.choice([-1.0, 1.0], size=4 * h) * rng.uniform(1.0, 1.5, size=4 * h)
+            j = data[4][:, :h] @ data[5] + data[6]
+            assert np.abs(j).min() > 0.1 and (j > 0).any() and (j < 0).any()
+        fn = lambda *a: _scalarize(dc.lstm_cell(*a))
+        if case == "relation":
+            data = [rng.uniform(-1.0, 1.0, size=s) for s in [(n, 2 * h), (n, 2 * h), (h, 4 * h)]
+                    ] + data[1:]
+
+            def fn(hc_ego, hc_exo, w, hc, u, b):
+                r = dc.tanh_(hc_ego[:, :h] + hc_exo[:, :h])
+                return _scalarize(dc.lstm_cell(dc.matmul(r, w), hc, u, b))
+        rep = grad_check(fn, [t(d) for d in data])
+        assert rep.passed and rep.skipped == 0, str(rep)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_untracked_inputs_get_no_gradient(self, cross):
+        """The closure returns None for each input that needs no gradient
+        (a first step's zero state, a frozen weight) and an array for the
+        others."""
+        rng = np.random.default_rng(32)
+        shapes = _lstm_shapes(2, 3, cross)
+        for k in range(len(shapes)):
+            inputs = [t(rng.normal(size=s), rg=j != k) for j, s in enumerate(shapes)]
+            with Tape() as tape:
+                y = dc.lstm_cell(*inputs)
+            (_, _, bwd, name), = tape.nodes
+            grads = bwd(np.ones_like(y.data))
+            assert name == "lstm_cell" and len(grads) == len(inputs)
+            assert [g is None for g in grads] == [j == k for j in range(len(inputs))]
+
+    @pytest.mark.parametrize("shapes, bad", [
+        ([(2, 8), (2, 6), (3, 12), (12,)], r"\(2, 8\)"),
+        ([(12,), (2, 6), (3, 12), (12,)], r"\(12,\), \(2, 6\)"),
+        ([(2, 12), (2, 5), (3, 12), (12,)], r"\(2, 5\)"),
+        ([(2, 12), (3, 6), (3, 12), (12,)], r"\(3, 6\)"),
+        ([(2, 12), (2, 6), (3, 10), (12,)], r"\(3, 10\)"),
+        ([(2, 12), (2, 6), (3, 12), (3, 4)], r"\(3, 4\)"),
+        ([(2, 12), (2, 6), (3, 12), (12,), (1, 6), (3, 12), (12,)], r"\(1, 6\)"),
+        ([(2, 12), (2, 6), (3, 12), (12,), (2, 6), (3, 8), (12,)], r"\(3, 8\)"),
+        ([(2, 12), (2, 6), (3, 12), (12,), (2, 6), (3, 12), (8,)], r"\(8,\)\]"),
+    ])
+    def test_shape_errors_name_the_op(self, shapes, bad):
+        with pytest.raises(dc.ShapeError, match=r"^lstm_cell: shapes \[.*" + bad):
+            dc.lstm_cell(*[t(np.zeros(s)) for s in shapes])
+
+    def test_cross_gate_inputs_come_together(self):
+        inputs = [t(np.zeros(s)) for s in _lstm_shapes(2, 3, True)]
+        with pytest.raises(dc.ShapeError, match="^lstm_cell: hc_other, v and vb come together"):
+            dc.lstm_cell(*inputs[:6])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sigmoid_bitwise_equal_to_the_masked_form(data):
+    """The branch-free sigmoid gives the bits of the masked form it
+    replaced: 1 / (1 + e^-x) on x >= 0 and e^x / (1 + e^x) below, each
+    over a boolean-indexed copy, for float32 and float64 values from zeros
+    of both signs to infinities."""
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), "dtype")
+    x = data.draw(arrays(dtype, st.tuples(st.integers(1, 5), st.integers(1, 9)),
+                         elements=st.one_of(st.sampled_from([0.0, -0.0, 88.8, -88.8, 710.0,
+                                                             -710.0, np.inf, -np.inf]),
+                                            st.floats(-100, 100, width=32))), "x")
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    got = dc.sigmoid(Tensor(x)).data
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 class TestShapeErrors:
     def test_add_mismatch_names_shapes(self):
         with pytest.raises(dc.ShapeError, match=r"add.*\(2,\).*\(3,\)"):

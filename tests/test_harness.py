@@ -342,6 +342,46 @@ class TestBatchArrays:
         assert rng.random() == ref_rng.random()
 
 
+# The recurrent head's checkpoint entries at tiny_config, in order: names,
+# shapes and the order of the init draws (w, u, v of each cell in turn).
+_CELL = {"w": (8, 32), "u": (8, 32), "v": (8, 32), "b": (32,), "vb": (32,)}
+_PROJ = [("proj_ego.w", (40, 8)), ("proj_ego.b", (8,)), ("proj_exo.w", (14, 8)),
+         ("proj_exo.b", (8,))]
+
+
+def _cell(name, cross=False, w=(8, 32)):
+    keys = ("w", "u", "v", "b", "vb") if cross else ("w", "u", "b")
+    return [(f"{name}.{k}", w if k == "w" else _CELL[k]) for k in keys]
+
+
+HEAD_LAYOUT = {
+    "ego": _PROJ[:2] + _cell("block_ego") + [("classifier.w", (8, 4))],
+    "exo": _PROJ[2:] + _cell("block_exo") + [("classifier.w", (8, 4))],
+    "concat": _PROJ + _cell("block_concat", w=(16, 32)) + [("classifier.w", (8, 4))],
+    "sym": _PROJ + _cell("block_ego", True) + _cell("block_exo", True)
+    + [("classifier.w", (16, 4))],
+    "rel": _PROJ + _cell("block_ego") + _cell("block_exo") + _cell("relation_cell")
+    + [("classifier.w", (8, 4))],
+    "full": _PROJ + _cell("block_ego", True) + _cell("block_exo", True)
+    + _cell("relation_cell") + [("classifier.w", (8, 4))],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(HEAD_LAYOUT))
+def test_head_checkpoint_layout_is_pinned(variant):
+    """Every head variant keeps its parameter names, shapes and order, so
+    checkpoints written before the cell step became one op still load;
+    ``InteractionModel`` holds the full head under ``interact.``."""
+    cfg = tiny_config()
+    model = InteractionModel(cfg, np.random.default_rng(0))
+    head = interaction_head(cfg, np.random.default_rng(0), model.motion.global_dim, variant)
+    want = HEAD_LAYOUT[variant] + [("classifier.b", (4,))]
+    assert [(k, a.shape) for k, a in head.state_arrays().items()] == want
+    if variant == "full":
+        got = [(k, a.shape) for k, a in model.state_arrays().items() if k.startswith("interact.")]
+        assert got == [(f"interact.{k}", s) for k, s in want]
+
+
 class TestTraining:
     def test_stage1_then_2_and_determinism(self, tiny_dataset, tmp_path):
         manifest = load_manifest(tiny_dataset)
@@ -715,11 +755,14 @@ class TestLossNodes:
 
 class TestBackwardMemory:
     def test_phase2_backward_frees_the_tape(self, tiny_dataset):
-        """The tape's buffers go as backward replays it. Backward adds less
-        on top of the forward pass than the largest buffer one of its
+        """The tape's buffers go as backward replays it. Over the heap
+        before the step, backward peaks below the largest buffer one of its
         closures builds, the im2col columns of the last decoder stage's
-        input gradient: every gradient it holds besides is paid for by
-        tape it has already freed. Afterwards only the parameters'
+        input gradient, plus 38 float32 maps of the frames' size: the
+        forward pass keeps 33.8 of them at the end of the pass, and every
+        gradient backward holds besides is paid for by tape it has already
+        freed (2.0 maps more; 10.0 more when backward keeps each node's
+        gradient while its closure runs). Afterwards only the parameters'
         gradients remain, the tape object included."""
         cfg = tiny_config()
         frames, masks, labels = _phase2_batch(cfg, tiny_dataset)
@@ -735,7 +778,6 @@ class TestBackwardMemory:
                 loss, _ = total_loss(cfg, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
             del res
             tape_bytes = sum(out.data.nbytes for out, _, _, _ in tape.nodes)
-            forward_end, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             backward(tape, loss, params=params)
             after, peak = tracemalloc.get_traced_memory()
@@ -744,7 +786,8 @@ class TestBackwardMemory:
         b, n, h, w, _ = frames.shape
         kh, kw, _, c_out = model.attention.up[-1].w.shape
         columns = b * n * (h // 2) * (w // 2) * kh * kw * c_out * 4
-        assert peak - forward_end < columns, (peak - forward_end, columns)
+        maps = b * n * h * w * 4
+        assert peak - before < columns + 38 * maps, (peak - before, columns, maps)
         grad_bytes = sum(p.grad.nbytes for p in params)
         assert after - before - grad_bytes < 0.25 * tape_bytes
 
@@ -784,8 +827,8 @@ class TestFrontEndPasses:
         return got, [p.grad for p in ref.parameters()]
 
     def test_passes_sum_to_the_batch_gradient(self, tiny_dataset, monkeypatch):
-        """Passes of 2, 2 and 1 clips give every parameter the gradient of
-        one pass over the 5 clips, within 1e-4 relative L2 (the sums round
+        """Five passes of one clip give every parameter the gradient of one
+        pass over the 5 clips, within 1e-4 relative L2 (the sums round
         differently). Without dropout no pass draws from the generator, so
         both see the same augmented clips."""
         cfg = tiny_config(batch_size=5, dropout=0.0)
@@ -793,7 +836,7 @@ class TestFrontEndPasses:
         got, want = self._step_and_one_pass(cfg, clips, monkeypatch)
         for g, r in zip(got, want):
             assert np.linalg.norm(g - r) <= 1e-4 * np.linalg.norm(r)
-        assert any(np.any(g != r) for g, r in zip(got, want))    # three passes ran
+        assert any(np.any(g != r) for g, r in zip(got, want))    # five passes ran
 
     def test_a_batch_of_one_pass_is_bitwise_one_pass(self, tiny_dataset, monkeypatch):
         cfg = tiny_config(batch_size=FRONT_END_CLIPS)
@@ -804,8 +847,8 @@ class TestFrontEndPasses:
     def test_phase2_step_memory_does_not_grow_with_the_batch(self, tiny_dataset):
         """A phase-2 step over 4·FRONT_END_CLIPS clips peaks below 1.3 times
         a step over FRONT_END_CLIPS clips: each pass's tape is freed before
-        the next pass runs. (Measured: 1.05 to 1.08 times; one pass over
-        the whole batch peaked at 3.3 times.)"""
+        the next pass runs. (Measured at one clip a pass: 1.11 to 1.14
+        times; one pass over the whole batch peaked at 3.3 times.)"""
         clips = load_split(load_manifest(tiny_dataset), "train")
 
         def step_peak(k):

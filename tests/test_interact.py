@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import egorec.diffcore as dc
-from egorec.diffcore import ShapeError, Tensor, grad_check
+from egorec.diffcore import ShapeError, Tape, Tensor, grad_check
 from egorec.interact import InteractiveClassifier, classification_loss
 
 
@@ -46,7 +46,9 @@ class TestSymStep:
         out = m.step(state, (x, x))
         assert not out.f[0].numpy().any() and not out.f[1].numpy().any()
         assert not out.c[0].numpy().any()
-        assert not out.j[0].numpy().any() and not out.j[1].numpy().any()
+        # so is the cross-gate signal: the second step, which adds it, stays at zero
+        again = m.step(out, (x, x))
+        assert not any(t.numpy().any() for t in again.f + again.c)
         # gates themselves: sigmoid(0) = 0.5, candidate tanh(0) = 0
         pre = dc.matmul(x, m.block_ego.w) + m.block_ego.b
         i = dc.sigmoid(pre[:, :m.hidden]).numpy()
@@ -213,6 +215,20 @@ def test_rel_is_full_without_cross_gating():
     _, p_rel = rel.classify(*feats, rng=None)
     _, p_full = full.classify(*feats, rng=None)
     assert p_rel.numpy().tobytes() == p_full.numpy().tobytes()
+
+
+def test_full_head_step_records_at_most_300_nodes():
+    """A training step of a full head on cached features, batch 64 over 19
+    steps (the default 20 frames), records at most 300 tape nodes: each
+    cell step is one node (1215 nodes when each step was a chain of
+    generic ops)."""
+    m = make_model(variant="full", seed=29, k=4)
+    rng = np.random.default_rng(30)
+    f = lambda d: Tensor(rng.normal(size=(64, 19, d)).astype(np.float32))
+    with Tape() as tape:
+        _, probs = m.classify(f(3), f(2), f(3), f(2), rng=rng)
+        classification_loss(probs, rng.integers(0, 4, size=64))
+    assert len(tape) <= 300, len(tape)
 
 
 class TestClassificationLoss:
