@@ -18,10 +18,11 @@ conv_transpose2d take ``relu=True`` to apply a ReLU in place and mask the
 gradient by ``out > 0``, so the pre-activation output is not kept. conv2d
 also takes ``pool=k``, a k-by-k average pool after the ReLU: the tape then
 keeps the pooled output and a boolean ReLU mask, not the full-resolution
-output. grid_sample, the reconstruction warp, keeps only its transform,
-field and mask: forward and backward recompute the displaced points, their
-coordinates and the taps, and read the image rows in place by index, so
-no per-pixel array of the warp and no copy of the frames is on the tape.
+output; the mask is built only when the op is recorded. grid_sample, the
+reconstruction warp, keeps only its transform, field and mask: forward
+and backward recompute the displaced points, their coordinates and the
+taps, and read the image rows in place by index, so no per-pixel array of
+the warp and no copy of the frames is on the tape.
 correlate re-pads ``f_prev`` in backward. The per-pixel losses
 (binary_cross_entropy, abs_diff_sum, total_variation) are one node each
 with a per-item or scalar output; their backward recomputes the clamp
@@ -80,12 +81,16 @@ from .tensor import (
 def _result(op_name: str, data: np.ndarray, inputs: tuple[Tensor, ...], bwd) -> Tensor:
     if debug_nan_enabled() and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op_name}: non-finite values in output")
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = _tracked(inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        tape.nodes.append((out, inputs, bwd, op_name))
+        active_tape().nodes.append((out, inputs, bwd, op_name))
     return out
+
+
+def _tracked(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether ``_result`` records an op: a tape is active and an input requires grad."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -567,7 +572,8 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
 
     With ``relu`` and no pool the tape keeps the output, which backward
     masks the gradient by; with a pool it keeps a boolean mask of the
-    full-resolution ReLU output, a quarter of that output's bytes."""
+    full-resolution ReLU output, a quarter of that output's bytes, built
+    only when the op will be recorded."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(f"conv2d: input {x.data.shape} incompatible with kernel {w.data.shape}")
@@ -582,7 +588,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     dtype = np.result_type(x.data, w.data)
     out = np.empty((n, ho // pool, wo // pool, co), dtype)
-    mask = np.empty((n, ho, wo, co), bool) if relu and pool > 1 else None
+    mask = np.empty((n, ho, wo, co), bool) if relu and pool > 1 and _tracked(inputs) else None
     for s, cols, wmat in _gather(x.data, w.data, stride, pad, (ho, wo)):
         full = np.empty((s.stop - s.start, ho, wo, co), dtype) if pool > 1 else out[s]
         np.matmul(cols, wmat, out=full.reshape(-1, co))

@@ -1,14 +1,15 @@
 """Full pipeline assembly: frames in, losses and class probabilities out.
 
-One forward pass consumes a batch of sampled clips. Frames run through the
-backbone and mask decoder as one flat batch; consecutive-frame pairs run
-through the motion estimator as another flat batch; the per-step stream
-features then drive the recurrent classifier. The ``need_*`` flags of
-``forward`` skip whole branches, so the staged training phases only pay for
-what they use; the result keeps the masks, motion estimate and
-reconstruction it computed for ``egorec viz``. ``stream_features`` runs the
-same front end and stops at the stream features, on which phase 1c, every
-ablation head and evaluation train or score the recurrent classifier.
+The front end runs a pass's frames through the backbone and mask decoder,
+its consecutive-frame pairs through the motion estimator, and pools the
+per-step stream features. Under a tape the pass is the whole batch, which
+the tape keeps until ``backward`` anyway; without one, passes of at most
+``FRONT_END_CLIPS`` clips run in turn and their outputs are concatenated,
+bitwise the same since no front-end layer couples clips. The losses and
+the recurrent classifier run once over the batch. ``forward``'s ``need_*``
+flags skip whole branches; its result keeps the masks, motion estimate and
+reconstruction for ``egorec viz``. ``stream_features`` stops at the stream
+features, which phase 1c, the ablation heads and evaluation classify.
 """
 
 from __future__ import annotations
@@ -20,11 +21,17 @@ import numpy as np
 from .. import diffcore as dc
 from ..attention import MaskDecoder, global_pool, segmentation_loss, weighted_pool
 from ..backbone import ConvBackbone
-from ..diffcore import Tensor
+from ..diffcore import ShapeError, Tensor
 from ..interact import InteractiveClassifier, classification_loss
 from ..motion import MotionEstimator, reconstruction_loss, smoothness_loss, warp_previous
 from ..nn import Module
 from .config import TrainConfig
+
+# Clips per front-end pass, in training, extract_features and a tape-less
+# forward. A pass's tape grows with its clips; a default phase-2 step of 8
+# clips at 8/4/2/1 clips a pass peaked at 115/82/67/57 MiB and took
+# 0.56/0.53/0.54/0.58 s (2 vCPU, one BLAS thread).
+FRONT_END_CLIPS = 1
 
 
 @dataclass
@@ -57,6 +64,16 @@ def _pairs(x: Tensor, batch: int, take_prev: bool) -> Tensor:
     full = dc.reshape(x, (batch, n) + x.shape[1:])
     sl = full[:, :-1] if take_prev else full[:, 1:]
     return dc.reshape(sl, (batch * (n - 1),) + x.shape[1:])
+
+
+def _cat(parts):
+    """Per-pass outputs (Tensors, or tuples or dataclasses of them) joined by batch."""
+    first = parts[0]
+    if isinstance(first, Tensor):
+        return Tensor(np.concatenate([p.data for p in parts]))
+    if isinstance(first, tuple):
+        return tuple(map(_cat, zip(*parts)))
+    return type(first)(*map(_cat, zip(*(vars(p).values() for p in parts))))
 
 
 def _streams(feats: Tensor, masks, est, batch: int):
@@ -94,28 +111,45 @@ class InteractionModel(Module):
 
     # front end shared by forward and stream_features
 
-    def _features_and_masks(self, frames: np.ndarray):
+    def _front_end(self, frames: np.ndarray, need_motion: bool, need_streams: bool):
+        """One pass yielding the masks, motion estimate and stream features
+        as asked; under a tape ``forward`` records its losses in between."""
         b, n, h, w, _ = frames.shape
         feats = self.backbone.extract(Tensor(frames.reshape(b * n, h, w, 3)))
-        return feats, self.attention.predict_masks(feats)
+        masks = self.attention.predict_masks(feats)
+        yield masks
+        if need_motion:
+            est = self.motion.estimate(_pairs(feats, b, True), _pairs(feats, b, False),
+                                       _pairs(masks.m0, b, False))
+            yield est
+        if need_streams:
+            yield _streams(feats, masks, est, b)
 
-    def _pair_motion(self, feats: Tensor, masks, batch: int):
-        return self.motion.estimate(_pairs(feats, batch, True), _pairs(feats, batch, False),
-                                    _pairs(masks.m0, batch, False))
+    def _passes(self, frames: np.ndarray, need_motion: bool, need_streams: bool):
+        """``_front_end``'s stages: one pass under a tape, else concatenated passes."""
+        if frames.ndim != 5 or frames.shape[0] < 1 or frames.shape[1] < 2:
+            raise ShapeError(f"model: frames must be (B >= 1, N >= 2, H, W, 3), "
+                             f"got {frames.shape}")
+        if dc.active_tape() is not None or len(frames) <= FRONT_END_CLIPS:
+            return self._front_end(frames, need_motion, need_streams)
+        passes = [list(self._front_end(frames[i:i + FRONT_END_CLIPS], need_motion, need_streams))
+                  for i in range(0, len(frames), FRONT_END_CLIPS)]
+        return iter([_cat(stage) for stage in zip(*passes)])
 
     def forward(self, frames: np.ndarray, ref_masks: np.ndarray | None,
                 labels: np.ndarray | None, rng: np.random.Generator | None = None,
                 need_seg: bool = False, need_rec: bool = False,
                 need_cls: bool = False) -> ForwardResult:
         """Run the pipeline on (B, N, H, W, 3) sampled frames in [0, 1]."""
+        stages = self._passes(frames, need_rec or need_cls, need_cls)
         b, n, h, w, _ = frames.shape
-        feats, masks = self._features_and_masks(frames)
+        masks = next(stages)
         res = ForwardResult(masks_m3=masks.m3)
         if need_seg:
             res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w))
         if not (need_rec or need_cls):
             return res
-        est = res.motion_est = self._pair_motion(feats, masks, b)
+        est = res.motion_est = next(stages)
 
         if need_rec:
             m3_cur = _pairs(masks.m3, b, False)
@@ -128,7 +162,7 @@ class InteractionModel(Module):
             res.l_smooth = smoothness_loss(est.field, m3_cur)
 
         if need_cls:
-            _, res.probs = self.interact.classify(*_streams(feats, masks, est, b), rng)
+            _, res.probs = self.interact.classify(*next(stages), rng)
             if labels is not None:
                 res.l_cls = classification_loss(res.probs, labels)
         return res
@@ -137,7 +171,5 @@ class InteractionModel(Module):
         """The per-step stream features ``forward`` classifies, as numpy, for
         cached-feature training. Returns (f_ga, f_gm, f_la, f_lm), each (B, S, dim).
         """
-        b = frames.shape[0]
-        feats, masks = self._features_and_masks(frames)
-        est = self._pair_motion(feats, masks, b)
-        return tuple(x.numpy() for x in _streams(feats, masks, est, b))
+        _, _, streams = self._passes(frames, True, True)
+        return tuple(x.numpy() for x in streams)

@@ -14,13 +14,13 @@ all its epochs and keeps its last parameters: training reads only the
 train split. A non-finite pass loss or cached feature raises a
 ``NonFiniteError`` naming the first op whose output was not finite.
 
-The front end runs on at most ``FRONT_END_CLIPS`` clips per pass, in
-training and in ``extract_features``. Every loss is a mean over clips and
-no layer couples the clips of a batch, so a front-end phase accumulates
-each optimizer batch's gradient over passes of that many clips, each on
-its own tape, and Adam steps once per batch: with one clip a pass, a
-phase-2 step holds the tape of one clip at a time. The heads' tape is
-small, so phase 1c and the ablation heads run one pass per batch.
+The front end runs on at most ``model.FRONT_END_CLIPS`` clips per pass.
+Every loss is a mean over clips and no layer couples the clips of a batch,
+so a front-end phase accumulates each optimizer batch's gradient over
+passes of that many clips, each on its own tape, and Adam steps once per
+batch: with one clip a pass, a phase-2 step holds the tape of one clip at
+a time. The heads' tape is small, so phase 1c and the ablation heads run
+one pass per batch.
 
 ``evaluate_clips`` scores ``model.interact`` as the ablation heads are
 scored (``eval_head`` on ``extract_features``). Only training batches
@@ -43,16 +43,10 @@ from ..synthdata import DatasetManifest, VideoClip, augment, load_split, sample_
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, parse_config
 from .losses import LossBundle, total_loss
-from .model import InteractionModel
+from .model import FRONT_END_CLIPS, InteractionModel
 from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
-# Clips per front-end pass, in training steps and in extract_features. A
-# pass's tape grows with its clips, and each pass pays the recurrent head's
-# fixed cost, which is small since each cell step is one op. A default
-# phase-2 step of 8 clips at 8/4/2/1 clips a pass peaked at 115/82/67/57 MiB
-# and took 0.56/0.53/0.54/0.58 s (2 vCPU, one BLAS thread).
-FRONT_END_CLIPS = 1
 
 # phase -> (parameter group trained, or None for all; forward flags; epochs field)
 SCHEDULE = {
@@ -188,6 +182,7 @@ def extract_features(model: InteractionModel, clips, config: TrainConfig):
 
     def run():
         parts = []
+        # sampled a pass at a time: only one pass's frames are held at once
         for start in range(0, len(clips), FRONT_END_CLIPS):
             batch = clips[start:start + FRONT_END_CLIPS]
             frames = np.stack([sample_frames(c, config.num_frames).frames for c in batch])

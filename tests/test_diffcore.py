@@ -283,6 +283,37 @@ class TestFusedRelu:
             assert a.tobytes() == b.tobytes()
         assert n_fused == n_ref - 1
 
+    def test_pool_mask_is_built_only_when_recorded(self):
+        """A tape-less conv2d with a ReLU and a pool peaks at least the
+        boolean ReLU mask's bytes below the same call under a tape, with
+        the same output bits."""
+        rng = np.random.default_rng(22)
+        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in [(8, 16, 32, 3), (3, 3, 3, 8), (8,)]]
+
+        def run(taped):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                if taped:
+                    with Tape() as tape:
+                        y = dc.conv2d(*inputs, pad=1, relu=True, pool=2)
+                    assert len(tape) == 1
+                else:
+                    y = dc.conv2d(*inputs, pad=1, relu=True, pool=2)
+                    assert not y.requires_grad
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return y.data, peak - before
+
+        run(False)    # a first call's one-off allocations
+        y_free, peak_free = run(False)
+        y_taped, peak_taped = run(True)
+        assert y_free.tobytes() == y_taped.tobytes()
+        mask_bytes = 8 * 16 * 32 * 8
+        assert peak_free + mask_bytes <= peak_taped, (peak_free, peak_taped)
+
 
 CONV_CASES = [
     pytest.param(dc.conv2d, [(5, 6, 8, 3), (3, 3, 3, 4), (4,)], dict(pad=1), id="conv2d"),

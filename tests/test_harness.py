@@ -30,9 +30,8 @@ from egorec.harness import (
 )
 from egorec.harness.checkpoint import _read_table
 from egorec.harness.cli import main as cli_main
-from egorec.harness.model import interaction_head
-from egorec.harness.train import (FRONT_END_CLIPS, _batch_arrays, _fit, extract_features,
-                                  train_head)
+from egorec.harness.model import FRONT_END_CLIPS, interaction_head
+from egorec.harness.train import _batch_arrays, _fit, extract_features, train_head
 from egorec.nn import Module
 from egorec.synthdata import (
     GenConfig,
@@ -464,22 +463,17 @@ class TestTraining:
         assert direct.mean_loss == reloaded.mean_loss
 
     def test_evaluate_clips_matches_batched_forward(self, tiny_dataset, monkeypatch):
-        """Scoring cached features gives what ``forward`` gives per
-        ``FRONT_END_CLIPS`` clips on each segment's first frame, unaugmented:
-        bitwise-equal probabilities, the same confusion and accuracy."""
+        """Scoring cached features gives what one ``forward`` over the whole
+        split gives on each segment's first frame, unaugmented (the forward
+        the benchmark's round-trip check hashes): bitwise-equal
+        probabilities, the same confusion and accuracy."""
         cfg = tiny_config()
         clips = load_split(load_manifest(tiny_dataset), "test")
         model = InteractionModel(cfg, np.random.default_rng(7))
-        probs, losses = [], []
-        for start in range(0, len(clips), FRONT_END_CLIPS):
-            batch = clips[start:start + FRONT_END_CLIPS]
-            frames = np.stack([sample_frames(c, cfg.num_frames).frames for c in batch])
-            labels = np.array([c.label for c in batch])
-            res = model.forward(frames, None, labels, need_cls=True)
-            probs.append(res.probs.numpy())
-            losses.append(res.l_cls.item() * len(batch))
-        want = np.concatenate(probs)
+        frames = np.stack([sample_frames(c, cfg.num_frames).frames for c in clips])
         labels = np.array([c.label for c in clips])
+        res = model.forward(frames, None, labels, need_cls=True)
+        want = res.probs.numpy()
         confusion = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)
         np.add.at(confusion, (labels, want.argmax(axis=1)), 1)
 
@@ -496,7 +490,7 @@ class TestTraining:
         np.testing.assert_array_equal(rep.confusion, confusion)
         assert rep.accuracy == np.trace(confusion) / len(clips)
         assert rep.count == len(clips)
-        assert rep.mean_loss == pytest.approx(sum(losses) / len(clips), rel=1e-6)
+        assert rep.mean_loss == res.l_cls.item()
 
     def test_bogus_stage_marker_rejected_by_every_checkpoint_reader(self, tiny_dataset,
                                                                     tmp_path):
@@ -974,6 +968,70 @@ class TestFrontEndPasses:
         ablate(manifest, tiny_config(batch_size=5, epochs_attention=0, epochs_motion=0),
                parse_variants("ego,full"))
         assert (len(backwards), len(steps)) == (4, 4)
+
+
+class TestTapelessPasses:
+    """Without a tape, ``forward`` and ``stream_features`` run the front end
+    on passes of at most ``FRONT_END_CLIPS`` clips and concatenate them;
+    under a tape the pass is the whole batch."""
+
+    def test_passes_are_bitwise_one_taped_pass(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config(batch_size=3)
+        frames, masks, labels = _phase2_batch(cfg, tiny_dataset)
+        model = InteractionModel(cfg, np.random.default_rng(cfg.seed))
+        extract = model.backbone.extract
+        calls = []
+
+        def spy(x):
+            calls.append(x.shape[0])
+            return extract(x)
+        monkeypatch.setattr(model.backbone, "extract", spy)
+        flags = dict(need_seg=True, need_rec=True, need_cls=True)
+        free = model.forward(frames, masks, labels, **flags)
+        assert len(calls) == math.ceil(3 / FRONT_END_CLIPS)
+        calls.clear()
+        with Tape() as tape:
+            taped = model.forward(frames, masks, labels, **flags)
+        assert calls == [3 * cfg.num_frames] and len(tape) > 0
+
+        def outputs(res):
+            return [res.probs, res.masks_m3, res.recon, res.motion_est.transform,
+                    res.motion_est.field, res.l_cls, res.l_seg, res.l_rec, res.l_smooth]
+        for a, b in zip(outputs(free), outputs(taped)):
+            assert a.shape == b.shape and a.numpy().tobytes() == b.numpy().tobytes()
+
+    def test_forward_memory_does_not_grow_with_the_batch(self, tiny_dataset):
+        """A tape-less ``forward(need_cls=True)`` over 4 clips peaks below
+        1.3 times one over one clip. (Measured: 1.22 times; one pass over
+        the 4 clips peaked at 3.7 times.)"""
+        cfg = tiny_config()
+        clips = load_split(load_manifest(tiny_dataset), "train")
+        model = InteractionModel(cfg, np.random.default_rng(cfg.seed))
+
+        def forward_peak(k):
+            frames = np.stack([sample_frames(c, cfg.num_frames).frames for c in clips[:k]])
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                model.forward(frames, None, None, need_cls=True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - before
+        small = forward_peak(1)
+        large = forward_peak(4)
+        assert large < 1.3 * small, (large, small)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 16, 32, 3), (4, 16, 32, 3), (2, 1, 16, 32, 3)],
+                             ids=["empty-batch", "rank-4", "one-frame"])
+    def test_malformed_frames_raise_shape_error(self, shape):
+        model = InteractionModel(tiny_config(), np.random.default_rng(0))
+        frames = np.zeros(shape, np.float32)
+        named = rf"^model: frames must be \(B >= 1, N >= 2, H, W, 3\), got {re.escape(str(shape))}"
+        with pytest.raises(ShapeError, match=named):
+            model.forward(frames, None, None, need_cls=True)
+        with pytest.raises(ShapeError, match=named):
+            model.stream_features(frames)
 
 
 class TestFloat32Training:
