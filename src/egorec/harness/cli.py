@@ -20,6 +20,14 @@ def int_csv(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip()]
 
 
+def positive_int(text: str) -> int:
+    """argparse type of an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="egorec",
                                 description="Synthetic egocentric interaction recognition")
@@ -27,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic clip dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--clips-per-class", type=int, required=True)
+    g.add_argument("--clips-per-class", type=positive_int, required=True)
     g.add_argument("--variant", choices=["standard", "relation-only"], required=True)
     g.add_argument("--seed", type=int, required=True)
 

@@ -23,6 +23,13 @@ per distinct in-frame position, and replaces the background there. Both
 are rounded to uint8 first: rounding is per element and each pixel is
 background or sprite, so the bytes equal those of rounding each frame.
 
+Layout: no elementwise step broadcasts a weight or mask against a colour
+axis of 3, which would leave numpy 3-element inner loops. Resampling
+(``sample_bilinear_np``) works on contiguous colour planes, and the
+background blend and the sprite composite repeat each weight and mask
+over the channels first. Each element still gets the same products in
+the same order as the per-pixel formula, so the bytes do not change.
+
 Ground truth per raw frame pair: the 6 affine parameters of the global
 transform (normalized [-1, 1] coordinates, mapping current-frame points to
 previous-frame points) and the sprite's world displacement.
@@ -67,37 +74,59 @@ def resize_bilinear_np(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
     h, w = img.shape[:2]
     ys = np.linspace(0, h - 1, oh) if oh > 1 else np.zeros(1)
     xs = np.linspace(0, w - 1, ow) if ow > 1 else np.zeros(1)
-    return sample_bilinear_np(img, ys[:, None] + np.zeros(ow), xs[None, :] + np.zeros((oh, 1)))
+    return sample_bilinear_np(img, ys[:, None], xs[None, :])
 
 
 def sample_bilinear_np(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Gather img at fractional (ys, xs), border-clamped; broadcasts over trailing dims.
+    """Gather img at fractional (ys, xs), border-clamped; ``ys`` and ``xs``
+    broadcast against each other and the image's trailing dims ride along.
 
-    Each of the four taps is one ``np.take`` on the image viewed as (H*W, ...)
-    rows, at flat index ``y * W + x``.
+    The image is read as channel planes, one contiguous (H*W,) row per
+    trailing element, and each of the four taps is one ``np.take`` on them at
+    flat index ``y * W + x``. A weight thus multiplies whole planes, the same
+    for every channel, instead of broadcasting against a short channel axis.
+    Every element still gets ``tap * (1 - fy) * (1 - fx)`` and the other three
+    products in the same order, summed in the same order, so its bits are
+    those of the per-point formula. The result is a (..., *trailing) view of
+    the planes.
     """
     h, w = img.shape[:2]
     ys = np.clip(ys, 0, h - 1)
     xs = np.clip(xs, 0, w - 1)
     y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
     x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
-    fy = (ys - y0)[..., None] if img.ndim == 3 else (ys - y0)
-    fx = (xs - x0)[..., None] if img.ndim == 3 else (xs - x0)
+    fy, fx = ys - y0, xs - x0
+    gy, gx = 1 - fy, 1 - fx
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    flat = img.reshape(h * w, *img.shape[2:])
+    planes = np.ascontiguousarray(img.reshape(h * w, -1).T, dtype=np.result_type(img, fy))
     r0, r1 = y0 * w, y1 * w
-    return (
-        np.take(flat, r0 + x0, axis=0) * (1 - fy) * (1 - fx)
-        + np.take(flat, r0 + x1, axis=0) * (1 - fy) * fx
-        + np.take(flat, r1 + x0, axis=0) * fy * (1 - fx)
-        + np.take(flat, r1 + x1, axis=0) * fy * fx
-    )
+    out = np.take(planes, r0 + x0, axis=1)
+    out *= gy
+    out *= gx
+    for idx, wy, wx in ((r0 + x1, gy, fx), (r1 + x0, fy, gx), (r1 + x1, fy, fx)):
+        tap = np.take(planes, idx, axis=1)
+        tap *= wy
+        tap *= wx
+        out += tap
+    return np.moveaxis(out, 0, -1).reshape(out.shape[1:] + img.shape[2:])
 
 
 def _smooth_noise(rng, h, w, octave, lo, hi):
+    """(3, h, w) colour planes: uniform noise on a grid ``octave`` times
+    coarser, resized bilinearly."""
     base = rng.uniform(lo, hi, size=(max(2, h // octave), max(2, w // octave), 3))
-    return resize_bilinear_np(base, h, w)
+    return np.moveaxis(resize_bilinear_np(base, h, w), -1, 0)
+
+
+def _wave(rng, h, w, tilt, period):
+    """An (h, w) sinusoid of ``period`` px along an angle drawn from
+    [-tilt, tilt], at a random phase."""
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)
+    theta = rng.uniform(-tilt, tilt)
+    return np.sin(2 * np.pi * (xx * np.cos(theta) + yy * np.sin(theta)) / period
+                  + rng.uniform(0, 2 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +209,9 @@ def make_scene(class_id: int, variant: str, seed: int,
     # a smooth wave at three times the feature stride dominates the
     # background: feature-level correlations then pick up camera shifts
     # in quadrature instead of drowning in texture sampling noise
-    yy, xx = np.mgrid[0:bh, 0:bw].astype(np.float64)
-    theta = rng.uniform(-0.1, 0.1)
-    wave = np.sin(2 * np.pi * (xx * np.cos(theta) + yy * np.sin(theta)) / 24.0
-                  + rng.uniform(0, 2 * np.pi))
+    wave = _wave(rng, bh, bw, 0.1, 24.0)
     bg = np.clip(
-        0.5 + 0.22 * wave[..., None] * np.array([1.0, 0.9, 0.8])
+        0.5 + 0.22 * wave * np.array([1.0, 0.9, 0.8])[:, None, None]
         + _smooth_noise(rng, bh, bw, 8, -0.08, 0.08),
         0.02, 0.95,
     )
@@ -200,11 +226,8 @@ def make_scene(class_id: int, variant: str, seed: int,
     tint = np.array([rng.uniform(0.75, 0.95), rng.uniform(0.45, 0.7), rng.uniform(0.15, 0.35)])
     # oriented stripes ride along with the sprite and make its motion
     # legible to feature-level correlation
-    yy, xx = np.mgrid[0:ty, 0:tx].astype(np.float64)
-    theta = rng.uniform(-0.4, 0.4)
-    wave = np.sin(2 * np.pi * (xx * np.cos(theta) + yy * np.sin(theta)) / 12.0
-                  + rng.uniform(0, 2 * np.pi))
-    tex = np.clip(tint + 0.16 * wave[..., None]
+    wave = _wave(rng, ty, tx, 0.4, 12.0)
+    tex = np.clip(tint[:, None, None] + 0.16 * wave
                   + _smooth_noise(rng, ty, tx, 3, -0.08, 0.08), 0.05, 1.0)
 
     window = max(2, length // 4)
@@ -236,7 +259,9 @@ def make_scene(class_id: int, variant: str, seed: int,
     sprite_path = np.stack([cam_path[:, 0] + py, cam_path[:, 1] + sprite_frame_x], axis=1)
 
     return SyntheticScene(height=h, width=w, length=length, class_id=class_id,
-                          variant=variant, seed=seed, background=bg, sprite_tex=tex,
+                          variant=variant, seed=seed,
+                          background=np.ascontiguousarray(np.moveaxis(bg, 0, -1)),
+                          sprite_tex=np.ascontiguousarray(np.moveaxis(tex, 0, -1)),
                           sprite_axes=(ay, ax), cam_path=cam_path, sprite_path=sprite_path)
 
 
@@ -276,33 +301,30 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
     """
     h, w, length = scene.height, scene.width, scene.length
     ay, ax = scene.sprite_axes
-    bh, bw = scene.background.shape[:2]
+    bh = scene.background.shape[0]
     row = int(scene.cam_path[0, 0])
     if (scene.cam_path[:, 0] != row).any() or not 0 <= row <= bh - h:
         raise ValueError(f"generate_clip: the camera must pan at one integer row offset in "
                          f"[0, {bh - h}], got rows {scene.cam_path[:, 0].min():g} to "
                          f"{scene.cam_path[:, 0].max():g}")
+    offsets, frame_offset = np.unique(scene.cam_path[:, 1], return_inverse=True)
+    frames = _background(scene.background[row:row + h], offsets, w)[frame_offset]
+
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
-    # sample_bilinear_np's column taps and weights (row weight 0) per offset
-    offsets, frame_offset = np.unique(scene.cam_path[:, 1], return_inverse=True)
-    rows = scene.background[row:row + h]
-    x = np.clip(offsets[:, None] + xs, 0, bw - 1)
-    x0 = np.minimum(x.astype(np.int64), bw - 2)
-    fx = (x - x0)[..., None]
-    bg = rows[:, x0] * (1 - fx) + rows[:, x0 + 1] * fx          # (h, U, w, 3)
-    frames = np.round(bg * 255.0).astype(np.uint8).transpose(1, 0, 2, 3)[frame_offset]
-
-    pos, frame_pos = np.unique(scene.sprite_path - scene.cam_path, axis=0, return_inverse=True)
-    dy = (ys[None, :, None] - pos[:, 0, None, None]) / ay
-    dx = (xs[None, None, :] - pos[:, 1, None, None]) / ax
+    # each frame's in-frame sprite position as one complex number y + x*1j
+    rel = np.ascontiguousarray(scene.sprite_path - scene.cam_path, dtype=np.float64)
+    pos, frame_pos = np.unique(rel.view(np.complex128)[:, 0], return_inverse=True)
+    py, px = pos.real, pos.imag
+    dy = (ys[None, :, None] - py[:, None, None]) / ay
+    dx = (xs[None, None, :] - px[:, None, None]) / ax
     inside = (dy * dy + dx * dx) <= 1.0                 # (P, h, w) per sprite position
     ip, iy, ix = np.nonzero(inside)
     sprite = np.zeros(inside.shape + (3,), np.uint8)
-    sprite[ip, iy, ix] = np.round(sample_bilinear_np(
-        scene.sprite_tex, ys[iy] - pos[ip, 0] + ay + 1.0, xs[ix] - pos[ip, 1] + ax + 1.0) * 255.0)
-    frames = np.where(inside[frame_pos][..., None], sprite[frame_pos], frames)
-    masks = inside[frame_pos] * np.uint8(255)
+    sprite[ip, iy, ix] = np.rint(sample_bilinear_np(
+        scene.sprite_tex, ys[iy] - py[ip] + ay + 1.0, xs[ix] - px[ip] + ax + 1.0) * 255.0)
+    np.copyto(frames, sprite[frame_pos], where=np.repeat(inside[..., None], 3, axis=3)[frame_pos])
+    masks = (inside * np.uint8(255))[frame_pos]
 
     d_cam = np.diff(scene.cam_path, axis=0)       # (L-1, 2) as (dy, dx)
     d_spr = np.diff(scene.sprite_path, axis=0)
@@ -314,6 +336,24 @@ def generate_clip(scene: SyntheticScene) -> VideoClip:
     gt_local = np.stack([2.0 * d_spr[:, 1] / (w - 1), 2.0 * d_spr[:, 0] / (h - 1)], axis=1)
     return VideoClip(frames=frames, ref_masks=masks, label=scene.class_id,
                      gt_global=gt_global, gt_local=gt_local)
+
+
+def _background(rows: np.ndarray, offsets: np.ndarray, w: int) -> np.ndarray:
+    """The (U, h, w, 3) uint8 backgrounds of ``rows`` (h, Wb, 3) at the U
+    camera x ``offsets``: ``sample_bilinear_np``'s two column taps and weights
+    (row weight 0), each weight repeated over the channels."""
+    bw = rows.shape[1]
+    x = np.clip(offsets[:, None] + np.arange(w, dtype=np.float64), 0, bw - 1)
+    x0 = np.minimum(x.astype(np.int64), bw - 2)
+    fx = np.repeat((x - x0)[..., None], 3, axis=2)                 # (U, w, 3)
+    bg = np.take(rows, x0, axis=1)                                 # (h, U, w, 3)
+    bg *= 1 - fx
+    x0 += 1
+    right = np.take(rows, x0, axis=1)
+    right *= fx
+    bg += right
+    bg *= 255.0
+    return np.ascontiguousarray(np.rint(bg, out=bg).astype(np.uint8).transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +438,16 @@ def crop_resize(clip: VideoClip, scale: float, rng: np.random.Generator) -> Vide
         raise ValueError(f"bad crop {ch}x{cw} for frame {h}x{w}")
     y0 = int(rng.integers(0, h - ch + 1))
     x0 = int(rng.integers(0, w - cw + 1))
-    # one resize per clip: the frames ride on the trailing (channel) axis
+    # one resize per clip: the frames ride on the trailing (channel) axis.
+    # The results are laid out (H, W, L, ...) in memory, as they always were:
+    # the model's float results depend on its input's strides
     sub = clip.frames[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0, 3)
-    frames = resize_bilinear_np(sub.reshape(ch, cw, length * 3), h, w)
-    frames = frames.reshape(h, w, length, 3).transpose(2, 0, 1, 3).astype(clip.frames.dtype)
+    frames = np.ascontiguousarray(resize_bilinear_np(sub.reshape(ch, cw, length * 3), h, w),
+                                  dtype=clip.frames.dtype)
+    frames = frames.reshape(h, w, length, 3).transpose(2, 0, 1, 3)
     msub = clip.ref_masks[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0)
-    masks = resize_bilinear_np(msub, h, w).transpose(2, 0, 1).astype(clip.ref_masks.dtype)
+    masks = np.ascontiguousarray(resize_bilinear_np(msub, h, w),
+                                 dtype=clip.ref_masks.dtype).transpose(2, 0, 1)
     # normalized translations grow when the field of view shrinks
     fx = (w - 1) / max(cw - 1, 1)
     fy = (h - 1) / max(ch - 1, 1)
@@ -427,12 +471,15 @@ def hsv_jitter(clip: VideoClip, hue_shift: float, sat_factor: float) -> VideoCli
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    rgb = rgb.astype(np.float64)
-    mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    diff = mx - mn
+    """(..., 3) RGB to float64 HSV, each in [0, 1] for RGB in [0, 1].
+
+    Works on contiguous float64 channel planes; every element gets the same
+    operations as on the interleaved channels, so the bits do not depend on
+    the layout."""
+    r, g, b = np.ascontiguousarray(np.moveaxis(rgb, -1, 0), dtype=np.float64)
+    mx = np.maximum(np.maximum(r, g), b)
+    diff = mx - np.minimum(np.minimum(r, g), b)
     safe = np.where(diff > 0, diff, 1.0)
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     h = np.zeros_like(mx)
     h = np.where(mx == r, ((g - b) / safe) % 6.0, h)
     h = np.where(mx == g, (b - r) / safe + 2.0, h)
@@ -442,22 +489,23 @@ def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
     return np.stack([h, s, mx], axis=-1)
 
 
+# (r, g, b) of each hue sextant, as rows of hsv_to_rgb's (v, q, p, t) planes
+_SEXTANT_RGB = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]])
+
+
 def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
-    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    """(..., 3) HSV to float64 RGB, computed on contiguous channel planes;
+    one gather picks every pixel's (r, g, b) from its sextant's planes."""
+    h, s, v = np.ascontiguousarray(np.moveaxis(hsv, -1, 0))
     i = np.floor(h * 6.0)
     f = h * 6.0 - i
     p = v * (1.0 - s)
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
     i = i.astype(np.int64) % 6
-    out = np.zeros(hsv.shape)
-    for k, (rr, gg, bb) in enumerate(((v, t, p), (q, v, p), (p, v, t),
-                                      (p, q, v), (t, p, v), (v, p, q))):
-        m = i == k
-        out[..., 0] = np.where(m, rr, out[..., 0])
-        out[..., 1] = np.where(m, gg, out[..., 1])
-        out[..., 2] = np.where(m, bb, out[..., 2])
-    return out
+    planes = np.stack([v, q, p, t]).astype(np.float64, copy=False).reshape(4, -1)
+    n = planes.shape[1]
+    return np.take(planes, _SEXTANT_RGB[i.reshape(-1)] * n + np.arange(n)[:, None]).reshape(hsv.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +519,30 @@ def generate_dataset(out_dir, clips_per_class: int, variant: str, seed: int,
 
     ``clips_per_class`` counts all clips of one class; the first
     ``train_fraction`` of them land in the train split, the rest in test.
+    A bad input raises ``ValueError`` naming its parameter before anything
+    is written: an unknown ``variant``, a ``clips_per_class`` below 1, a
+    ``train_fraction`` outside [0, 1] or one that leaves the train split
+    empty, or a negative ``seed``.
     """
+    if variant not in VARIANT_CLASSES:
+        raise ValueError(f"generate_dataset: unknown variant {variant!r}, "
+                         f"expected one of {', '.join(VARIANT_CLASSES)}")
+    if not _is_int(clips_per_class) or clips_per_class < 1:
+        raise ValueError(f"generate_dataset: clips_per_class must be an integer of at least 1, "
+                         f"got {clips_per_class!r}")
+    if not 0.0 <= train_fraction <= 1.0:
+        raise ValueError(f"generate_dataset: train_fraction must be in [0, 1], "
+                         f"got {train_fraction!r}")
+    n_train = int(round(train_fraction * clips_per_class))
+    if n_train < 1:
+        raise ValueError(f"generate_dataset: train_fraction {train_fraction!r} of "
+                         f"{clips_per_class} clips per class leaves the train split empty")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"generate_dataset: seed must be a non-negative integer, got {seed!r}")
     k = VARIANT_CLASSES[variant]
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = DatasetManifest(root=root, num_classes=k, variant=variant, seed=seed)
-    n_train = int(round(train_fraction * clips_per_class))
     for label in range(k):
         for j in range(clips_per_class):
             clip_seed = seed * 1_000_003 + label * 10_007 + j
@@ -490,6 +556,10 @@ def generate_dataset(out_dir, clips_per_class: int, variant: str, seed: int,
     return manifest
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def write_clip(clip_dir, clip: VideoClip) -> None:
     """Write ``frames.ppm``, ``masks.pgm`` and ``gt.txt`` under ``clip_dir``."""
     d = Path(clip_dir)
@@ -497,8 +567,12 @@ def write_clip(clip_dir, clip: VideoClip) -> None:
     length, h, w = clip.ref_masks.shape
     write_ppm(d / "frames.ppm", clip.frames.reshape(length * h, w, 3))
     write_pgm(d / "masks.pgm", clip.ref_masks.reshape(length * h, w))
-    rows = np.concatenate([clip.gt_global, clip.gt_local], axis=1).tolist()
-    text = "".join(" ".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    table = np.concatenate([clip.gt_global, clip.gt_local], axis=1, dtype=np.float64)
+    # each distinct value, told apart by its bits (so -0.0 keeps its sign),
+    # is formatted once
+    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
+    words = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    text = "".join(" ".join(r) + "\n" for r in words[index.reshape(table.shape)].tolist())
     (d / "gt.txt").write_text(f"frames={length}\n" + text, encoding="utf-8")
 
 
@@ -536,7 +610,7 @@ def _read_gt(path: Path) -> tuple[int, np.ndarray]:
     length = _integer(header[len("frames="):], "frames", f"{path}:1")
     if length < 1:
         raise ValueError(f"{path}:1: frames={length} is not positive")
-    rows = []
+    values: list[float] = []
     for lineno, line in enumerate(lines[1:], 2):
         fields = line.split()
         if not fields:
@@ -544,13 +618,13 @@ def _read_gt(path: Path) -> tuple[int, np.ndarray]:
         if len(fields) != 8:
             raise ValueError(f"{path}:{lineno}: expected 8 numbers, got {len(fields)} fields")
         try:
-            rows.append([float(v) for v in fields])
+            values.extend(map(float, fields))
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
-    if len(rows) != length - 1:
-        raise ValueError(f"{path}: {len(rows)} rows for frames={length}, "
+    if len(values) != 8 * (length - 1):
+        raise ValueError(f"{path}: {len(values) // 8} rows for frames={length}, "
                          f"expected {length - 1}")
-    return length, np.asarray(rows, dtype=np.float64).reshape(-1, 8)
+    return length, np.array(values, dtype=np.float64).reshape(-1, 8)
 
 
 def _integer(text: str, what: str, where) -> int:

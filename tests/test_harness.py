@@ -1141,6 +1141,14 @@ class TestCli:
         assert exc.value.code == 2
         assert "argument --seeds: invalid int_csv value: '1,x'" in capsys.readouterr().err
 
+    def test_no_clips_per_class_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gen", "--out", str(tmp_path / "data"), "--clips-per-class", "0",
+                      "--variant", "standard", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "argument --clips-per-class: 0 is not a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_full_cli_flow(self, tmp_path, capsys):
         data = tmp_path / "data"
         # CLI generates at the default desk frame size; keep it tiny in count

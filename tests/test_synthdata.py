@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,25 @@ class TestGeneration:
     def test_stored_as_8_bit(self):
         clip = small_clip(seed=8)
         assert clip.frames.dtype == np.uint8 and clip.ref_masks.dtype == np.uint8
+
+    def test_frames_and_masks_are_contiguous_uint8(self):
+        clip = generate_clip(make_scene(0, "relation-only", 11))
+        for a in (clip.frames, clip.ref_masks):
+            assert a.dtype == np.uint8 and a.flags.c_contiguous
+
+    def test_transient_memory_of_a_default_clip(self):
+        # the peak this render had while its weights and masks broadcast
+        # against the colour axis; the channel-contiguous render stays under it
+        bound = 1_708_291
+        scene = make_scene(0, "relation-only", 11)
+        generate_clip(scene)
+        tracemalloc.start()
+        try:
+            generate_clip(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_mask_matches_sprite_alpha(self):
         clip = small_clip(seed=8)
@@ -220,6 +240,108 @@ def test_gt_conventions_against_warp():
         assert spr_err.max() < 5e-3
 
 
+def _sample_bilinear_reference(img, ys, xs):
+    """Bilinear sampling as one formula per point, each weight broadcast
+    against the image's trailing axis: the reference whose bits
+    ``sample_bilinear_np`` must reproduce."""
+    h, w = img.shape[:2]
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
+    y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
+    x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
+    fy = (ys - y0)[..., None] if img.ndim == 3 else (ys - y0)
+    fx = (xs - x0)[..., None] if img.ndim == 3 else (xs - x0)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    return (img[y0, x0] * (1 - fy) * (1 - fx) + img[y0, x1] * (1 - fy) * fx
+            + img[y1, x0] * fy * (1 - fx) + img[y1, x1] * fy * fx)
+
+
+def _coords(size):
+    """Sample coordinates along an axis of ``size`` pixels: inside, on the
+    border, and outside it."""
+    return st.one_of(st.floats(0.0, size - 1.0), st.sampled_from([0.0, size - 1.0]),
+                     st.floats(-3.0, size + 2.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), channels=st.sampled_from([None, 1, 3, 60]),
+       dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_sample_bilinear_matches_per_point_formula_property(h, w, channels, dtype, seed, data):
+    shape = (h, w) if channels is None else (h, w, channels)
+    img = np.random.default_rng(seed).random(shape).astype(dtype)
+    n = data.draw(st.integers(1, 12), label="n")
+    ys = np.array(data.draw(st.lists(_coords(h), min_size=n, max_size=n), label="ys"))
+    xs = np.array(data.draw(st.lists(_coords(w), min_size=n, max_size=n), label="xs"))
+    out = synthdata.sample_bilinear_np(img, ys, xs)
+    ref = _sample_bilinear_reference(img, ys, xs)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+    # a grid: rows and columns broadcast against each other
+    grid = synthdata.sample_bilinear_np(img, ys[:, None], xs[None, :])
+    ref = _sample_bilinear_reference(img, ys[:, None] + np.zeros(n), xs[None, :] + np.zeros((n, 1)))
+    assert grid.shape == ref.shape
+    assert grid.tobytes() == ref.tobytes()
+
+
+def _rgb_to_hsv_reference(rgb):
+    """RGB to HSV on the interleaved channels, one ``np.where`` per hue case."""
+    rgb = rgb.astype(np.float64)
+    mx = rgb.max(axis=-1)
+    mn = rgb.min(axis=-1)
+    diff = mx - mn
+    safe = np.where(diff > 0, diff, 1.0)
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    h = np.zeros_like(mx)
+    h = np.where(mx == r, ((g - b) / safe) % 6.0, h)
+    h = np.where(mx == g, (b - r) / safe + 2.0, h)
+    h = np.where(mx == b, (r - g) / safe + 4.0, h)
+    h = np.where(diff > 0, h / 6.0, 0.0)
+    s = np.where(mx > 0, diff / np.where(mx > 0, mx, 1.0), 0.0)
+    return np.stack([h, s, mx], axis=-1)
+
+
+def _hsv_to_rgb_reference(hsv):
+    """HSV to RGB on the interleaved channels, one ``np.where`` per sextant
+    and channel."""
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    i = np.floor(h * 6.0)
+    f = h * 6.0 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    i = i.astype(np.int64) % 6
+    out = np.zeros(hsv.shape)
+    for k, (rr, gg, bb) in enumerate(((v, t, p), (q, v, p), (p, v, t),
+                                      (p, q, v), (t, p, v), (v, p, q))):
+        m = i == k
+        out[..., 0] = np.where(m, rr, out[..., 0])
+        out[..., 1] = np.where(m, gg, out[..., 1])
+        out[..., 2] = np.where(m, bb, out[..., 2])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(3,), (5, 3), (2, 4, 6, 3)]), levels=st.sampled_from([2, 4, 256]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_hsv_pair_matches_interleaved_formula_property(shape, levels, dtype, seed):
+    rng = np.random.default_rng(seed)
+    # few levels make ties between channels, which decide the hue case
+    rgb = (rng.integers(0, levels, shape) / (levels - 1)).astype(dtype)
+    hsv = synthdata.rgb_to_hsv(rgb)
+    assert hsv.tobytes() == _rgb_to_hsv_reference(rgb).tobytes()
+    assert synthdata.hsv_to_rgb(hsv).tobytes() == _hsv_to_rgb_reference(hsv).tobytes()
+    # any hue in [0, 1], the sextant boundaries and 1.0 (sextant 6 wraps to 0) included
+    hsv = rng.random(shape).astype(dtype)
+    hue = hsv[..., 0]
+    boundary = rng.random(hue.shape) < 0.5
+    hue[boundary] = rng.integers(0, 7, int(boundary.sum())) / 6.0
+    out = synthdata.hsv_to_rgb(hsv)
+    assert out.dtype == np.float64
+    assert out.tobytes() == _hsv_to_rgb_reference(hsv).tobytes()
+
+
 class TestSampling:
     def make(self, length):
         # each frame's first byte is its index
@@ -345,6 +467,26 @@ class TestDatasetIO:
         assert len(train) == 8 and len(test) == 4
         labels = sorted(e.label for e in loaded.split("train"))
         assert labels == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("kwargs, match", [
+        pytest.param(dict(variant="bogus"), "unknown variant 'bogus'", id="variant"),
+        pytest.param(dict(clips_per_class=0), "clips_per_class .* at least 1, got 0",
+                     id="no-clips"),
+        pytest.param(dict(clips_per_class=2.0), "clips_per_class .* got 2.0", id="float-clips"),
+        pytest.param(dict(train_fraction=1.5), r"train_fraction must be in \[0, 1\], got 1.5",
+                     id="fraction-above-1"),
+        pytest.param(dict(train_fraction=float("nan")), "train_fraction must be in",
+                     id="fraction-nan"),
+        pytest.param(dict(train_fraction=0.1), "train_fraction 0.1 of 3 clips per class "
+                     "leaves the train split empty", id="empty-train"),
+        pytest.param(dict(seed=-1), "seed must be a non-negative integer, got -1",
+                     id="negative-seed"),
+    ])
+    def test_bad_input_raises_before_writing(self, tmp_path, kwargs, match):
+        args = dict(clips_per_class=3, variant="standard", seed=5, config=SMALL) | kwargs
+        with pytest.raises(ValueError, match=f"generate_dataset: {match}"):
+            generate_dataset(tmp_path / "ds", **args)
+        assert not (tmp_path / "ds").exists()
 
     def test_missing_split_raises(self, tmp_path):
         man = generate_dataset(tmp_path / "ds2", clips_per_class=1, variant="relation-only",
@@ -497,6 +639,14 @@ class TestBitwiseOutputs:
             "masks.pgm": "658cfe7fe4964413665cd22219f8631f487b89753a933546420e89f620bff4cb",
             "gt.txt": "bc83cb20d3b9d0a55cdde121f5371b3ea0eb5a6ed509a639ebc2e09a9be6e66a",
         }
+
+    def test_cropped_clip_layout(self):
+        # training's float results depend on the strides of its input batch,
+        # so crop_resize keeps its outputs laid out (H, W, L, ...) in memory
+        clip = crop_resize(decoded(small_clip(seed=18)), 0.8, np.random.default_rng(17))
+        length, h, w = clip.ref_masks.shape
+        assert clip.frames.strides == (12, 12 * w * length, 12 * length, 4)
+        assert clip.ref_masks.strides == (4, 4 * w * length, 4 * length)
 
     def test_augmented_clip(self, monkeypatch):
         monkeypatch.setattr(synthdata, "P_CROP", 1.0)
