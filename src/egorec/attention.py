@@ -70,14 +70,15 @@ def resize_area(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Box-average a (..., H, W) mask down to (..., out_h, out_w).
 
     H and W must be integer multiples of the target; soft values are kept
-    (no thresholding), which matches cross entropy with soft targets.
+    (no thresholding), which matches cross entropy with soft targets. The
+    means run on a C-contiguous copy, so their bits do not depend on layout.
     """
     h, w = mask.shape[-2:]
     if h % out_h or w % out_w:
         raise ShapeError(f"resize_area: {h}x{w} not divisible by {out_h}x{out_w}")
     fh, fw = h // out_h, w // out_w
     lead = mask.shape[:-2]
-    return mask.reshape(*lead, out_h, fh, out_w, fw).mean(axis=(-3, -1))
+    return np.ascontiguousarray(mask).reshape(*lead, out_h, fh, out_w, fw).mean(axis=(-3, -1))
 
 
 def segmentation_loss(masks: MultiScaleMasks, ref: np.ndarray) -> Tensor:

@@ -35,17 +35,16 @@ keeping a reference, and conv_transpose2d drops it once it is copied into
 the padded buffer, before the im2col columns of its input gradient are
 built.
 
-Scratch memory: both conv ops run on three kernels. ``_gather`` (conv2d's
-forward, conv_transpose2d's input gradient) builds im2col columns and
-``_scatter`` (conv_transpose2d's forward, conv2d's input gradient) tap
-products one batch slice at a time, in slices of at most
+Scratch memory: both conv ops run on one kernel pair. ``_gather`` builds
+im2col columns one batch slice at a time, in slices of at most
 ``_SCRATCH_BYTES`` whatever the batch size; results are bitwise the same
-as from one full-batch product. ``_scatter`` accumulates only the taps
-that land inside its output. ``_kernel_grad`` (both kernel gradients)
-works one kernel tap at a time (``gw[u, v] = a_tap^T g``), so its scratch
-is one input-sized tap, not kh*kw of them. conv_transpose2d adds its bias
-in place and writes the ReLU-masked gradient straight into a zeroed
-padded buffer, which ``_gather`` and ``_kernel_grad`` both read.
+as from one full-batch product. It runs every conv product: conv2d's
+forward and conv_transpose2d's input gradient directly, the other two as
+a sub-pixel convolution (``_subpixel``). ``_kernel_grad`` (both kernel
+gradients) works one kernel tap at a time (``gw[u, v] = a_tap^T g``), so
+its scratch is one input-sized tap, not kh*kw of them. conv_transpose2d
+adds its bias in place and writes the ReLU-masked gradient straight into
+a zeroed padded buffer, which ``_gather`` and ``_kernel_grad`` both read.
 grid_sample runs its forward and its backward over the same batch slices,
 recomputing each slice's points, coordinates and taps (one take per corner
 from a flat view of the image's pixels), so neither holds a full-batch
@@ -488,8 +487,9 @@ def total_variation(x, mask) -> Tensor:
 
 
 # Bytes of scratch one batch slice may allocate: ``_gather`` builds its
-# im2col columns, ``_scatter`` its tap products and grid_sample its
-# coordinates and taps one batch slice at a time, so each slice fits.
+# im2col columns and grid_sample its coordinates and taps one batch slice
+# at a time, so each slice fits. A ``_subpixel`` slice also holds its
+# product and that product shuffled, each about the size of its output.
 _SCRATCH_BYTES = 4 << 20
 
 
@@ -498,10 +498,10 @@ def _batch_slices(n: int, item_bytes: int) -> list[slice]:
     ``_SCRATCH_BYTES`` each (one item if an item alone is larger), with
     sizes that differ by at most one.
 
-    A row of a matrix product does not depend on how many rows the product
-    has, except that BLAS may switch to another kernel, with another
-    summation order, for a very small product. Equal slices keep each one
-    near half the budget or more, so none is that small."""
+    A row of a ``_gather`` product, of which every conv is made, does not
+    depend on the product's row count, except that BLAS may switch to
+    another kernel, with another summation order, for a very small product.
+    Equal slices keep each one near half the budget or more, so none is that small."""
     cap = max(1, _SCRATCH_BYTES // item_bytes)
     count = max(1, -(-n // cap))
     bounds = [i * n // count for i in range(count + 1)]
@@ -521,34 +521,33 @@ def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int
         yield s, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * ci), wmat
 
 
-def _tap_span(u: int, size_in: int, size_out: int, stride: int, pad: int):
-    """(input slice, output slice) of the inputs ``i`` whose tap at kernel
-    offset ``u`` lands inside the output, at ``u + stride * i - pad``."""
-    lo = max(0, -((u - pad) // stride))
-    hi = min(size_in, (size_out - 1 + pad - u) // stride + 1)
-    if hi <= lo:
-        return slice(0, 0), slice(0, 0)
-    first = u + stride * lo - pad
-    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
-
-
-def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
-             size: tuple[int, int]) -> np.ndarray:
-    """Sum over taps (u, v), in order, of ``x[:, i, j] @ w[u, v]`` placed at
-    ``(u + stride * i - pad, v + stride * j - pad)`` in a zeroed output of
-    spatial ``size``; taps outside it are dropped."""
-    kh, kw, _, co = w.shape
-    n, h, wd, _ = x.shape
-    dtype = np.result_type(x, w)
-    rows = [_tap_span(u, h, size[0], stride, pad) for u in range(kh)]
-    cols = [_tap_span(v, wd, size[1], stride, pad) for v in range(kw)]
-    out = np.zeros((n, *size, co), dtype)
-    for s in _batch_slices(n, h * wd * kh * kw * co * dtype.itemsize):
-        tmp = np.tensordot(x[s], w, axes=([3], [2]))  # (ns, h, wd, kh, kw, co)
-        for u, (iy, oy) in enumerate(rows):
-            for v, (ix, ox) in enumerate(cols):
-                out[s, oy, ox] += tmp[:, iy, ix, u, v]
-        del tmp  # free this slice's scratch before the next is built
+def _subpixel(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
+              size: tuple[int, int]) -> np.ndarray:
+    """Sum over taps (u, v) of ``x[:, i, j] @ w[u, v]`` placed at
+    ``(u + stride * i - pad, v + stride * j - pad)`` in an output of spatial
+    ``size``, zero where no tap lands, as a sub-pixel convolution
+    (arXiv:1609.05158): output ``stride * q + r - pad`` takes the taps
+    ``stride * m + r`` of the inputs ``q - m``, so one stride-1 ``_gather``
+    with the flipped a x a sub-kernels of all stride^2 phases r, stacked on
+    the output channels, computes every cell q; each slice's product is then
+    shuffled into its phases. a covers w and the last cell ``size`` needs."""
+    kh, kw, ci, co = w.shape
+    s = stride
+    skip, crop = divmod(pad, s)
+    need = [-(-(n + crop) // s) for n in size]  # cells, per axis
+    a = max(-(-max(kh, kw) // s), skip + 1,
+            *(q - e + 1 + 2 * skip for q, e in zip(need, x.shape[1:3])))
+    sub = np.pad(w, ((0, a * s - kh), (0, a * s - kw), (0, 0), (0, 0))).reshape(a, s, a, s, ci, co)
+    # one contiguous copy, which _gather reshapes in place
+    sub = np.ascontiguousarray(sub[::-1, :, ::-1].transpose(0, 2, 4, 1, 3, 5)).reshape(a, a, ci, -1)
+    cells = tuple(e + a - 1 - 2 * skip for e in x.shape[1:3])
+    out = np.empty((len(x), *size, co), np.result_type(x, w))
+    for sl, cols, wmat in _gather(x, sub, 1, a - 1 - skip, cells):
+        # np.dot: matmul runs an outer product (a 1x1 conv's) without BLAS
+        prod = np.dot(cols, wmat).reshape(-1, *cells, s, s, co)
+        del cols  # free this slice's scratch before the next is built
+        shuffled = prod.transpose(0, 1, 3, 2, 4, 5).reshape(-1, s * cells[0], s * cells[1], co)
+        out[sl] = shuffled[:, crop:crop + size[0], crop:crop + size[1]]
     return out
 
 
@@ -611,7 +610,8 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
             g = np.multiply(up, mask, out=up) if relu else up
         elif relu:
             g = g * (out > 0)
-        gx = _scatter(g, w.data.transpose(0, 1, 3, 2), stride, pad, (h, wd)) if x.requires_grad else None
+        gx = (_subpixel(g, w.data.transpose(0, 1, 3, 2), stride, pad, (h, wd))
+              if x.requires_grad else None)
         xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
         gw = _kernel_grad(xp, g, kh, kw, stride)
         if b is None:
@@ -636,7 +636,7 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
     ow = (wd - 1) * stride + kw - 2 * pad
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv_transpose2d: empty output for input {x.data.shape}")
-    out = _scatter(x.data, w.data, stride, pad, (oh, ow))
+    out = _subpixel(x.data, w.data, stride, pad, (oh, ow))
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     if b is not None:
         out += inputs[2].data

@@ -438,9 +438,7 @@ def crop_resize(clip: VideoClip, scale: float, rng: np.random.Generator) -> Vide
         raise ValueError(f"bad crop {ch}x{cw} for frame {h}x{w}")
     y0 = int(rng.integers(0, h - ch + 1))
     x0 = int(rng.integers(0, w - cw + 1))
-    # one resize per clip: the frames ride on the trailing (channel) axis.
-    # The results are laid out (H, W, L, ...) in memory, as they always were:
-    # the model's float results depend on its input's strides
+    # one resize per clip: the frames ride on the trailing (channel) axis
     sub = clip.frames[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0, 3)
     frames = np.ascontiguousarray(resize_bilinear_np(sub.reshape(ch, cw, length * 3), h, w),
                                   dtype=clip.frames.dtype)

@@ -196,6 +196,15 @@ def test_resize_area_box_means():
         resize_area(x, 3, 2)
 
 
+def test_resize_area_bits_ignore_memory_layout():
+    """The same mask values laid out (L, H, W) in memory and, as
+    ``crop_resize`` returns them, (H, W, L) resize to the same bits."""
+    ref = np.random.default_rng(3).uniform(size=(20, 32, 64)).astype(np.float32)
+    strided = np.ascontiguousarray(ref.transpose(1, 2, 0)).transpose(2, 0, 1)
+    for h, w in [(4, 8), (8, 16), (16, 32)]:
+        assert resize_area(strided, h, w).tobytes() == resize_area(ref, h, w).tobytes()
+
+
 def test_mask_iou_basics():
     a = np.zeros((1, 4, 4))
     b = np.zeros((1, 4, 4))

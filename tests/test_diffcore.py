@@ -978,6 +978,10 @@ def test_primitive_grad_sweep(seed):
          [rt((2, 4, 5, 2)), rt((3, 3, 2, 3)), rt((3,))]),
         (lambda u, v: _scalarize(dc.conv2d(u, v, stride=2, pad=0)),
          [rt((1, 5, 5, 2)), rt((3, 3, 2, 2))]),
+        # the last row and column are read by no window, so their gradient
+        # is zero: outputs of the input gradient where no tap lands
+        (lambda u, v: _scalarize(dc.conv2d(u, v, stride=2, pad=0)),
+         [rt((1, 5, 7, 2)), rt((4, 4, 2, 2))]),
         (lambda u, v, w: _scalarize(dc.conv_transpose2d(u, v, w, stride=2, pad=1)),
          [rt((1, 3, 4, 2)), rt((4, 4, 2, 2)), rt((2,))]),
         (lambda u, v: _scalarize(dc.correlate(u, v, d=1)),

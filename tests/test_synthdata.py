@@ -641,8 +641,8 @@ class TestBitwiseOutputs:
         }
 
     def test_cropped_clip_layout(self):
-        # training's float results depend on the strides of its input batch,
-        # so crop_resize keeps its outputs laid out (H, W, L, ...) in memory
+        # the outputs are the whole-clip resize's, laid out (H, W, L, ...) in
+        # memory with no further copy; training's results do not depend on it
         clip = crop_resize(decoded(small_clip(seed=18)), 0.8, np.random.default_rng(17))
         length, h, w = clip.ref_masks.shape
         assert clip.frames.strides == (12, 12 * w * length, 12 * length, 4)
