@@ -1,11 +1,11 @@
 """Interactor localization and appearance feature pooling.
 
 A transposed-conv decoder on top of the backbone features produces sigmoid
-masks at four scales: the coarsest matches the feature map, the finest the
-input frame. The three upsampled scales are supervised with a pixel-wise
-cross entropy against a reference mask resized by area averaging; the
-coarsest mask is trained only indirectly, through the weighted appearance
-pooling.
+masks at three upsampled scales, the finest at the input frame's size, each
+supervised with a pixel-wise cross entropy against a reference mask resized
+by area averaging. The coarsest mask m0, at the feature map's size, is the
+finest mask's average over each feature cell: one mask, trained through
+m3's supervision, that both the warp and the appearance pooling read.
 """
 
 from __future__ import annotations
@@ -23,24 +23,22 @@ MASK_EPS = 1e-7
 
 @dataclass
 class MultiScaleMasks:
-    """Sigmoid masks m0..m3; m{k} has spatial size (2^k H0, 2^k W0)."""
+    """Masks m0..m3; m{k} has spatial size (2^k H0, 2^k W0). m1..m3 are
+    sigmoid heads, m0 is m3's cell average."""
 
     m0: Tensor
     m1: Tensor
     m2: Tensor
     m3: Tensor
 
-    def scales(self):
-        return (self.m0, self.m1, self.m2, self.m3)
-
 
 class MaskDecoder(Module):
-    """Three x2 upsampling stages with a sigmoid head per scale."""
+    """Three x2 upsampling stages with a sigmoid head per scale, and m3
+    box-averaged back to the feature grid."""
 
     def __init__(self, channels_in: int, rng: np.random.Generator,
                  widths: tuple[int, int, int] = (16, 12, 8)):
         self.channels_in = channels_in
-        self.head0 = Conv2d(channels_in, 1, 1, rng)
         self.up = [
             ConvTranspose2d(channels_in, widths[0], 4, rng, stride=2, pad=1),
             ConvTranspose2d(widths[0], widths[1], 4, rng, stride=2, pad=1),
@@ -54,12 +52,14 @@ class MaskDecoder(Module):
             raise ShapeError(
                 f"mask decoder: expected (N, H0, W0, {self.channels_in}), got {feats.shape}"
             )
-        masks = [dc.sigmoid(_drop_channel(self.head0(feats)))]
+        masks = []
         x = feats
         for up, head in zip(self.up, self.heads):
             x = up(x, relu=True)
             masks.append(dc.sigmoid(_drop_channel(head(x))))
-        return MultiScaleMasks(*masks)
+        (n, h0, w0), (h, w) = feats.shape[:3], x.shape[1:3]
+        cells = dc.reshape(masks[-1], (n, h0, h // h0, w0, w // w0))
+        return MultiScaleMasks(dc.mean(cells, axis=(2, 4)), *masks)
 
 
 def _drop_channel(x: Tensor) -> Tensor:
@@ -94,7 +94,7 @@ def segmentation_loss(masks: MultiScaleMasks, ref: np.ndarray) -> Tensor:
     if ref.shape[1:] != (h, w):
         raise ShapeError(f"reference mask {ref.shape} does not match frame size {h}x{w}")
     total = None
-    for m in masks.scales()[1:]:
+    for m in (masks.m1, masks.m2, masks.m3):
         mh, mw = m.shape[1:3]
         term = dc.binary_cross_entropy(m, resize_area(ref, mh, mw).astype(m.dtype), MASK_EPS)
         total = term if total is None else total + term

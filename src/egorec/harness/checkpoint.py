@@ -21,6 +21,7 @@ of host byte order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -40,20 +41,28 @@ def _decode_text(arr: np.ndarray) -> str:
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], config_text: str,
                     stage: str) -> None:
+    """Write the table to ``path`` through a temporary file beside it, so a
+    write that raises leaves the previous checkpoint whole."""
     table = dict(tensors)
     table["meta/config"] = _encode_text(config_text)
     table["meta/stage"] = _encode_text(stage)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(table)))
-        for name, arr in table.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(np.asarray(data.shape, dtype="<u4").tobytes())
-            f.write(data.tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(table)))
+            for name, arr in table.items():
+                data = np.ascontiguousarray(arr, dtype="<f4")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", data.ndim))
+                f.write(np.asarray(data.shape, dtype="<u4").tobytes())
+                f.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, str]:

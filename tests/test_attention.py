@@ -22,6 +22,10 @@ def const_masks(shapes, value):
 MASK_SHAPES = [(1, 4, 8), (1, 8, 16), (1, 16, 32), (1, 32, 64)]
 
 
+def upsampled(masks):
+    return (masks.m1, masks.m2, masks.m3)
+
+
 class TestPredictMasks:
     def test_mask_shapes(self):
         dec = MaskDecoder(24, np.random.default_rng(0))
@@ -37,13 +41,38 @@ class TestPredictMasks:
         for _, p in dec.named_parameters():
             p.data = np.zeros_like(p.data)
         feats = Tensor(np.random.default_rng(3).normal(size=(1, 2, 4, 6)).astype(np.float32))
-        for m in dec.predict_masks(feats).scales():
+        masks = dec.predict_masks(feats)
+        for m in (masks.m0,) + upsampled(masks):
             np.testing.assert_array_equal(m.numpy(), np.full(m.shape, 0.5, np.float32))
 
     def test_bad_feature_shape(self):
         dec = MaskDecoder(24, np.random.default_rng(4))
         with pytest.raises(ShapeError):
             dec.predict_masks(Tensor(np.zeros((1, 4, 8, 12), np.float32)))
+
+    def test_parameters_are_the_upsampling_stages_and_heads(self):
+        names = {n for n, _ in MaskDecoder(24, np.random.default_rng(0)).named_parameters()}
+        assert names == {f"{m}.{i}.{p}" for m in ("up", "heads") for i in range(3) for p in "wb"}
+
+    def test_m0_is_area_pooled_m3(self):
+        dec = MaskDecoder(24, np.random.default_rng(5))
+        feats = Tensor(np.random.default_rng(6).normal(size=(3, 4, 8, 24)).astype(np.float32))
+        masks = dec.predict_masks(feats)
+        assert masks.m0.numpy().tobytes() == resize_area(masks.m3.numpy(), 4, 8).tobytes()
+
+    def test_m0_trains_the_finest_scale_only(self):
+        """A loss on m0 alone reaches every upsampling stage and the m3 head,
+        and leaves the m1 and m2 heads at an exact-zero gradient."""
+        dec = MaskDecoder(24, np.random.default_rng(7))
+        feats = Tensor(np.random.default_rng(8).normal(size=(2, 4, 8, 24)).astype(np.float32))
+        with Tape() as tape:
+            loss = dc.mean(dec.predict_masks(feats).m0)
+        backward(tape, loss, dec.parameters())
+        grads = {n: p.grad for n, p in dec.named_parameters()}
+        for name in ("up.0.w", "up.1.w", "up.2.w", "heads.2.w"):
+            assert np.abs(grads[name]).max() > 0, name
+        for name in ("heads.0.w", "heads.0.b", "heads.1.w", "heads.1.b"):
+            assert not grads[name].any(), name
 
 
 class TestSegmentationLoss:
@@ -88,7 +117,7 @@ class TestSegmentationLoss:
         """The loss as a chain of generic ops: the reference it is bitwise
         equal to."""
         total = None
-        for m in masks.scales()[1:]:
+        for m in upsampled(masks):
             target = Tensor(resize_area(ref, *m.shape[1:3]).astype(m.dtype))
             mc = dc.clip(m, MASK_EPS, 1.0 - MASK_EPS)
             # 1 - x as -1 * x + 1, bitwise the same
@@ -117,7 +146,7 @@ class TestSegmentationLoss:
             with Tape() as tape:
                 loss = loss_fn(masks, ref)
             backward(tape, loss)
-            return [loss.data] + [m.grad for m in masks.scales()[1:]]
+            return [loss.data] + [m.grad for m in upsampled(masks)]
 
         for a, b in zip(run(segmentation_loss), run(self._chain_loss)):
             assert a.dtype == np.float32 and a.tobytes() == b.tobytes()

@@ -531,11 +531,27 @@ class TestTraining:
         with pytest.raises(KeyError, match=re.escape(str(path)) + ".*opt/m/interact.classifier.w"):
             load_model(path)
 
-    def test_load_model_rejects_unexpected_entry(self, tmp_path):
+    @pytest.mark.parametrize("extra", ["interact.block_concat.w", "attention.head0.w"])
+    def test_load_model_rejects_unexpected_entry(self, tmp_path, extra):
+        """Entries of deleted parameters are refused, naming the file and entry."""
         path = tmp_path / "m.ckpt"
-        _model_checkpoint(path, extra="interact.block_concat.w")
-        with pytest.raises(KeyError, match=re.escape(str(path)) + ".*interact.block_concat.w"):
+        _model_checkpoint(path, extra=extra)
+        with pytest.raises(KeyError, match=re.escape(str(path)) + ".*" + re.escape(extra)):
             load_model(path)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path):
+        """A save that raises partway leaves the old file loadable and no
+        temporary file beside it."""
+        path = tmp_path / "m.ckpt"
+        _model_checkpoint(path)
+        before = path.read_bytes()
+        # the second entry cannot be cast to float32, after the first is written
+        tensors = {"attention.up.0.w": np.zeros(3, np.float32), "bad": np.array(["x"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(path, tensors, tiny_config().to_text(), "2")
+        assert path.read_bytes() == before
+        load_model(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_load_model_names_checkpoint_with_unknown_config_key(self, tmp_path):
         """A checkpoint whose config holds a since-deleted key names the file."""
