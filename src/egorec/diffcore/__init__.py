@@ -1,5 +1,6 @@
-"""Minimal dense-tensor engine: recorded forward passes, reverse-mode
-gradients, and a finite-difference verification harness."""
+"""Minimal dense-tensor engine: recorded forward passes and reverse-mode
+gradients. The finite-difference gradient check lives with the tests
+(``tests/gradcheck.py``)."""
 
 from .tensor import (
     NonFiniteError,
@@ -37,7 +38,6 @@ from .ops import (
     tanh_,
     total_variation,
 )
-from .gradcheck import GradCheckReport, grad_check
 
 __all__ = [
     "Tensor", "Tape", "backward", "active_tape", "as_tensor",
@@ -47,5 +47,4 @@ __all__ = [
     "sigmoid", "tanh_", "relu", "log", "clip", "softmax", "lstm_cell",
     "binary_cross_entropy", "abs_diff_sum", "total_variation",
     "conv2d", "conv_transpose2d", "grid_sample", "correlate",
-    "grad_check", "GradCheckReport",
 ]

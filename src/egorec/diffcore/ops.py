@@ -516,9 +516,15 @@ def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int
     wmat = w.reshape(kh * kw * ci, co)
     item_bytes = math.prod(size) * kh * kw * ci * np.result_type(x, w).itemsize
     for s in _batch_slices(len(x), item_bytes):
-        xs = np.pad(x[s], ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x[s]
-        win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        yield s, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * ci), wmat
+        yield s, _columns(x[s], kh, kw, stride, pad), wmat
+
+
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """im2col rows of ``x``, one per output position. The padded copy dies
+    here, so ``_gather`` does not hold it while its caller multiplies."""
+    xs = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
 
 
 def _subpixel(x: np.ndarray, w: np.ndarray, stride: int, pad: int,

@@ -25,7 +25,6 @@ class TrainConfig:
     epochs_interaction: int = 60
     epochs_joint: int = 60
     batch_size: int = 8
-    plateau_patience: int = 5
     # model
     proj_dim: int = 32
     hidden_dim: int = 32
@@ -92,4 +91,8 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """``parse_config`` of the file at ``path``; its errors name the file."""
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

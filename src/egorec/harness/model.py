@@ -99,15 +99,8 @@ class InteractionModel(Module):
                                       embed_dim=config.motion_dim)
         self.interact = interaction_head(config, rng, self.motion.global_dim)
 
-    # parameter groups for the staged schedule
-    def group(self, name: str):
-        mod = {"backbone": self.backbone, "attention": self.attention,
-               "motion": self.motion, "interact": self.interact}[name]
-        return [(f"{name}.{n}", p) for n, p in mod.named_parameters()]
-
     def all_named(self):
-        return (self.group("backbone") + self.group("attention")
-                + self.group("motion") + self.group("interact"))
+        return list(self.named_parameters())
 
     # front end shared by forward and stream_features
 

@@ -2,15 +2,15 @@
 
 Every phase minimises ``losses.total_loss``, the sum ``l_cls + alpha·l_seg
 + beta·l_rec + gamma·l_smooth`` over the terms its forward pass computes.
-``SCHEDULE`` gives each front-end phase its parameter group, forward flags
-and epochs field: 1a trains the mask decoder on ``alpha·l_seg``, 1b the
+``SCHEDULE`` gives each front-end phase the module it trains, its forward
+flags and epochs field: 1a trains the mask decoder on ``alpha·l_seg``, 1b the
 motion module on ``beta·l_rec + gamma·l_smooth``, and stage 2 everything on
 all four terms. Phase 1c, like every ablation head, trains the recurrent
 classifier on ``l_cls`` over stream features the frozen front end computed
 once (``extract_features``, no tape). Every phase and head runs the same
-epoch loop (``_fit``); its learning rate halves when the smoothed loss
-stops improving by 1% over ``plateau_patience`` epochs. Every phase runs
-all its epochs and keeps its last parameters: training reads only the
+epoch loop (``_fit``) with one Adam over the parameters it trains, at
+``config.lr`` and ``config.weight_decay`` for all its epochs. Every phase
+runs all its epochs and keeps its last parameters: training reads only the
 train split. A non-finite pass loss or cached feature raises a
 ``NonFiniteError`` naming the first op whose output was not finite.
 
@@ -48,7 +48,8 @@ from .optim import Adam
 
 PHASES = ("1a", "1b", "1c", "2")
 
-# phase -> (parameter group trained, or None for all; forward flags; epochs field)
+# phase -> (model attribute whose parameters it trains, or None for all;
+#           forward flags; epochs field)
 SCHEDULE = {
     "1a": ("attention", dict(need_seg=True), "epochs_attention"),
     "1b": ("motion", dict(need_rec=True), "epochs_motion"),
@@ -82,21 +83,7 @@ def _batch_arrays(clips: list[VideoClip], config: TrainConfig, rng: np.random.Ge
     return np.stack(frames), np.stack(masks), np.asarray(labels, dtype=np.int64)
 
 
-def _phase_adam(phase: str, named, config: TrainConfig) -> Adam:
-    """One Adam over the phase's parameters. Motion fitting uses fast
-    weight-decayed heads over slow conv trunks; the decay damps drift along
-    photometrically unconstrained directions."""
-    groups = [([p for _, p in named], config.lr, config.weight_decay)]
-    if phase in ("1b", "2"):
-        is_head = lambda name: "affine_head" in name or "field_up2" in name
-        groups = [([p for n, p in named if is_head(n)], config.lr * 2.5,
-                   max(config.weight_decay, 0.05)),
-                  ([p for n, p in named if not is_head(n)],
-                   config.lr * (0.1 if phase == "1b" else 1.0), config.weight_decay)]
-    return Adam(groups, beta1=config.beta1, beta2=config.beta2)
-
-
-def _fit(phase: str, module, named, batch_loss, n: int, clips_per_pass: int, epochs: int,
+def _fit(phase: str, module, params, batch_loss, n: int, clips_per_pass: int, epochs: int,
          config: TrainConfig, rng: np.random.Generator, log=None) -> None:
     """The epoch loop of every phase and head: each epoch batches a fresh
     permutation of ``n`` items and splits each batch into passes of at most
@@ -104,16 +91,13 @@ def _fit(phase: str, module, named, batch_loss, n: int, clips_per_pass: int, epo
     (loss Tensor, LossBundle), each a mean over its items. Each pass is
     recorded on its own tape and differentiated at once, weighted by its
     share of the batch's items (a weight of exactly 1.0 adds no op), so the
-    ``named`` parameters' gradients sum to the batch's; Adam then steps
-    once per batch. A batch's logged loss and components are the
-    item-weighted means over its passes, averaged over the epoch's batches.
-    A non-finite pass loss is replayed from the generator as it was before
-    that pass, to name its first non-finite op."""
-    params = [p for _, p in named]
-    opt = _phase_adam(phase, named, config)
-    smoothed = None
-    best_smoothed = np.inf
-    since_improve = 0
+    gradients of ``params`` sum to the batch's; one Adam over ``params``
+    then steps once per batch, at ``config.lr`` for every epoch. A batch's
+    logged loss and components are the item-weighted means over its
+    passes, averaged over the epoch's batches. A non-finite pass loss is
+    replayed from the generator as it was before that pass, to name its
+    first non-finite op."""
+    opt = Adam(params, config.lr, config.weight_decay, config.beta1, config.beta2)
 
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -138,25 +122,15 @@ def _fit(phase: str, module, named, batch_loss, n: int, clips_per_pass: int, epo
                 for name, value in vars(bundle).items():
                     sums[name] += weight * value
             opt.step()
-            # frozen groups get gradients too; clearing every parameter keeps
+            # frozen parameters get gradients too; clearing every one keeps
             # them from piling up across steps and phases
             module.zero_grad()
             nb += 1
         means = {name: total / max(nb, 1) for name, total in sums.items()}
         epoch_loss = means.pop("l_final")
-        smoothed = epoch_loss if smoothed is None else 0.6 * smoothed + 0.4 * epoch_loss
         if log:
             log(f"phase {phase} epoch {epoch + 1}/{epochs} loss {epoch_loss:.5f} "
-                f"(smoothed {smoothed:.5f}) "
                 + " ".join(f"{name} {value:.5f}" for name, value in means.items()))
-        if smoothed < best_smoothed * 0.99:
-            best_smoothed = smoothed
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= config.plateau_patience:
-                opt.scale_lr(0.5)
-                since_improve = 0
 
 
 def _first_non_finite_op(run) -> str:
@@ -203,7 +177,7 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
     def batch_loss(idx, rng):
         _, probs = head.classify(*(Tensor(f[idx]) for f in feats), rng)
         return total_loss(config, l_cls=classification_loss(probs, labels[idx]))
-    _fit("1c", head, list(head.named_parameters()), batch_loss, len(labels),
+    _fit("1c", head, head.parameters(), batch_loss, len(labels),
          config.batch_size, config.epochs_interaction, config, rng, log)
 
 
@@ -236,8 +210,8 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
         frames, masks, labels = _batch_arrays([clips[i] for i in idx], config, rng)
         res = model.forward(frames, masks, labels, rng=rng, **needs)
         return total_loss(config, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
-    named = model.all_named() if group is None else model.group(group)
-    _fit(phase, model, named, batch_loss, len(clips), FRONT_END_CLIPS,
+    params = (model if group is None else getattr(model, group)).parameters()
+    _fit(phase, model, params, batch_loss, len(clips), FRONT_END_CLIPS,
          getattr(config, epochs_field), config, rng, log)
 
 

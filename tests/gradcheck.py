@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tape, backward
+from egorec.diffcore import Tape, backward
 
 
 @dataclass

@@ -3,7 +3,9 @@ import pytest
 
 import egorec.diffcore as dc
 from egorec.backbone import ConvBackbone
-from egorec.diffcore import ShapeError, Tensor, grad_check
+from egorec.diffcore import ShapeError, Tensor
+
+from gradcheck import grad_check
 
 
 def test_shape_contract_default():

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 import egorec.diffcore as dc
-from egorec.diffcore import Tape, Tensor, backward, grad_check
+from egorec.diffcore import Tape, Tensor, backward
 from egorec.diffcore import ops
 from egorec.diffcore.ops import _result
+
+from gradcheck import grad_check
 
 
 def t(data, rg=False, dtype=np.float64):

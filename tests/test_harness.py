@@ -19,6 +19,7 @@ from egorec.harness import (
     evaluate,
     evaluate_clips,
     load_checkpoint,
+    load_config,
     load_model,
     parse_config,
     parse_variants,
@@ -72,9 +73,15 @@ class TestConfig:
         cfg = parse_config("# comment\n\nlr=0.01  # trailing\nseed=9\n")
         assert cfg.lr == 0.01 and cfg.seed == 9
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config("learning_rate=0.1\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        """A config file that sets an unknown or since-deleted key names the
+        file and the key."""
+        path = tmp_path / "c.txt"
+        for line in ("learning_rate=0.1", "plateau_patience=5"):
+            path.write_text(line + "\n")
+            key = line.split("=")[0]
+            with pytest.raises(ValueError, match=re.escape(str(path)) + f".*unknown key '{key}'"):
+                load_config(path)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -265,9 +272,8 @@ class TestCorruptCheckpoint:
 
 class TestAdam:
     def test_descends_quadratic(self):
-        import egorec.diffcore as dc
         x = Tensor(np.array([5.0, -3.0], dtype=np.float32), requires_grad=True)
-        opt = Adam([([x], 0.1, 0.0)])
+        opt = Adam([x], 0.1, 0.0)
         for _ in range(300):
             with Tape() as tape:
                 loss = dc.sum_(x * x)
@@ -280,41 +286,54 @@ class TestAdam:
         x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
         y = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
         before = y.data.tobytes()
-        opt = Adam([([x, y], 0.1, 0.1)])
+        opt = Adam([x, y], 0.1, 0.1)
         x.grad = np.ones_like(x.data)
         opt.step()
         assert y.data.tobytes() == before
         assert x.data.tobytes() != np.array([1.0, 2.0], np.float32).tobytes()
 
-    def test_two_groups_equal_two_adams(self):
-        """One Adam over two groups is bitwise equal to one Adam per group,
-        stepped side by side, across a learning-rate change."""
-        rng = np.random.default_rng(5)
-        start = [rng.normal(size=s).astype(np.float32) for s in [(3, 4), (4,), (2, 3)]]
-        grads = [[rng.normal(size=a.shape).astype(np.float32) for a in start]
-                 for _ in range(4)]
-        ours = [Tensor(a.copy(), requires_grad=True) for a in start]
-        theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
-        one = Adam([(ours[:2], 0.05, 0.0), (ours[2:], 0.01, 0.2)], beta1=0.8, beta2=0.99)
-        two = [Adam([(theirs[:2], 0.05, 0.0)], beta1=0.8, beta2=0.99),
-               Adam([(theirs[2:], 0.01, 0.2)], beta1=0.8, beta2=0.99)]
-        for i, step_grads in enumerate(grads):
-            if i == 2:
-                one.scale_lr(0.5)
-                for opt in two:
-                    opt.scale_lr(0.5)
-            for p, q, g in zip(ours, theirs, step_grads):
-                p.grad, q.grad = g, g.copy()
-            one.step()
-            for opt in two:
-                opt.step()
-        assert [p.data.tobytes() for p in ours] == [q.data.tobytes() for q in theirs]
 
-    def test_scale_lr_halves_every_group(self):
-        x, y = (Tensor(np.zeros(2, np.float32), requires_grad=True) for _ in range(2))
-        opt = Adam([([x], 0.4, 0.0), ([y], 0.1, 0.05)])
-        opt.scale_lr(0.5)
-        assert [(lr, wd) for _, lr, wd in opt.groups] == [(0.2, 0.0), (0.05, 0.05)]
+class TestOptimizerPolicy:
+    """Every phase and head trains one Adam over exactly its parameters, at
+    ``config.lr`` and ``config.weight_decay``, and keeps that rate on every
+    step of every epoch."""
+
+    def test_one_adam_per_phase_at_a_fixed_rate(self, tiny_dataset, monkeypatch):
+        epochs = 6  # more epochs than any rate schedule's patience used to be
+        cfg = tiny_config(lr=2e-3, weight_decay=0.01, epochs_attention=epochs,
+                          epochs_motion=epochs, epochs_interaction=epochs,
+                          epochs_joint=epochs)
+        clips = load_split(load_manifest(tiny_dataset), "train")[:cfg.batch_size]
+        made, steps = [], []
+        real_init, real_step = Adam.__init__, Adam.step
+
+        def spy_init(opt, *args, **kwargs):
+            real_init(opt, *args, **kwargs)
+            made.append(opt)
+
+        def spy_step(opt):
+            steps.append((opt, opt.lr, opt.weight_decay))
+            real_step(opt)
+        monkeypatch.setattr(Adam, "__init__", spy_init)
+        monkeypatch.setattr(Adam, "step", spy_step)
+
+        def check(label, module):
+            (opt,) = made
+            assert [id(p) for p in opt.params] == [id(p) for p in module.parameters()], label
+            # one batch an epoch
+            assert steps == [(opt, cfg.lr, cfg.weight_decay)] * epochs, label
+            made.clear()
+            steps.clear()
+
+        rng = np.random.default_rng(cfg.seed)
+        model = InteractionModel(cfg, rng)
+        for phase, module in (("1a", model.attention), ("1b", model.motion),
+                              ("2", model), ("1c", model.interact)):
+            run_phase(model, phase, clips, cfg, rng)
+            check(phase, module)
+        head = interaction_head(cfg, np.random.default_rng(0), model.motion.global_dim, "rel")
+        train_head(head, *extract_features(model, clips, cfg), cfg, rng)
+        check("rel head", head)
 
 
 class TestBatchArrays:
@@ -556,8 +575,8 @@ class TestTraining:
     def test_load_model_names_checkpoint_with_unknown_config_key(self, tmp_path):
         """A checkpoint whose config holds a since-deleted key names the file."""
         path = tmp_path / "m.ckpt"
-        for key in ("patience", "augment"):
-            _model_checkpoint(path, config_line=f"{key}=1\n")
+        for key, value in (("patience", 1), ("augment", 1), ("plateau_patience", 5)):
+            _model_checkpoint(path, config_line=f"{key}={value}\n")
             with pytest.raises(ValueError, match=re.escape(str(path)) + f".*unknown key '{key}'"):
                 load_model(path)
 
@@ -938,7 +957,7 @@ class TestFrontEndPasses:
             real_step(opt)
         monkeypatch.setattr(Adam, "step", spy_step)
         lines = []
-        _fit("1a", module, list(module.named_parameters()), batch_loss, 5, 2, 1,
+        _fit("1a", module, module.parameters(), batch_loss, 5, 2, 1,
              cfg, np.random.default_rng(0), log=lines.append)
         assert sizes == [2, 2, 1]
         (line,) = lines

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import egorec.diffcore as dc
-from egorec.diffcore import ShapeError, Tape, Tensor, grad_check
+from egorec.diffcore import ShapeError, Tape, Tensor
 from egorec.interact import InteractiveClassifier, classification_loss
+
+from gradcheck import grad_check
 
 
 def make_model(variant="full", seed=0, hidden=6, proj=5, k=4, features="both"):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import egorec.diffcore as dc
-from egorec.diffcore import ShapeError, Tensor, grad_check
+from egorec.diffcore import ShapeError, Tensor
 from egorec.motion import (
     MotionEstimator,
     reconstruction_loss,
     smoothness_loss,
     warp_previous,
 )
+
+from gradcheck import grad_check
 
 
 def translation(tx, ty, n=1, dtype=np.float64):
