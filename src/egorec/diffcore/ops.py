@@ -521,7 +521,10 @@ def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int
 
 def _columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """im2col rows of ``x``, one per output position. The padded copy dies
-    here, so ``_gather`` does not hold it while its caller multiplies."""
+    here, so ``_gather`` does not hold it while its caller multiplies. A 1x1,
+    stride-1, unpadded window is the input itself, so its rows are ``x``'s."""
+    if kh == kw == stride == 1 and not pad:
+        return x.reshape(-1, x.shape[3])
     xs = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])

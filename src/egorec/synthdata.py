@@ -34,10 +34,17 @@ Ground truth per raw frame pair: the 6 affine parameters of the global
 transform (normalized [-1, 1] coordinates, mapping current-frame points to
 previous-frame points) and the sprite's world displacement.
 
-Stored clips, from ``generate_clip`` and ``load_clip``, hold their frames
-and masks as uint8, the bytes of the files (mask alpha 0/1 as 0/255).
-``sample_frames`` is the one decoder: the clip it returns holds float32
-frames and masks in [0, 1], which ``augment`` and the model take.
+Stored clips hold their frames and masks as uint8, the bytes of the files
+(mask alpha 0/1 as 0/255). ``generate_clip`` returns them as arrays;
+``load_clip`` returns ``FilmStrip``s, which hold the files' paths and
+offsets and no pixels, so a loaded split's memory is its ground truth and
+grows with the batch, not the dataset. A loaded clip reads its files each
+time it is sampled, so a live split needs them until it is dropped: a file
+that was removed, or whose size changed, raises ``OSError`` or a
+``ValueError`` naming it at the next read. ``sample_frames`` is the one
+decoder: it reads only the rows it samples, from either kind, and the clip
+it returns holds float32 frames and masks in [0, 1], which ``augment`` and
+the model take.
 
 Sampling follows one policy, switched by an rng as in Temporal Segment
 Networks: ``sample_frames`` takes one frame per equal segment, the first
@@ -55,12 +62,12 @@ layout; and ``gt.txt``, a ``frames=<L>`` header followed by one line of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .imageio import read_pgm, read_ppm, write_pgm, write_ppm
+from .imageio import FilmStrip, open_pgm, open_ppm, write_pgm, write_ppm
 
 VARIANT_CLASSES = {"standard": 4, "relation-only": 2}
 
@@ -150,8 +157,10 @@ class SyntheticScene:
 
 @dataclass
 class VideoClip:
-    frames: np.ndarray       # (L, H, W, 3) uint8 stored; float32 in [0, 1] sampled
-    ref_masks: np.ndarray    # (L, H, W) uint8 0/255 stored; float32 in [0, 1] sampled
+    # stored, frames and masks are uint8 arrays when generated and
+    # FilmStrips of the clip's files when loaded
+    frames: np.ndarray | FilmStrip      # (L, H, W, 3): uint8 stored, float32 in [0, 1] sampled
+    ref_masks: np.ndarray | FilmStrip   # (L, H, W): uint8 0/255 stored, float32 in [0, 1] sampled
     label: int
     gt_global: np.ndarray    # (L-1, 6) affine rows [a11 a12 tx a21 a22 ty]
     gt_local: np.ndarray     # (L-1, 2) sprite displacement (dx, dy), normalized
@@ -366,8 +375,8 @@ def sample_frames(clip: VideoClip, n: int,
 
     Without an ``rng`` each segment contributes its first index; with one
     (training) a uniform index from the segment. Short clips repeat indices.
-    The picked uint8 frames and masks are decoded to float32 in [0, 1]
-    (k / 255).
+    Only the picked uint8 frames and masks are read (from a loaded clip's
+    files), and they are decoded to float32 in [0, 1] (k / 255).
     """
     if n < 2:
         raise ValueError(f"need at least 2 sampled frames, got {n}")
@@ -575,26 +584,25 @@ def write_clip(clip_dir, clip: VideoClip) -> None:
 
 
 def load_clip(clip_dir, label: int) -> VideoClip:
-    """Read a clip written by ``write_clip``.
+    """Open a clip written by ``write_clip``: its ground truth is read, its
+    frames and masks are ``FilmStrip``s of the files, read on demand.
 
     A malformed ``gt.txt``, or a frame or mask strip whose size does not
     match its ``frames=`` header, raises ``ValueError`` naming the file.
     """
     d = Path(clip_dir)
     length, gt = _read_gt(d / "gt.txt")
-    path = d / "frames.ppm"
-    frames = read_ppm(path)
-    if frames.shape[0] % length:
-        raise ValueError(f"{path}: height {frames.shape[0]} is not a multiple of "
-                         f"frames={length}")
-    h, w = frames.shape[0] // length, frames.shape[1]
-    path = d / "masks.pgm"
-    masks = read_pgm(path)
-    if masks.shape != (length * h, w):
-        raise ValueError(f"{path}: size {masks.shape[1]}x{masks.shape[0]} does not match "
+    frames = open_ppm(d / "frames.ppm")
+    rows, w = frames.shape[:2]
+    if rows % length:
+        raise ValueError(f"{frames.path}: height {rows} is not a multiple of frames={length}")
+    h = rows // length
+    masks = open_pgm(d / "masks.pgm")
+    if masks.shape != (rows, w):
+        raise ValueError(f"{masks.path}: size {masks.shape[1]}x{masks.shape[0]} does not match "
                          f"{length} frames of {w}x{h}")
-    return VideoClip(frames=frames.reshape(length, h, w, 3),
-                     ref_masks=masks.reshape(length, h, w), label=label,
+    return VideoClip(frames=replace(frames, shape=(length, h, w, 3)),
+                     ref_masks=replace(masks, shape=(length, h, w)), label=label,
                      gt_global=gt[:, :6], gt_local=gt[:, 6:])
 
 

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
@@ -1153,6 +1154,37 @@ def test_conv_transpose_is_conv_adjoint_bitwise(k, stride, pad):
     g = rng.normal(size=up.shape).astype(np.float32)
     down = dc.conv2d(Tensor(g), Tensor(w_swapped), stride=stride, pad=pad).numpy()
     assert up_bwd(g)[0].tobytes() == down.tobytes()
+
+
+def _window_columns(x, kh, kw, stride, pad):
+    """``ops._columns``'s general im2col path, taken for every window."""
+    xs = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    win = sliding_window_view(xs, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+
+
+@pytest.mark.parametrize("shape", [(20, 8, 16, 16), (20, 16, 32, 12), (20, 32, 64, 8)])
+def test_one_by_one_conv_bitwise_equal_to_the_window_path(monkeypatch, shape):
+    """A 1x1 conv2d reads its input's rows as its im2col columns, without a
+    copy. Its output and its input, kernel and bias gradients are bitwise
+    those of the window path, at the inputs of the mask decoder's three
+    heads for one 20-frame clip."""
+    rng = np.random.default_rng(31)
+    x, g = (rng.normal(size=shape[:3] + (c,)).astype(np.float32) for c in (shape[3], 1))
+    w = rng.normal(size=(1, 1, shape[3], 1)).astype(np.float32)
+    b = rng.normal(size=1).astype(np.float32)
+    assert np.shares_memory(ops._columns(x, 1, 1, 1, 0), x)
+
+    def run():
+        with Tape() as tape:
+            y = dc.conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)))
+        [(_, _, bwd, _)] = tape.nodes
+        return [y.data, *bwd(g)]
+
+    rows = run()
+    monkeypatch.setattr(ops, "_columns", _window_columns)
+    for got, want in zip(rows, run(), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -448,10 +448,12 @@ class TestDatasetIO:
         for i, clip in enumerate(clips):
             write_clip(tmp_path / f"c{i}", clip)
             back = load_clip(tmp_path / f"c{i}", clip.label)
-            assert back.frames.dtype == np.uint8 and back.ref_masks.dtype == np.uint8
+            frames, masks = np.asarray(back.frames), np.asarray(back.ref_masks)
+            assert frames.dtype == np.uint8 and masks.dtype == np.uint8
             assert back.length == clip.length
-            assert back.frames.tobytes() == clip.frames.tobytes()
-            assert back.ref_masks.tobytes() == clip.ref_masks.tobytes()
+            assert frames.shape == clip.frames.shape and masks.shape == clip.ref_masks.shape
+            assert frames.tobytes() == clip.frames.tobytes()
+            assert masks.tobytes() == clip.ref_masks.tobytes()
             np.testing.assert_array_equal(back.gt_global, clip.gt_global)
             np.testing.assert_array_equal(back.gt_local, clip.gt_local)
 
@@ -493,6 +495,58 @@ class TestDatasetIO:
                                seed=6, train_fraction=1.0, config=SMALL)
         with pytest.raises(ValueError):
             man.split("test")
+
+
+class TestOnDemandReads:
+    """A loaded clip holds file offsets, and ``sample_frames`` reads the
+    rows it samples from the files."""
+
+    def test_a_loaded_split_holds_no_pixels(self, tmp_path):
+        man = generate_dataset(tmp_path, clips_per_class=2, variant="standard", seed=7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clips = load_split(man, "train") + load_split(man, "test")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cfg = GenConfig()
+        strip_bytes = cfg.length * cfg.height * cfg.width * (3 + 1)
+        assert len(clips) == 8 and clips[0].length == cfg.length
+        assert retained < strip_bytes
+
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_sampled_bitwise_equal_to_the_generated_clip(self, tmp_path, n, seed):
+        # 16 of 12 frames repeats rows
+        clip = small_clip(seed=22, class_id=3)
+        write_clip(tmp_path, clip)
+        loaded = load_clip(tmp_path, clip.label)
+        rng = None if seed is None else np.random.default_rng(seed)
+        got = sample_frames(loaded, n, rng)
+        rng = None if seed is None else np.random.default_rng(seed)
+        want = sample_frames(clip, n, rng)
+        assert got.label == want.label
+        for name in ("frames", "ref_masks", "gt_global", "gt_local"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: (d / "frames.ppm").write_bytes(
+            (d / "frames.ppm").read_bytes()[:-100]), id="truncated"),
+        pytest.param(lambda d: write_clip(
+            d, generate_clip(make_scene(1, "standard", 23, replace(SMALL, length=9)))),
+            id="rewritten"),
+    ])
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_a_changed_file_names_itself(self, tmp_path, edit, seed):
+        write_clip(tmp_path, small_clip(seed=21))
+        clip = load_clip(tmp_path, 0)
+        edit(tmp_path)
+        rng = None if seed is None else np.random.default_rng(seed)
+        with pytest.raises(ValueError, match="truncated pixel data") as err:
+            sample_frames(clip, 6, rng)
+        assert str(tmp_path / "frames.ppm") in str(err.value)
 
 
 def test_relation_only_marginals_balanced():
@@ -588,11 +642,13 @@ class TestClipErrors:
 
 
 def _digest(clips):
-    """SHA-256 of the clips, with 8-bit frames and masks decoded to float32
-    k / 255 as ``sample_frames`` decodes them."""
+    """SHA-256 of the clips, with 8-bit frames and masks, in memory or read
+    from a loaded clip's files, decoded to float32 k / 255 as
+    ``sample_frames`` decodes them."""
     h = hashlib.sha256()
     for clip in clips:
         for a in (clip.frames, clip.ref_masks, clip.gt_global, clip.gt_local):
+            a = np.asarray(a)
             if a.dtype == np.uint8:
                 a = a.astype(np.float32) / 255.0
             h.update(a.tobytes())
