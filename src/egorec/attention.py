@@ -24,11 +24,12 @@ MASK_EPS = 1e-7
 @dataclass
 class MultiScaleMasks:
     """Masks m0..m3; m{k} has spatial size (2^k H0, 2^k W0). m1..m3 are
-    sigmoid heads, m0 is m3's cell average."""
+    sigmoid heads, m0 is m3's cell average. m1 and m2, which only the
+    segmentation loss reads, are None when they were not asked for."""
 
     m0: Tensor
-    m1: Tensor
-    m2: Tensor
+    m1: Tensor | None
+    m2: Tensor | None
     m3: Tensor
 
 
@@ -46,8 +47,10 @@ class MaskDecoder(Module):
         ]
         self.heads = [Conv2d(w, 1, 1, rng) for w in widths]
 
-    def predict_masks(self, feats: Tensor) -> MultiScaleMasks:
-        """(N, H0, W0, C) features -> masks at H0, 2H0, 4H0, 8H0."""
+    def predict_masks(self, feats: Tensor, need_seg: bool = True) -> MultiScaleMasks:
+        """(N, H0, W0, C) features -> masks at H0, 2H0, 4H0, 8H0. Without
+        ``need_seg`` the heads of m1 and m2 do not run; the upsampling
+        stages, which m3 needs, always do."""
         if feats.ndim != 4 or feats.shape[3] != self.channels_in:
             raise ShapeError(
                 f"mask decoder: expected (N, H0, W0, {self.channels_in}), got {feats.shape}"
@@ -56,7 +59,8 @@ class MaskDecoder(Module):
         x = feats
         for up, head in zip(self.up, self.heads):
             x = up(x, relu=True)
-            masks.append(dc.sigmoid(_drop_channel(head(x))))
+            run = need_seg or head is self.heads[-1]
+            masks.append(dc.sigmoid(_drop_channel(head(x))) if run else None)
         (n, h0, w0), (h, w) = feats.shape[:3], x.shape[1:3]
         cells = dc.reshape(masks[-1], (n, h0, h // h0, w0, w // w0))
         return MultiScaleMasks(dc.mean(cells, axis=(2, 4)), *masks)

@@ -38,7 +38,11 @@ built.
 Scratch memory: both conv ops run on one kernel pair. ``_gather`` builds
 im2col columns one batch slice at a time, in slices of at most
 ``_SCRATCH_BYTES`` whatever the batch size; results are bitwise the same
-as from one full-batch product. It runs every conv product: conv2d's
+as from one full-batch product. A slice's budget counts all the slice
+allocates: its padded input, its columns and the products its caller
+builds from them (``_subpixel``'s product and that product shuffled,
+conv2d's full-resolution output before a pool), each freed before the
+next slice is built. It runs every conv product: conv2d's
 forward and conv_transpose2d's input gradient directly, the other two as
 a sub-pixel convolution (``_subpixel``). ``_kernel_grad`` (both kernel
 gradients) works one kernel tap at a time (``gw[u, v] = a_tap^T g``), so
@@ -486,11 +490,14 @@ def total_variation(x, mask) -> Tensor:
 # convolution family (NHWC, kernels (kh, kw, c_in, c_out))
 
 
-# Bytes of scratch one batch slice may allocate: ``_gather`` builds its
-# im2col columns and grid_sample its coordinates and taps one batch slice
-# at a time, so each slice fits. A ``_subpixel`` slice also holds its
-# product and that product shuffled, each about the size of its output.
-_SCRATCH_BYTES = 4 << 20
+# Bytes of scratch one batch slice may allocate, counting all it allocates:
+# a ``_gather`` slice's padded input and im2col columns and the products its
+# caller builds per slice (``_subpixel``'s product and its shuffled copy,
+# conv2d's full-resolution output before a pool), and a grid_sample slice's
+# points, coordinates, corners and taps. Smaller slices cost more calls;
+# at 1 MiB the benchmark's peak RSS also jumped by 3-4 MiB in some runs,
+# as glibc placed later large arrays on fresh pages (CHANGES.md).
+_SCRATCH_BYTES = 2 << 20
 
 
 def _batch_slices(n: int, item_bytes: int) -> list[slice]:
@@ -508,13 +515,18 @@ def _batch_slices(n: int, item_bytes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int, int]):
+def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int, int],
+            products: int = 0):
     """Yields ``(s, cols, wmat)`` per batch slice, where ``cols @ wmat`` is
     the cross-correlation of ``x[s]`` with ``w``, of spatial ``size``, as
-    (-1, c_out) rows. The caller deletes ``cols`` before the next slice."""
+    (-1, c_out) rows. A slice's budget counts its padded input, its columns
+    and ``products`` arrays of the product's size that the caller allocates
+    per slice. The caller deletes ``cols`` before the next slice."""
     kh, kw, ci, co = w.shape
     wmat = w.reshape(kh * kw * ci, co)
-    item_bytes = math.prod(size) * kh * kw * ci * np.result_type(x, w).itemsize
+    padded = (x.shape[1] + 2 * pad) * (x.shape[2] + 2 * pad) * ci if pad else 0
+    item_bytes = ((math.prod(size) * (kh * kw * ci + products * co) + padded)
+                  * np.result_type(x, w).itemsize)
     for s in _batch_slices(len(x), item_bytes):
         yield s, _columns(x[s], kh, kw, stride, pad), wmat
 
@@ -551,12 +563,14 @@ def _subpixel(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     sub = np.ascontiguousarray(sub[::-1, :, ::-1].transpose(0, 2, 4, 1, 3, 5)).reshape(a, a, ci, -1)
     cells = tuple(e + a - 1 - 2 * skip for e in x.shape[1:3])
     out = np.empty((len(x), *size, co), np.result_type(x, w))
-    for sl, cols, wmat in _gather(x, sub, 1, a - 1 - skip, cells):
+    # each slice builds its product and that product shuffled
+    for sl, cols, wmat in _gather(x, sub, 1, a - 1 - skip, cells, products=2):
         # np.dot: matmul runs an outer product (a 1x1 conv's) without BLAS
         prod = np.dot(cols, wmat).reshape(-1, *cells, s, s, co)
         del cols  # free this slice's scratch before the next is built
         shuffled = prod.transpose(0, 1, 3, 2, 4, 5).reshape(-1, s * cells[0], s * cells[1], co)
         out[sl] = shuffled[:, crop:crop + size[0], crop:crop + size[1]]
+        del prod, shuffled
     return out
 
 
@@ -597,7 +611,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
     dtype = np.result_type(x.data, w.data)
     out = np.empty((n, ho // pool, wo // pool, co), dtype)
     mask = np.empty((n, ho, wo, co), bool) if relu and pool > 1 and _tracked(inputs) else None
-    for s, cols, wmat in _gather(x.data, w.data, stride, pad, (ho, wo)):
+    for s, cols, wmat in _gather(x.data, w.data, stride, pad, (ho, wo), products=int(pool > 1)):
         full = np.empty((s.stop - s.start, ho, wo, co), dtype) if pool > 1 else out[s]
         np.matmul(cols, wmat, out=full.reshape(-1, co))
         if b is not None:
@@ -763,6 +777,7 @@ def grid_sample(img, index, transform, field, mask) -> Tensor:
         top = i00 * (1 - fx) + i01 * fx
         bot = i10 * (1 - fx) + i11 * fx
         out[s] = (top * (1 - fy) + bot * fy).reshape(-1, h, w, c)
+        del fx, fy, i00, i01, i10, i11, top, bot  # free this slice's scratch before the next
 
     def bwd(g):
         gt = np.zeros_like(transform.data) if transform.requires_grad else None

@@ -4,12 +4,20 @@ The front end runs a pass's frames through the backbone and mask decoder,
 its consecutive-frame pairs through the motion estimator, and pools the
 per-step stream features. Under a tape the pass is the whole batch, which
 the tape keeps until ``backward`` anyway; without one, passes of at most
-``FRONT_END_CLIPS`` clips run in turn and their outputs are concatenated,
-bitwise the same since no front-end layer couples clips. The losses and
-the recurrent classifier run once over the batch. ``forward``'s ``need_*``
-flags skip whole branches; its result keeps the masks, motion estimate and
-reconstruction for ``egorec viz``. ``stream_features`` stops at the stream
-features, which phase 1c, the ablation heads and evaluation classify.
+``FRONT_END_CLIPS`` clips run in turn and the stages ``forward`` reads are
+concatenated, bitwise the same since no front-end layer couples clips. The
+losses and the recurrent classifier run once over the batch.
+
+``forward`` computes and keeps only what its ``need_*`` flags ask for, with
+or without a tape: the masks (with m1 and m2 only for the segmentation
+loss) under ``need_seg`` or ``need_rec``, the motion estimate and
+reconstruction under ``need_rec``, the stream features and probabilities
+under ``need_cls``. A pass drops every stage ``forward`` does not read once
+the pass is done with it, so a tape-less ``need_cls`` forward holds one
+pass and the small stream features of the rest; ``egorec viz`` reads the
+masks, motion estimate and reconstruction of ``need_rec``.
+``stream_features`` stops at the stream features, which phase 1c, the
+ablation heads and evaluation classify.
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ FRONT_END_CLIPS = 1
 
 @dataclass
 class ForwardResult:
+    """What ``forward`` computed. A field is None unless a flag asks for it:
+    ``masks_m3`` under ``need_seg`` or ``need_rec``; ``l_seg`` under
+    ``need_seg``; ``motion_est``, ``recon``, ``l_rec`` and ``l_smooth`` under
+    ``need_rec``; ``probs`` under ``need_cls``, and ``l_cls`` with it when
+    labels are given."""
+
     probs: Tensor | None = None
     l_cls: Tensor | None = None
     l_seg: Tensor | None = None
@@ -67,8 +81,11 @@ def _pairs(x: Tensor, batch: int, take_prev: bool) -> Tensor:
 
 
 def _cat(parts):
-    """Per-pass outputs (Tensors, or tuples or dataclasses of them) joined by batch."""
+    """Per-pass outputs (Tensors, or tuples or dataclasses of them, or None)
+    joined by batch."""
     first = parts[0]
+    if first is None:
+        return None
     if isinstance(first, Tensor):
         return Tensor(np.concatenate([p.data for p in parts]))
     if isinstance(first, tuple):
@@ -76,11 +93,11 @@ def _cat(parts):
     return type(first)(*map(_cat, zip(*(vars(p).values() for p in parts))))
 
 
-def _streams(feats: Tensor, masks, est, batch: int):
+def _streams(feats: Tensor, m0: Tensor, est, batch: int):
     """Per-step (f_ga, f_gm, f_la, f_lm), each (B, S, dim)."""
     # weighted_pool is recorded before global_pool: the order in which
     # backward sums the features' gradients depends on it
-    f_la = weighted_pool(feats, masks.m0)
+    f_la = weighted_pool(feats, m0)
     f_ga = global_pool(feats)
     seq = lambda x: dc.reshape(x, (batch, x.shape[0] // batch, x.shape[-1]))
     return (seq(_pairs(f_ga, batch, False)), seq(est.f_gm),
@@ -104,28 +121,37 @@ class InteractionModel(Module):
 
     # front end shared by forward and stream_features
 
-    def _front_end(self, frames: np.ndarray, need_motion: bool, need_streams: bool):
-        """One pass yielding the masks, motion estimate and stream features
-        as asked; under a tape ``forward`` records its losses in between."""
+    def _front_end(self, frames: np.ndarray, need_seg: bool, need_rec: bool, need_cls: bool):
+        """One pass yielding, in order, the masks (under ``need_seg`` or
+        ``need_rec``), the motion estimate (``need_rec``) and the stream
+        features (``need_cls``); under a tape ``forward`` records its losses
+        in between. What it does not yield dies with the pass."""
         b, n, h, w, _ = frames.shape
         feats = self.backbone.extract(Tensor(frames.reshape(b * n, h, w, 3)))
-        masks = self.attention.predict_masks(feats)
-        yield masks
-        if need_motion:
-            est = self.motion.estimate(_pairs(feats, b, True), _pairs(feats, b, False),
-                                       _pairs(masks.m0, b, False))
+        masks = self.attention.predict_masks(feats, need_seg)
+        if need_seg or need_rec:
+            yield masks
+        if not (need_rec or need_cls):
+            return
+        m0 = masks.m0
+        del masks
+        est = self.motion.estimate(_pairs(feats, b, True), _pairs(feats, b, False),
+                                   _pairs(m0, b, False))
+        if need_rec:
             yield est
-        if need_streams:
-            yield _streams(feats, masks, est, b)
+        if need_cls:
+            yield _streams(feats, m0, est, b)
 
-    def _passes(self, frames: np.ndarray, need_motion: bool, need_streams: bool):
-        """``_front_end``'s stages: one pass under a tape, else concatenated passes."""
+    def _passes(self, frames: np.ndarray, need_seg: bool, need_rec: bool, need_cls: bool):
+        """``_front_end``'s stages: one pass under a tape, else each stage
+        joined over passes."""
         if frames.ndim != 5 or frames.shape[0] < 1 or frames.shape[1] < 2:
             raise ShapeError(f"model: frames must be (B >= 1, N >= 2, H, W, 3), "
                              f"got {frames.shape}")
+        needs = (need_seg, need_rec, need_cls)
         if dc.active_tape() is not None or len(frames) <= FRONT_END_CLIPS:
-            return self._front_end(frames, need_motion, need_streams)
-        passes = [list(self._front_end(frames[i:i + FRONT_END_CLIPS], need_motion, need_streams))
+            return self._front_end(frames, *needs)
+        passes = [list(self._front_end(frames[i:i + FRONT_END_CLIPS], *needs))
                   for i in range(0, len(frames), FRONT_END_CLIPS)]
         return iter([_cat(stage) for stage in zip(*passes)])
 
@@ -133,18 +159,19 @@ class InteractionModel(Module):
                 labels: np.ndarray | None, rng: np.random.Generator | None = None,
                 need_seg: bool = False, need_rec: bool = False,
                 need_cls: bool = False) -> ForwardResult:
-        """Run the pipeline on (B, N, H, W, 3) sampled frames in [0, 1]."""
-        stages = self._passes(frames, need_rec or need_cls, need_cls)
+        """Run the pipeline on (B, N, H, W, 3) sampled frames in [0, 1], as
+        far as the flags ask (see ``ForwardResult``)."""
+        stages = self._passes(frames, need_seg, need_rec, need_cls)
         b, n, h, w, _ = frames.shape
-        masks = next(stages)
-        res = ForwardResult(masks_m3=masks.m3)
+        res = ForwardResult()
+        if need_seg or need_rec:
+            masks = next(stages)
+            res.masks_m3 = masks.m3
         if need_seg:
             res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w))
-        if not (need_rec or need_cls):
-            return res
-        est = res.motion_est = next(stages)
 
         if need_rec:
+            est = res.motion_est = next(stages)
             m3_cur = _pairs(masks.m3, b, False)
             # the warp reads each pair's earlier frame by its row of the flat
             # frames, and the loss the later frames in place: neither is copied
@@ -164,5 +191,5 @@ class InteractionModel(Module):
         """The per-step stream features ``forward`` classifies, as numpy, for
         cached-feature training. Returns (f_ga, f_gm, f_la, f_lm), each (B, S, dim).
         """
-        _, _, streams = self._passes(frames, True, True)
+        (streams,) = self._passes(frames, False, False, True)
         return tuple(x.numpy() for x in streams)

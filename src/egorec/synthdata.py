@@ -397,18 +397,21 @@ def sample_frames(clip: VideoClip, n: int,
     )
 
 
-def _to_mat(row):
-    return np.array([[row[0], row[1], row[2]], [row[3], row[4], row[5]], [0, 0, 1.0]])
-
-
 def _resample_global(gt: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(idx) - 1, 6))
-    for k in range(len(idx) - 1):
-        m = np.eye(3)
-        for t in range(idx[k], idx[k + 1]):
-            m = _to_mat(gt[t]) @ m
-        out[k] = m[:2].reshape(-1)
-    return out
+    """(K, 6) affine rows of the sampled pairs: pair k composes the raw
+    transforms ``idx[k]`` to ``idx[k + 1] - 1`` as 3x3 matrices, the later
+    on the left, starting from the identity (which a repeated index keeps).
+    Step t multiplies every segment longer than t at once, in one stacked
+    matmul, so each pair gets the products of a loop over its raw pairs."""
+    mats = np.zeros((len(gt), 3, 3))
+    mats[:, :2] = gt.reshape(-1, 2, 3)
+    mats[:, 2, 2] = 1.0
+    start, lens = idx[:-1], np.diff(idx)
+    m = np.tile(np.eye(3), (len(start), 1, 1))
+    for t in range(lens.max(initial=0)):
+        on = lens > t
+        m[on] = mats[start[on] + t] @ m[on]
+    return m[:, :2].reshape(-1, 6)
 
 
 def _resample_local(gt: np.ndarray, idx: np.ndarray) -> np.ndarray:

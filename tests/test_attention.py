@@ -62,6 +62,20 @@ class TestPredictMasks:
         masks = dec.predict_masks(feats)
         assert masks.m0.numpy().tobytes() == resize_area(masks.m3.numpy(), 4, 8).tobytes()
 
+    def test_without_need_seg_only_m0_and_m3_are_made(self, monkeypatch):
+        """Without ``need_seg`` the m1 and m2 heads are not called, and m0
+        and m3 are bitwise those of a call that runs every head."""
+        dec = MaskDecoder(24, np.random.default_rng(9))
+        feats = Tensor(np.random.default_rng(10).normal(size=(2, 4, 8, 24)).astype(np.float32))
+        full = dec.predict_masks(feats)
+        called = []
+        spies = [lambda x, k=k: called.append(k) for k in (0, 1)]
+        monkeypatch.setattr(dec, "heads", spies + dec.heads[2:])
+        masks = dec.predict_masks(feats, need_seg=False)
+        assert called == [] and masks.m1 is None and masks.m2 is None
+        assert masks.m0.numpy().tobytes() == full.m0.numpy().tobytes()
+        assert masks.m3.numpy().tobytes() == full.m3.numpy().tobytes()
+
     def test_m0_trains_the_finest_scale_only(self):
         """A loss on m0 alone reaches every upsampling stage and the m3 head,
         and leaves the m1 and m2 heads at an exact-zero gradient."""

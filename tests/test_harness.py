@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import importlib
 import math
@@ -1056,6 +1057,65 @@ class TestTapelessPasses:
         small = forward_peak(1)
         large = forward_peak(4)
         assert large < 1.3 * small, (large, small)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["tapeless", "taped"])
+    @pytest.mark.parametrize("flag, asked", [
+        ("need_rec", {"masks_m3", "motion_est", "recon", "l_rec", "l_smooth"}),
+        ("need_cls", {"probs", "l_cls"}),
+    ])
+    def test_forward_keeps_only_what_its_flag_asks_for(self, tiny_dataset, monkeypatch, flag,
+                                                       asked, taped):
+        """A ``need_rec``-only or ``need_cls``-only forward calls neither the
+        m1 nor the m2 head and leaves every field it was not asked for None;
+        the fields it was asked for are bitwise those of a forward with
+        every flag."""
+        cfg = tiny_config(batch_size=3)
+        frames, masks, labels = _phase2_batch(cfg, tiny_dataset)
+        model = InteractionModel(cfg, np.random.default_rng(cfg.seed))
+        every = model.forward(frames, masks, labels, need_seg=True, need_rec=True, need_cls=True)
+        called = []
+        spies = [lambda x, k=k: called.append(k) for k in (0, 1)]
+        monkeypatch.setattr(model.attention, "heads", spies + model.attention.heads[2:])
+        with Tape() if taped else contextlib.nullcontext():
+            res = model.forward(frames, masks, labels, **{flag: True})
+        assert called == []
+        for name, value in vars(res).items():
+            if name not in asked:
+                assert value is None, name
+                continue
+            want = getattr(every, name)
+            pairs = (zip(vars(value).values(), vars(want).values()) if name == "motion_est"
+                     else [(value, want)])
+            for a, b in pairs:
+                assert a.numpy().tobytes() == b.numpy().tobytes(), name
+
+    def test_classifying_forward_holds_one_pass_at_the_default_size(self):
+        """A tape-less ``forward(need_cls=True)`` over 8 clips at the default
+        config peaks at most 1.1 times one over one clip: each pass keeps
+        only its stream features. (Measured: 1.05 times; 1.70 times while
+        every pass's masks and motion estimate were kept.) Its probabilities
+        are bitwise ``stream_features`` classified, and it keeps no masks,
+        motion estimate or reconstruction."""
+        cfg = TrainConfig()
+        model = InteractionModel(cfg, np.random.default_rng(0))
+        frames = np.random.default_rng(1).random(
+            (8, cfg.num_frames, cfg.frame_height, cfg.frame_width, 3), dtype=np.float32)
+
+        def forward_peak(k):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                res = model.forward(frames[:k], None, None, need_cls=True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - before, res
+        small, _ = forward_peak(1)
+        large, res = forward_peak(8)
+        assert large <= 1.1 * small, (large, small)
+        assert res.masks_m3 is None and res.motion_est is None and res.recon is None
+        _, probs = model.interact.classify(*map(Tensor, model.stream_features(frames)))
+        assert res.probs.numpy().tobytes() == probs.numpy().tobytes()
 
     @pytest.mark.parametrize("shape", [(0, 4, 16, 32, 3), (4, 16, 32, 3), (2, 1, 16, 32, 3)],
                              ids=["empty-batch", "rank-4", "one-frame"])

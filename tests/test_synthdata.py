@@ -383,6 +383,29 @@ class TestSampling:
         np.testing.assert_allclose(out.gt_global[:, 2], 0.02, atol=1e-12)
         np.testing.assert_allclose(out.gt_local, 0.04, atol=1e-12)
 
+    def test_gt_transforms_compose_bitwise_as_a_loop(self):
+        """Each sampled pair's transform is bitwise the product of its raw
+        pairs' 3x3 matrices taken one at a time from the identity, on random
+        affine rows and sorted indices with repeats (a repeat keeps the
+        identity)."""
+        def loop(gt, idx):
+            out = np.zeros((len(idx) - 1, 6))
+            for k in range(len(idx) - 1):
+                m = np.eye(3)
+                for t in range(idx[k], idx[k + 1]):
+                    m = np.vstack([gt[t].reshape(2, 3), [0.0, 0.0, 1.0]]) @ m
+                out[k] = m[:2].reshape(-1)
+            return out
+
+        rng = np.random.default_rng(8)
+        cases = [(10, np.array([0, 0, 3, 3, 3, 7, 9, 9]))] + [
+            (length, np.sort(rng.integers(0, length, n)))
+            for length, n in [(40, 20), (10, 20), (33, 7), (5, 2), (60, 24)] * 4]
+        for length, idx in cases:
+            gt = rng.normal(size=(length - 1, 6)) * rng.choice([1e-3, 1.0, 10.0])
+            want = loop(gt, idx)
+            assert synthdata._resample_global(gt, idx).tobytes() == want.tobytes()
+
     def test_decodes_every_code_as_float32_clips_held_it(self):
         # k / 255 in float64, rounded once to float32: what generated and
         # loaded clips held before they were stored as 8 bits
