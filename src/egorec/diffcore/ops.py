@@ -31,9 +31,8 @@ on the tape. lstm_cell, one LSTM step, keeps its four gate activations,
 the tanh of the new cell state and, when cross-gated, a boolean mask of
 the cross-gate's positive pre-activations; it reads the previous states
 in place. ``backward`` hands a node's gradient to its closure without
-keeping a reference, and conv_transpose2d drops it once it is copied into
-the padded buffer, before the im2col columns of its input gradient are
-built.
+keeping a reference, and conv_transpose2d drops it once its last batch
+slice is copied into the padded buffer.
 
 Scratch memory: both conv ops run on one kernel pair. ``_gather`` builds
 im2col columns one batch slice at a time, in slices of at most
@@ -42,13 +41,19 @@ as from one full-batch product. A slice's budget counts all the slice
 allocates: its padded input, its columns and the products its caller
 builds from them (``_subpixel``'s product and that product shuffled,
 conv2d's full-resolution output before a pool), each freed before the
-next slice is built. It runs every conv product: conv2d's
-forward and conv_transpose2d's input gradient directly, the other two as
-a sub-pixel convolution (``_subpixel``). ``_kernel_grad`` (both kernel
-gradients) works one kernel tap at a time (``gw[u, v] = a_tap^T g``), so
-its scratch is one input-sized tap, not kh*kw of them. conv_transpose2d
-adds its bias in place and writes the ReLU-masked gradient straight into
-a zeroed padded buffer, which ``_gather`` and ``_kernel_grad`` both read.
+next slice is built. It runs conv2d's forward directly, and
+conv_transpose2d's forward and conv2d's input gradient as a sub-pixel
+convolution (``_subpixel``). conv_transpose2d adds its bias in place; its
+backward is one loop over batch slices, each of which writes its
+ReLU-masked gradient into the interior of one zeroed padded buffer of a
+slice's size and builds the slice's im2col columns once, for the input
+gradient (``cols @ w^T``) and the kernel gradient (each item's
+``cols^T x``). The kernel and bias gradients are summed item by item in
+item order, so the slicing changes no bit of them, and a slice's budget
+counts its padded gradient, ReLU mask and columns. ``_kernel_grad``,
+conv2d's kernel gradient, works one kernel tap at a time
+(``gw[u, v] = a_tap^T g``), so its scratch is one input-sized tap, not
+kh*kw of them.
 grid_sample runs its forward and its backward over the same batch slices,
 recomputing each slice's points, coordinates and taps (one take per corner
 from a flat view of the image's pixels), so neither holds a full-batch
@@ -493,10 +498,11 @@ def total_variation(x, mask) -> Tensor:
 # Bytes of scratch one batch slice may allocate, counting all it allocates:
 # a ``_gather`` slice's padded input and im2col columns and the products its
 # caller builds per slice (``_subpixel``'s product and its shuffled copy,
-# conv2d's full-resolution output before a pool), and a grid_sample slice's
-# points, coordinates, corners and taps. Smaller slices cost more calls;
-# at 1 MiB the benchmark's peak RSS also jumped by 3-4 MiB in some runs,
-# as glibc placed later large arrays on fresh pages (CHANGES.md).
+# conv2d's full-resolution output before a pool), a conv_transpose2d
+# backward slice's padded gradient, ReLU mask and columns, and a grid_sample
+# slice's points, coordinates, corners and taps. Smaller slices cost more
+# calls; at 1 MiB the benchmark's peak RSS also jumped by 3-4 MiB in some
+# runs, as glibc placed later large arrays on fresh pages (CHANGES.md).
 _SCRATCH_BYTES = 2 << 20
 
 
@@ -576,7 +582,13 @@ def _subpixel(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
 
 def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(kh, kw, c_a, c_g) kernel gradient ``a_tap^T g``, ``a_tap`` being ``a``
-    at ``(u + stride * i, v + stride * j)`` for each position (i, j) of g."""
+    at ``(u + stride * i, v + stride * j)`` for each position (i, j) of g.
+
+    conv2d's only: its kernels can be larger than an item's maps
+    (motion.global_conv's is 1089 x 128 floats, over 4 x 8 positions), so
+    the per-item products of conv_transpose2d's backward would allocate a
+    kernel-sized product per item besides im2col columns kh*kw times the
+    input; a tap's product sums over the whole batch at once."""
     ho, wo, cg = g.shape[1:]
     gflat = g.reshape(-1, cg)
     gw = np.empty((kh, kw, a.shape[3], cg), np.result_type(a, g))
@@ -667,23 +679,41 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
         np.maximum(out, 0, out=out)
 
     def bwd(g):
-        # the (ReLU-masked) gradient, written straight into the interior of
-        # a zeroed padded buffer
-        gfull = np.zeros((n, oh + 2 * pad, ow + 2 * pad, co), g.dtype)
-        inner = gfull[:, pad:pad + oh, pad:pad + ow]
-        if relu:
-            np.multiply(g, out > 0, out=inner)
-        else:
-            inner[...] = g
-        del g  # the padded copy is all the rest reads
+        wmat = w.data.transpose(0, 1, 3, 2).reshape(kh * kw * co, ci)
         gx = np.empty(x.data.shape, x.data.dtype)
-        for s, cols, wmat in _gather(gfull, w.data.transpose(0, 1, 3, 2), stride, 0, (h, wd)):
+        gw = np.zeros((kh * kw * co, ci), np.result_type(g, x.data))
+        gb = np.zeros(co, g.dtype)
+        padded = (oh + 2 * pad, ow + 2 * pad, co)
+        # a slice holds its padded gradient, the ReLU mask and its columns
+        item_bytes = (math.prod(padded) + h * wd * kh * kw * co) * g.itemsize + oh * ow * co
+        slices = _batch_slices(n, item_bytes)
+        # one zeroed padded buffer for every slice: a slice writes its
+        # (ReLU-masked) gradient into the interior, and the border stays zero
+        gpad = np.zeros((max(s.stop - s.start for s in slices), *padded), g.dtype)
+        for s in slices:
+            ns = s.stop - s.start
+            inner = gpad[:ns, pad:pad + oh, pad:pad + ow]
+            if relu:
+                np.multiply(g[s], out[s] > 0, out=inner)
+            else:
+                inner[...] = g[s]
+            if s.stop == n:
+                del g  # the padded buffer is all the rest reads
+            # the kernel and bias gradients are summed item by item, in
+            # order, so the slicing changes no bit of them; the loops index,
+            # so no loop variable keeps a view of the columns alive
+            for i in range(ns):
+                gb += inner[i].sum(axis=(0, 1))
+            cols = _columns(gpad[:ns], kh, kw, stride, 0)
             np.matmul(cols, wmat, out=gx[s].reshape(-1, ci))
-            del cols
-        gw = _kernel_grad(gfull, x.data, kh, kw, stride).transpose(0, 1, 3, 2)
+            cols = cols.reshape(ns, h * wd, kh * kw * co)
+            for i, item in enumerate(x.data[s]):
+                gw += cols[i].T @ item.reshape(-1, ci)
+            del cols  # free this slice's columns before the next are built
+        gw = gw.reshape(kh, kw, co, ci).transpose(0, 1, 3, 2)
         if b is None:
             return gx, gw
-        return gx, gw, inner.sum(axis=(0, 1, 2))
+        return gx, gw, gb
 
     return _result("conv_transpose2d", out, inputs, bwd)
 

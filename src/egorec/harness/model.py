@@ -48,7 +48,9 @@ class ForwardResult:
     ``masks_m3`` under ``need_seg`` or ``need_rec``; ``l_seg`` under
     ``need_seg``; ``motion_est``, ``recon``, ``l_rec`` and ``l_smooth`` under
     ``need_rec``; ``probs`` under ``need_cls``, and ``l_cls`` with it when
-    labels are given."""
+    labels are given. A kept motion estimate has its dense field: the field
+    heads run only under ``need_rec``, so a ``need_cls``-only pass
+    (``stream_features`` included) does not run them."""
 
     probs: Tensor | None = None
     l_cls: Tensor | None = None
@@ -136,7 +138,7 @@ class InteractionModel(Module):
         m0 = masks.m0
         del masks
         est = self.motion.estimate(_pairs(feats, b, True), _pairs(feats, b, False),
-                                   _pairs(m0, b, False))
+                                   _pairs(m0, b, False), need_field=need_rec)
         if need_rec:
             yield est
         if need_cls:

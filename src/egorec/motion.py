@@ -29,8 +29,11 @@ from .attention import global_pool, weighted_pool
 
 @dataclass
 class MotionEstimate:
+    """What ``MotionEstimator.estimate`` predicts; ``field`` is None unless
+    its ``need_field`` asked for it."""
+
     transform: Tensor   # (N, 2, 3) affine [A | t], rows [a11 a12 tx], [a21 a22 ty]
-    field: Tensor       # (N, H, W, 2) in normalized coordinates
+    field: Tensor | None  # (N, H, W, 2) in normalized coordinates
     f_gm: Tensor        # (N, embed_dim) global motion embedding
     f_lm: Tensor        # (N, embed_dim) local motion embedding
 
@@ -53,11 +56,14 @@ class MotionEstimator(Module):
         self.field_up1 = ConvTranspose2d(embed_dim, 8, 4, rng, stride=2, pad=1)
         self.field_up2 = ConvTranspose2d(8, 2, 8, rng, stride=4, pad=2, zero_init=True)
 
-    def estimate(self, f_prev: Tensor, f_cur: Tensor, m0: Tensor) -> MotionEstimate:
+    def estimate(self, f_prev: Tensor, f_cur: Tensor, m0: Tensor,
+                 need_field: bool = True) -> MotionEstimate:
         """Predict per-pair transform, dense field, and motion embeddings.
 
         ``f_prev``/``f_cur`` are (N, H0, W0, C) from the same backbone;
-        ``m0`` is the coarsest interactor mask, (N, H0, W0).
+        ``m0`` is the coarsest interactor mask, (N, H0, W0). Without
+        ``need_field`` the field heads do not run and the estimate's
+        ``field`` is None; only the reconstruction reads the field.
         """
         if f_prev.shape != f_cur.shape:
             raise ShapeError(f"motion: feature shapes differ, {f_prev.shape} vs {f_cur.shape}")
@@ -79,13 +85,15 @@ class MotionEstimator(Module):
         # weighted pooling keeps the embedding independent of how many
         # cells the interactor covers
         f_lm = weighted_pool(l, m0)
-        field = self.field_up2(self.field_up1(dc.relu(l), relu=True))
-        fh, fw = field.shape[1:3]
-        if (fh, fw) != self.frame_hw:
-            raise ShapeError(
-                f"motion: field head produced {fh}x{fw}, expected {self.frame_hw}; "
-                "feature stride must be 8"
-            )
+        field = None
+        if need_field:
+            field = self.field_up2(self.field_up1(dc.relu(l), relu=True))
+            fh, fw = field.shape[1:3]
+            if (fh, fw) != self.frame_hw:
+                raise ShapeError(
+                    f"motion: field head produced {fh}x{fw}, expected {self.frame_hw}; "
+                    "feature stride must be 8"
+                )
         return MotionEstimate(transform=transform, field=field, f_gm=f_gm, f_lm=f_lm)
 
 

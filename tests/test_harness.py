@@ -821,6 +821,33 @@ class TestBackwardMemory:
         grad_bytes = sum(p.grad.nbytes for p in params)
         assert after - before - grad_bytes < 0.25 * tape_bytes
 
+    def test_default_clip_backward_peak(self):
+        """At the default size, the backward of a one-clip phase-2 pass (a
+        training pass) peaks less than 2.75 MiB over the heap it starts
+        from, which holds the pass's tape (7.0 MiB). (Measured: 2.53 MiB,
+        in the warp's backward.)"""
+        cfg = TrainConfig()
+        model = InteractionModel(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        shape = (1, cfg.num_frames, cfg.frame_height, cfg.frame_width)
+        frames = rng.random(shape + (3,), dtype=np.float32)
+        masks = (rng.random(shape) < 0.2).astype(np.float32)
+        params = model.parameters()
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                res = model.forward(frames, masks, np.array([1]), rng=rng,
+                                    need_seg=True, need_rec=True, need_cls=True)
+                loss, _ = total_loss(cfg, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
+            del res
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(tape, loss, params=params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2.75 * 2**20, (peak - before) / 2**20
+
 
 class TestFrontEndPasses:
     """A front-end phase runs each optimizer batch as passes of at most
@@ -1088,6 +1115,28 @@ class TestTapelessPasses:
                      else [(value, want)])
             for a, b in pairs:
                 assert a.numpy().tobytes() == b.numpy().tobytes(), name
+
+    def test_field_heads_run_only_for_the_reconstruction(self, tiny_dataset, monkeypatch):
+        """Neither dense-field head runs in a ``need_cls``-only forward or in
+        ``stream_features``, which extraction, evaluation and the ablation
+        heads read; the stream features are bitwise those of passes that
+        also ran both heads for the reconstruction."""
+        cfg = tiny_config(batch_size=3)
+        frames, _, labels = _phase2_batch(cfg, tiny_dataset)
+        model = InteractionModel(cfg, np.random.default_rng(cfg.seed))
+        called = []
+        for name in ("field_up1", "field_up2"):
+            head = getattr(model.motion, name)
+            monkeypatch.setattr(model.motion, name, lambda x, relu=False, head=head, name=name:
+                                called.append(name) or head(x, relu=relu))
+        _, _, with_field = model._passes(frames, False, True, True)
+        assert called == ["field_up1", "field_up2"] * 3
+        called.clear()
+        streams = model.stream_features(frames)
+        res = model.forward(frames, None, labels, need_cls=True)
+        assert called == [] and res.probs is not None
+        for a, b in zip(streams, with_field, strict=True):
+            assert a.tobytes() == b.numpy().tobytes()
 
     def test_classifying_forward_holds_one_pass_at_the_default_size(self):
         """A tape-less ``forward(need_cls=True)`` over 8 clips at the default
