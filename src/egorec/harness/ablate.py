@@ -55,6 +55,8 @@ def ablate(manifest: DatasetManifest, config: TrainConfig,
     """Train/evaluate each (variant, feature-set) under identical budgets."""
     check_num_classes(manifest, config)
     seeds = list(seeds) if seeds is not None else [config.seed]
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be nonnegative, got {seeds}")
     train_clips = load_split(manifest, "train")
     test_clips = load_split(manifest, "test")
     rows = []

@@ -16,8 +16,11 @@ from .train import evaluate, load_model, train
 
 
 def int_csv(text: str) -> list[int]:
-    """argparse type of a CSV of integers; blank items are skipped."""
-    return [int(s) for s in text.split(",") if s.strip()]
+    """argparse type of a CSV of nonnegative integers; blank items are skipped."""
+    values = [int(s) for s in text.split(",") if s.strip()]
+    if min(values, default=0) < 0:
+        raise argparse.ArgumentTypeError(f"{min(values)} is not a nonnegative integer")
+    return values
 
 
 def positive_int(text: str) -> int:

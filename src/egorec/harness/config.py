@@ -54,7 +54,7 @@ class TrainConfig:
                           ("epochs_interaction", 0), ("epochs_joint", 0), ("proj_dim", 1),
                           ("hidden_dim", 1), ("num_classes", 2), ("frame_height", 16),
                           ("frame_width", 16), ("num_frames", 2), ("channels", 2),
-                          ("motion_dim", 1), ("max_displacement", 1)):
+                          ("motion_dim", 1), ("max_displacement", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         # the backbone and the decoders work at a stride of 8

@@ -124,25 +124,22 @@ class InteractionModel(Module):
     # front end shared by forward and stream_features
 
     def _front_end(self, frames: np.ndarray, need_seg: bool, need_rec: bool, need_cls: bool):
-        """One pass yielding, in order, the masks (under ``need_seg`` or
-        ``need_rec``), the motion estimate (``need_rec``) and the stream
-        features (``need_cls``); under a tape ``forward`` records its losses
-        in between. What it does not yield dies with the pass."""
+        """One pass: (masks, motion estimate, stream features). The masks are
+        kept under ``need_seg`` or ``need_rec``, the motion estimate under
+        ``need_rec``, the stream features under ``need_cls``; the rest is
+        None and dies with the pass."""
         b, n, h, w, _ = frames.shape
         feats = self.backbone.extract(Tensor(frames.reshape(b * n, h, w, 3)))
         masks = self.attention.predict_masks(feats, need_seg)
-        if need_seg or need_rec:
-            yield masks
-        if not (need_rec or need_cls):
-            return
         m0 = masks.m0
-        del masks
+        if not (need_seg or need_rec):
+            masks = None
+        if not (need_rec or need_cls):
+            return masks, None, None
         est = self.motion.estimate(_pairs(feats, b, True), _pairs(feats, b, False),
                                    _pairs(m0, b, False), need_field=need_rec)
-        if need_rec:
-            yield est
-        if need_cls:
-            yield _streams(feats, m0, est, b)
+        streams = _streams(feats, m0, est, b) if need_cls else None
+        return masks, est if need_rec else None, streams
 
     def _passes(self, frames: np.ndarray, need_seg: bool, need_rec: bool, need_cls: bool):
         """``_front_end``'s stages: one pass under a tape, else each stage
@@ -153,9 +150,8 @@ class InteractionModel(Module):
         needs = (need_seg, need_rec, need_cls)
         if dc.active_tape() is not None or len(frames) <= FRONT_END_CLIPS:
             return self._front_end(frames, *needs)
-        passes = [list(self._front_end(frames[i:i + FRONT_END_CLIPS], *needs))
-                  for i in range(0, len(frames), FRONT_END_CLIPS)]
-        return iter([_cat(stage) for stage in zip(*passes)])
+        return _cat([self._front_end(frames[i:i + FRONT_END_CLIPS], *needs)
+                     for i in range(0, len(frames), FRONT_END_CLIPS)])
 
     def forward(self, frames: np.ndarray, ref_masks: np.ndarray | None,
                 labels: np.ndarray | None, rng: np.random.Generator | None = None,
@@ -163,17 +159,13 @@ class InteractionModel(Module):
                 need_cls: bool = False) -> ForwardResult:
         """Run the pipeline on (B, N, H, W, 3) sampled frames in [0, 1], as
         far as the flags ask (see ``ForwardResult``)."""
-        stages = self._passes(frames, need_seg, need_rec, need_cls)
+        masks, est, streams = self._passes(frames, need_seg, need_rec, need_cls)
         b, n, h, w, _ = frames.shape
-        res = ForwardResult()
-        if need_seg or need_rec:
-            masks = next(stages)
-            res.masks_m3 = masks.m3
+        res = ForwardResult(masks_m3=masks and masks.m3, motion_est=est)
         if need_seg:
             res.l_seg = segmentation_loss(masks, ref_masks.reshape(b * n, h, w))
 
         if need_rec:
-            est = res.motion_est = next(stages)
             m3_cur = _pairs(masks.m3, b, False)
             # the warp reads each pair's earlier frame by its row of the flat
             # frames, and the loss the later frames in place: neither is copied
@@ -184,7 +176,7 @@ class InteractionModel(Module):
             res.l_smooth = smoothness_loss(est.field, m3_cur)
 
         if need_cls:
-            _, res.probs = self.interact.classify(*next(stages), rng)
+            _, res.probs = self.interact.classify(*streams, rng)
             if labels is not None:
                 res.l_cls = classification_loss(res.probs, labels)
         return res
@@ -193,5 +185,5 @@ class InteractionModel(Module):
         """The per-step stream features ``forward`` classifies, as numpy, for
         cached-feature training. Returns (f_ga, f_gm, f_la, f_lm), each (B, S, dim).
         """
-        (streams,) = self._passes(frames, False, False, True)
+        _, _, streams = self._passes(frames, False, False, True)
         return tuple(x.numpy() for x in streams)

@@ -257,7 +257,9 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         if not ckpt_path.exists():
             raise FileNotFoundError(
                 f"stage 2 needs the stage-1 checkpoint at {ckpt_path}")
-        table, _, _ = _read_checkpoint(ckpt_path)
+        table, _, marker = _read_checkpoint(ckpt_path)
+        if marker in ("1a", "1b"):
+            raise ValueError(f"{ckpt_path}: unfinished stage 1 (stage marker {marker!r})")
         _load_params(model, table, ckpt_path)
         phases = ["2"]
     else:

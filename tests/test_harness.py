@@ -104,6 +104,7 @@ class TestConfig:
         ("num_classes", 1, "be at least 2"), ("frame_height", 20, "be a multiple of 8"),
         ("frame_height", 8, "be at least 16"), ("frame_height", 0, "be at least 16"),
         ("frame_width", 36, "be a multiple of 8"), ("frame_width", 8, "be at least 16"),
+        ("seed", -3, "be at least 0"),
     ]
 
     @pytest.mark.parametrize("field, value, rule", OUT_OF_RANGE,
@@ -410,6 +411,46 @@ class TestTraining:
         train(manifest, cfg, "all", ck1)
         train(manifest, cfg, "all", ck2)
         assert ck1.read_bytes() == ck2.read_bytes()
+
+    def test_stage1_then_stage2_runs_only_phase_2(self, tiny_dataset, tmp_path):
+        """``train(..., "2")`` on a finished stage 1 runs phase 2 alone,
+        leaves marker 2, and two such runs write the same bytes."""
+        manifest = load_manifest(tiny_dataset)
+        cfg = tiny_config(epochs_joint=2)
+        written = []
+        for name in ("a.ckpt", "b.ckpt"):
+            ck = tmp_path / name
+            train(manifest, cfg, "1", ck)
+            logged = []
+            train(manifest, cfg, "2", ck, log=logged.append)
+            assert [line.split(" loss ")[0] for line in logged] == [
+                "phase 2 epoch 1/2", "phase 2 epoch 2/2"]
+            assert load_checkpoint(ck)[2] == "2"
+            written.append(ck.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("failing, marker", [("1b", "1a"), ("1c", "1b")])
+    def test_stage2_refuses_an_unfinished_stage1(self, tiny_dataset, tmp_path, monkeypatch,
+                                                 failing, marker):
+        """A stage 1 that raised in ``failing`` leaves the previous phase's
+        marker, and stage 2 names that file and marker instead of training
+        from an untrained module."""
+        train_mod = importlib.import_module("egorec.harness.train")
+        real = train_mod.run_phase
+
+        def run_phase_failing(model, phase, *args, **kw):
+            if phase == failing:
+                raise RuntimeError(f"phase {phase} stopped")
+            return real(model, phase, *args, **kw)
+        manifest = load_manifest(tiny_dataset)
+        ck = tmp_path / "m.ckpt"
+        monkeypatch.setattr(train_mod, "run_phase", run_phase_failing)
+        with pytest.raises(RuntimeError):
+            train(manifest, tiny_config(), "1", ck)
+        monkeypatch.undo()
+        assert load_checkpoint(ck)[2] == marker
+        with pytest.raises(ValueError, match=re.escape(str(ck)) + f".*marker '{marker}'"):
+            train(manifest, tiny_config(), "2", ck)
 
     @staticmethod
     def _changed_by(phase, tiny_dataset):
@@ -1263,6 +1304,15 @@ class TestAblate:
         assert len(draws["front"]) == len(draws["head"]) == 3
         assert len(set(draws["front"]) | set(draws["head"])) == 6
 
+    def test_negative_seed_fails_before_loading(self, tiny_dataset, monkeypatch):
+        ablate_mod = importlib.import_module("egorec.harness.ablate")
+        loaded = []
+        monkeypatch.setattr(ablate_mod, "load_split", lambda *a: loaded.append(a))
+        with pytest.raises(ValueError, match=r"^seeds must be nonnegative, got \[1, -1\]"):
+            ablate(load_manifest(tiny_dataset), tiny_config(), parse_variants("ego"),
+                   seeds=[1, -1])
+        assert loaded == []
+
     def test_two_variants_two_rows(self, tiny_dataset, tmp_path):
         manifest = load_manifest(tiny_dataset)
         cfg = tiny_config()
@@ -1277,13 +1327,17 @@ class TestAblate:
 
 
 class TestCli:
-    def test_malformed_seeds_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds, error", [
+        ("1,x", "invalid int_csv value: '1,x'"),
+        ("1,-1", "-1 is not a nonnegative integer"),
+    ], ids=["non-integer", "negative"])
+    def test_malformed_seeds_is_a_usage_error(self, tmp_path, capsys, seeds, error):
         with pytest.raises(SystemExit) as exc:
             cli_main(["ablate", "--data", str(tmp_path), "--config", str(tmp_path / "c.txt"),
                       "--variants", "ego", "--out", str(tmp_path / "r.tsv"),
-                      "--seeds", "1,x"])
+                      "--seeds", seeds])
         assert exc.value.code == 2
-        assert "argument --seeds: invalid int_csv value: '1,x'" in capsys.readouterr().err
+        assert f"argument --seeds: {error}" in capsys.readouterr().err
 
     def test_no_clips_per_class_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
