@@ -17,8 +17,9 @@ Tape memory: a closure keeps only what its backward reads. conv2d and
 conv_transpose2d take ``relu=True`` to apply a ReLU in place and mask the
 gradient by ``out > 0``, so the pre-activation output is not kept. conv2d
 also takes ``pool=k``, a k-by-k average pool after the ReLU: the tape then
-keeps the pooled output and a boolean ReLU mask, not the full-resolution
-output; the mask is built only when the op is recorded. grid_sample, the
+keeps the pooled output and the full-resolution ReLU mask packed to one
+bit per value (``np.packbits``, per item), not the full-resolution output;
+the mask is built only when the op is recorded. grid_sample, the
 reconstruction warp, keeps only its transform, field and mask: forward
 and backward recompute the displaced points, their coordinates and the
 taps, and read the image rows in place by index, so no per-pixel array of
@@ -54,12 +55,16 @@ counts its padded gradient, ReLU mask and columns. ``_kernel_grad``,
 conv2d's kernel gradient, works one kernel tap at a time
 (``gw[u, v] = a_tap^T g``), so its scratch is one input-sized tap, not
 kh*kw of them.
-grid_sample runs its forward and its backward over the same batch slices,
+grid_sample runs its forward and its backward over batch slices,
 recomputing each slice's points, coordinates and taps (one take per corner
 from a flat view of the image's pixels), so neither holds a full-batch
 per-pixel buffer besides its output or gradients; its backward
 builds its coordinate-gradient terms in place in two reused buffers and
 writes the transform, field and mask gradients slice by slice.
+The backwards of conv_transpose2d and grid_sample count each item twice,
+so their slices take half of ``_SCRATCH_BYTES``: they run on top of the
+whole live tape of a front-end pass, where a training step's memory peaks,
+while the forwards run before most of that tape exists.
 
 Conventions:
   - images and feature maps are NHWC;
@@ -500,9 +505,11 @@ def total_variation(x, mask) -> Tensor:
 # caller builds per slice (``_subpixel``'s product and its shuffled copy,
 # conv2d's full-resolution output before a pool), a conv_transpose2d
 # backward slice's padded gradient, ReLU mask and columns, and a grid_sample
-# slice's points, coordinates, corners and taps. Smaller slices cost more
-# calls; at 1 MiB the benchmark's peak RSS also jumped by 3-4 MiB in some
-# runs, as glibc placed later large arrays on fresh pages (CHANGES.md).
+# slice's points, coordinates, corners and taps. The backwards of
+# conv_transpose2d and grid_sample, which run on top of a pass's whole tape,
+# take half of it. Smaller slices cost more calls; at 1 MiB the benchmark's
+# peak RSS also jumped by 3-4 MiB in some runs, as glibc placed later large
+# arrays on fresh pages (CHANGES.md).
 _SCRATCH_BYTES = 2 << 20
 
 
@@ -605,9 +612,10 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
     average pool, each applied in place per batch slice.
 
     With ``relu`` and no pool the tape keeps the output, which backward
-    masks the gradient by; with a pool it keeps a boolean mask of the
-    full-resolution ReLU output, a quarter of that output's bytes, built
-    only when the op will be recorded."""
+    masks the gradient by; with a pool it keeps the full-resolution ReLU
+    mask as bits, packed per item so that any batch slice writes whole
+    bytes, a 32nd of that output's float32 bytes, built only when the op
+    will be recorded."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4 or x.data.shape[3] != w.data.shape[2]:
         raise ShapeError(f"conv2d: input {x.data.shape} incompatible with kernel {w.data.shape}")
@@ -622,7 +630,9 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
     dtype = np.result_type(x.data, w.data)
     out = np.empty((n, ho // pool, wo // pool, co), dtype)
-    mask = np.empty((n, ho, wo, co), bool) if relu and pool > 1 and _tracked(inputs) else None
+    bits = ho * wo * co
+    mask = (np.empty((n, -(-bits // 8)), np.uint8)
+            if relu and pool > 1 and _tracked(inputs) else None)
     for s, cols, wmat in _gather(x.data, w.data, stride, pad, (ho, wo), products=int(pool > 1)):
         full = np.empty((s.stop - s.start, ho, wo, co), dtype) if pool > 1 else out[s]
         np.matmul(cols, wmat, out=full.reshape(-1, co))
@@ -631,7 +641,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
         if relu:
             np.maximum(full, 0, out=full)
         if mask is not None:
-            np.greater(full, 0, out=mask[s])
+            mask[s] = np.packbits(full.reshape(len(full), bits) > 0, axis=1)
         if pool > 1:
             full.reshape(-1, ho // pool, pool, wo // pool, pool, co).mean(axis=(2, 4), out=out[s])
         del cols, full  # free this slice's scratch before the next is built
@@ -642,7 +652,11 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
             up = np.empty((n, ho, wo, co), g.dtype)
             np.divide(g[:, :, None, :, None], pool * pool,
                       out=up.reshape(n, ho // pool, pool, wo // pool, pool, co))
-            g = np.multiply(up, mask, out=up) if relu else up
+            if relu:
+                keep = np.unpackbits(mask, axis=1, count=bits).view(bool).reshape(up.shape)
+                np.multiply(up, keep, out=up)
+                del keep  # a byte per value: free it before the input and kernel gradients
+            g = up
         elif relu:
             g = g * (out > 0)
         gx = (_subpixel(g, w.data.transpose(0, 1, 3, 2), stride, pad, (h, wd))
@@ -684,9 +698,10 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
         gw = np.zeros((kh * kw * co, ci), np.result_type(g, x.data))
         gb = np.zeros(co, g.dtype)
         padded = (oh + 2 * pad, ow + 2 * pad, co)
-        # a slice holds its padded gradient, the ReLU mask and its columns
+        # a slice holds its padded gradient, the ReLU mask and its columns;
+        # each item counts twice, as backward runs on top of the pass's tape
         item_bytes = (math.prod(padded) + h * wd * kh * kw * co) * g.itemsize + oh * ow * co
-        slices = _batch_slices(n, item_bytes)
+        slices = _batch_slices(n, 2 * item_bytes)
         # one zeroed padded buffer for every slice: a slice writes its
         # (ReLU-masked) gradient into the interior, and the border stays zero
         gpad = np.zeros((max(s.stop - s.start for s in slices), *padded), g.dtype)
@@ -800,9 +815,9 @@ def grid_sample(img, index, transform, field, mask) -> Tensor:
 
     # per sampled pixel: points and coordinates, float64 coordinates, int64
     # corners, and the four taps with as many products of their size
-    slices = _batch_slices(n, h * w * (32 + 8 * field.data.itemsize + 8 * c * img.itemsize))
+    item_bytes = h * w * (32 + 8 * field.data.itemsize + 8 * c * img.itemsize)
     out = np.empty((n, h, w, c), img.dtype)
-    for s in slices:
+    for s in _batch_slices(n, item_bytes):
         fx, fy, _, _, (i00, i01, i10, i11) = _bilinear_taps(img, index[s], coords(s)[1])
         top = i00 * (1 - fx) + i01 * fx
         bot = i10 * (1 - fx) + i11 * fx
@@ -813,7 +828,8 @@ def grid_sample(img, index, transform, field, mask) -> Tensor:
         gt = np.zeros_like(transform.data) if transform.requires_grad else None
         gf = np.empty_like(field.data) if field.requires_grad else None
         gm = np.empty_like(mask.data) if mask.requires_grad else None
-        for s in slices:
+        # each item counts twice, as backward runs on top of the pass's tape
+        for s in _batch_slices(n, 2 * item_bytes):
             pts, xy = coords(s)
             fx, fy, inx, iny, (i00, i01, i10, i11) = _bilinear_taps(img, index[s], xy)
             gs = g[s].reshape(i00.shape)

@@ -376,7 +376,8 @@ def sample_frames(clip: VideoClip, n: int,
     Without an ``rng`` each segment contributes its first index; with one
     (training) a uniform index from the segment. Short clips repeat indices.
     Only the picked uint8 frames and masks are read (from a loaded clip's
-    files), and they are decoded to float32 in [0, 1] (k / 255).
+    files), and they are decoded to float32 in [0, 1] (k / 255), each in
+    place in its one float32 copy.
     """
     if n < 2:
         raise ValueError(f"need at least 2 sampled frames, got {n}")
@@ -388,9 +389,13 @@ def sample_frames(clip: VideoClip, n: int,
     if rng is not None:
         ends = np.maximum(((np.arange(n) + 1) * length) // n, idx + 1)
         idx = np.array([rng.integers(s, e) for s, e in zip(idx, ends)])
+    frames = clip.frames[idx].astype(np.float32)
+    frames /= 255.0
+    masks = clip.ref_masks[idx].astype(np.float32)
+    masks /= 255.0
     return VideoClip(
-        frames=clip.frames[idx].astype(np.float32) / 255.0,
-        ref_masks=clip.ref_masks[idx].astype(np.float32) / 255.0,
+        frames=frames,
+        ref_masks=masks,
         label=clip.label,
         gt_global=_resample_global(clip.gt_global, idx),
         gt_local=_resample_local(clip.gt_local, idx),
@@ -444,20 +449,26 @@ def augment(clip: VideoClip, rng: np.random.Generator) -> VideoClip:
 
 
 def crop_resize(clip: VideoClip, scale: float, rng: np.random.Generator) -> VideoClip:
+    """Crop a random ``scale`` window, the same for every frame, and resize
+    it back to the frame size (align-corners bilinear), frames and masks
+    alike; the motion ground truth is rescaled to the smaller field of view.
+    One frame at a time into one clip of the input's dtype, so only a
+    frame's float64 resize is held at once; every pixel's bits are those of
+    the whole-clip resize."""
     length, h, w = clip.frames.shape[:3]
     ch, cw = int(round(scale * h)), int(round(scale * w))
     if ch > h or cw > w or ch < 4 or cw < 8:
         raise ValueError(f"bad crop {ch}x{cw} for frame {h}x{w}")
     y0 = int(rng.integers(0, h - ch + 1))
     x0 = int(rng.integers(0, w - cw + 1))
-    # one resize per clip: the frames ride on the trailing (channel) axis
-    sub = clip.frames[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0, 3)
-    frames = np.ascontiguousarray(resize_bilinear_np(sub.reshape(ch, cw, length * 3), h, w),
-                                  dtype=clip.frames.dtype)
-    frames = frames.reshape(h, w, length, 3).transpose(2, 0, 1, 3)
-    msub = clip.ref_masks[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0)
-    masks = np.ascontiguousarray(resize_bilinear_np(msub, h, w),
-                                 dtype=clip.ref_masks.dtype).transpose(2, 0, 1)
+    frames = np.empty(clip.frames.shape, clip.frames.dtype)
+    masks = np.empty(clip.ref_masks.shape, clip.ref_masks.dtype)
+    for t in range(length):
+        # the frame's channels and its mask as one 4-channel image: one resize
+        rgbm = np.concatenate([clip.frames[t, y0:y0 + ch, x0:x0 + cw],
+                               clip.ref_masks[t, y0:y0 + ch, x0:x0 + cw, None]], axis=2)
+        rgbm = resize_bilinear_np(rgbm, h, w)
+        frames[t], masks[t] = rgbm[..., :3], rgbm[..., 3]
     # normalized translations grow when the field of view shrinks
     fx = (w - 1) / max(cw - 1, 1)
     fy = (h - 1) / max(ch - 1, 1)
@@ -472,11 +483,18 @@ def crop_resize(clip: VideoClip, scale: float, rng: np.random.Generator) -> Vide
 
 
 def hsv_jitter(clip: VideoClip, hue_shift: float, sat_factor: float) -> VideoClip:
-    hsv = rgb_to_hsv(clip.frames)
-    hsv[..., 0] = (hsv[..., 0] + hue_shift) % 1.0
-    hsv[..., 1] = np.clip(hsv[..., 1] * sat_factor, 0.0, 1.0)
-    return VideoClip(frames=hsv_to_rgb(hsv).astype(np.float32),
-                     ref_masks=clip.ref_masks, label=clip.label,
+    """Shift every frame's hue by ``hue_shift`` (mod 1) and scale its
+    saturation by ``sat_factor`` (clipped to [0, 1]), in float64 HSV. One
+    frame at a time into one float32 clip, so only a frame's float64
+    planes are held at once; every pixel's bits are those of the
+    whole-clip conversion."""
+    frames = np.empty(clip.frames.shape, np.float32)
+    for t, frame in enumerate(clip.frames):
+        hsv = rgb_to_hsv(frame)
+        hsv[..., 0] = (hsv[..., 0] + hue_shift) % 1.0
+        hsv[..., 1] = np.clip(hsv[..., 1] * sat_factor, 0.0, 1.0)
+        frames[t] = hsv_to_rgb(hsv)
+    return VideoClip(frames=frames, ref_masks=clip.ref_masks, label=clip.label,
                      gt_global=clip.gt_global, gt_local=clip.gt_local)
 
 

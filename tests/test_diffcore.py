@@ -288,8 +288,8 @@ class TestFusedRelu:
 
     def test_pool_mask_is_built_only_when_recorded(self):
         """A tape-less conv2d with a ReLU and a pool peaks at least the
-        boolean ReLU mask's bytes below the same call under a tape, with
-        the same output bits."""
+        packed ReLU mask's bytes (one bit per value) below the same call
+        under a tape, with the same output bits."""
         rng = np.random.default_rng(22)
         inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                   for s in [(8, 16, 32, 3), (3, 3, 3, 8), (8,)]]
@@ -314,8 +314,56 @@ class TestFusedRelu:
         y_free, peak_free = run(False)
         y_taped, peak_taped = run(True)
         assert y_free.tobytes() == y_taped.tobytes()
-        mask_bytes = 8 * 16 * 32 * 8
+        mask_bytes = 8 * 16 * 32 * 8 // 8
         assert peak_free + mask_bytes <= peak_taped, (peak_free, peak_taped)
+
+    @pytest.mark.parametrize("per_slice", [1, 2, 3])
+    @pytest.mark.parametrize("shapes, kwargs", [
+        pytest.param([(3, 30, 34, 3), (3, 3, 3, 7), (7,)], dict(pad=1), id="7140-bits"),
+        pytest.param([(3, 28, 44, 2), (3, 3, 2, 5), (5,)], dict(stride=2, pad=1),
+                     id="1540-bits-stride-2"),
+        pytest.param([(3, 18, 30, 4), (1, 1, 4, 5), (5,)], {}, id="2700-bits-1x1"),
+    ])
+    def test_pool_mask_is_packed_per_item(self, shapes, kwargs, per_slice, monkeypatch):
+        """A taped pooled conv2d keeps its ReLU mask as one bit per value
+        and item, padded to whole bytes per item (each case's item has a
+        bit count that is not a multiple of 8), so the tape holds besides
+        the output at most the packed mask and 3 KiB of node overhead, not
+        a byte per value. Forced into batch slices of ``per_slice`` items,
+        its input, kernel and bias gradients are bitwise those of a
+        boolean mask: the ReLU'd conv without a pool under the loss the
+        mean spreads."""
+        rng = np.random.default_rng(25)
+        data = [rng.normal(size=s).astype(np.float32) for s in shapes]
+
+        def run(pool, w_out):
+            inputs = [Tensor(d, requires_grad=True) for d in data]
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                with Tape() as tape:
+                    y = dc.conv2d(*inputs, relu=True, pool=pool, **kwargs)
+                    held, _ = tracemalloc.get_traced_memory()
+                    loss = dc.sum_(y * Tensor(w_out))
+            finally:
+                tracemalloc.stop()
+            backward(tape, loss)
+            return held - before - y.data.nbytes, y.data, [x.grad for x in inputs]
+
+        n, ho, wo, co = dc.conv2d(*data, **kwargs).shape
+        bits = ho * wo * co
+        assert bits % 8
+        weights = rng.normal(size=(n, ho // 2, wo // 2, co)).astype(np.float32)
+        spread = np.repeat(np.repeat(weights / 4, 2, axis=1), 2, axis=2)
+        _, full, g_ref = run(1, spread)
+        assert (full == 0).any() and (full > 0).any()
+        monkeypatch.setattr(ops, "_batch_slices", lambda count, item_bytes: [
+            slice(i, min(i + per_slice, count)) for i in range(0, count, per_slice)])
+        run(2, weights)    # a first call's one-off allocations
+        held, _, g_packed = run(2, weights)
+        assert held <= n * -(-bits // 8) + 3 * 1024, (held, n * bits)
+        for a, b in zip(g_packed, g_ref):
+            assert a.tobytes() == b.tobytes()
 
 
 CONV_CASES = [
@@ -335,12 +383,10 @@ def _warp(rows):
     return lambda img, *args: dc.grid_sample(img.data, rows, *args)
 
 
-# (op, input shapes, kwargs, whether the first input needs a gradient,
-# sliced passes of the op: a conv op's forward and backward, the warp's one
-# list of slices)
-SLICED_CASES = [pytest.param(*case.values, True, 2, id=case.id) for case in CONV_CASES] + [
+# (op, input shapes, kwargs, whether the first input needs a gradient)
+SLICED_CASES = [pytest.param(*case.values, True, id=case.id) for case in CONV_CASES] + [
     pytest.param(_warp(np.array([4, 0, 0, 2, 3])),
-                 [(5, 6, 8, 3), (5, 2, 3), (5, 4, 7, 2), (5, 4, 7)], {}, False, 1,
+                 [(5, 6, 8, 3), (5, 2, 3), (5, 4, 7, 2), (5, 4, 7)], {}, False,
                  id="grid_sample-image-untracked"),
 ]
 
@@ -363,11 +409,10 @@ class TestScratchBudget:
         return [y.data] + [x.grad for x in inputs if x.requires_grad]
 
     @pytest.mark.parametrize("per_slice", [1, 2])
-    @pytest.mark.parametrize("op, shapes, kwargs, track_x, passes", SLICED_CASES)
-    def test_slices_change_no_bit(self, op, shapes, kwargs, track_x, passes, per_slice,
-                                  monkeypatch):
-        """Every sliced pass of the op is forced into slices of
-        ``per_slice`` items."""
+    @pytest.mark.parametrize("op, shapes, kwargs, track_x", SLICED_CASES)
+    def test_slices_change_no_bit(self, op, shapes, kwargs, track_x, per_slice, monkeypatch):
+        """Both sliced passes of the op, its forward and its backward, are
+        forced into slices of ``per_slice`` items."""
         counts = []
         forced = False
         real = ops._batch_slices
@@ -381,10 +426,10 @@ class TestScratchBudget:
 
         monkeypatch.setattr(ops, "_batch_slices", spy)
         ref = self._run(op, shapes, kwargs, track_x)
-        assert counts == [1] * passes
+        assert counts == [1, 1]
         forced = True
         sliced = self._run(op, shapes, kwargs, track_x)
-        assert counts[passes:] == [-(-shapes[0][0] // per_slice)] * passes
+        assert counts[2:] == [-(-shapes[0][0] // per_slice)] * 2
         for a, b in zip(sliced, ref):
             assert a.tobytes() == b.tobytes()
 

@@ -424,6 +424,29 @@ class TestSampling:
             sample_frames(decoded(self.make(4)), 2)
 
 
+def _crop_resize_whole_clip(clip, scale, rng):
+    """crop_resize's frames and masks as one resize of the whole clip, the
+    frames riding on the trailing axis."""
+    length, h, w = clip.frames.shape[:3]
+    ch, cw = int(round(scale * h)), int(round(scale * w))
+    y0 = int(rng.integers(0, h - ch + 1))
+    x0 = int(rng.integers(0, w - cw + 1))
+    sub = clip.frames[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0, 3)
+    frames = synthdata.resize_bilinear_np(sub.reshape(ch, cw, length * 3), h, w)
+    frames = frames.astype(np.float32).reshape(h, w, length, 3).transpose(2, 0, 1, 3)
+    msub = clip.ref_masks[:, y0:y0 + ch, x0:x0 + cw].transpose(1, 2, 0)
+    masks = synthdata.resize_bilinear_np(msub, h, w).astype(np.float32).transpose(2, 0, 1)
+    return frames, masks
+
+
+def _hsv_jitter_whole_clip(clip, hue_shift, sat_factor):
+    """hsv_jitter's frames and masks with one conversion of the whole clip."""
+    hsv = synthdata.rgb_to_hsv(clip.frames)
+    hsv[..., 0] = (hsv[..., 0] + hue_shift) % 1.0
+    hsv[..., 1] = np.clip(hsv[..., 1] * sat_factor, 0.0, 1.0)
+    return synthdata.hsv_to_rgb(hsv).astype(np.float32), clip.ref_masks
+
+
 class TestAugment:
     def test_hsv_leaves_masks_bitwise(self):
         clip = decoded(small_clip(seed=14))
@@ -455,6 +478,36 @@ class TestAugment:
         assert out.ref_masks.shape == clip.ref_masks.shape
         # mask stays in [0, 1] after the shared geometric transform
         assert out.ref_masks.min() >= 0.0 and out.ref_masks.max() <= 1.0
+
+    @pytest.mark.parametrize("transform, reference, args", [
+        pytest.param(crop_resize, _crop_resize_whole_clip,
+                     lambda: (0.75, np.random.default_rng(2)), id="crop_resize-0.75"),
+        pytest.param(crop_resize, _crop_resize_whole_clip,
+                     lambda: (0.9, np.random.default_rng(3)), id="crop_resize-0.9"),
+        pytest.param(hsv_jitter, _hsv_jitter_whole_clip, lambda: (0.05, 1.3),
+                     id="hsv_jitter-up"),
+        pytest.param(hsv_jitter, _hsv_jitter_whole_clip, lambda: (-0.06, 0.7),
+                     id="hsv_jitter-down"),
+    ])
+    def test_default_clip_runs_frame_by_frame(self, transform, reference, args):
+        """On a default clip (20 sampled frames of 32x64), each transform's
+        traced peak, its output included, is at most 2 MiB (the whole-clip
+        forms took 3.7 and 6.9 MiB), and its frames and masks are bitwise
+        those of the whole-clip form."""
+        clip = sample_frames(generate_clip(make_scene(1, "standard", 8)), 20)
+        assert clip.frames.shape == (20, 32, 64, 3)
+        transform(clip, *args())    # a first call's one-off allocations
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = transform(clip, *args())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * 2**20, (peak - before) / 2**20
+        frames, masks = reference(clip, *args())
+        assert out.frames.tobytes() == frames.tobytes()
+        assert out.ref_masks.tobytes() == masks.tobytes()
 
     def test_undecoded_clip_is_rejected(self):
         # crop_resize would otherwise resample into uint8 and truncate
@@ -720,12 +773,10 @@ class TestBitwiseOutputs:
         }
 
     def test_cropped_clip_layout(self):
-        # the outputs are the whole-clip resize's, laid out (H, W, L, ...) in
-        # memory with no further copy; training's results do not depend on it
+        # the outputs are resized frame by frame into C-contiguous clips
         clip = crop_resize(decoded(small_clip(seed=18)), 0.8, np.random.default_rng(17))
-        length, h, w = clip.ref_masks.shape
-        assert clip.frames.strides == (12, 12 * w * length, 12 * length, 4)
-        assert clip.ref_masks.strides == (4, 4 * w * length, 4 * length)
+        assert clip.frames.flags.c_contiguous and clip.ref_masks.flags.c_contiguous
+        assert clip.frames.dtype == clip.ref_masks.dtype == np.float32
 
     def test_augmented_clip(self, monkeypatch):
         monkeypatch.setattr(synthdata, "P_CROP", 1.0)
