@@ -1,5 +1,9 @@
 """Minimal dense-tensor engine: recorded forward passes and reverse-mode
-gradients. The finite-difference gradient check lives with the tests
+gradients. ``__all__`` lists the engine and its primitive ops;
+``ops.recompute``, which records a per-item function of primitive ops as
+one node, is imported from ``ops``, so that per-op timings (perfbench's
+tracer times each listed op) still charge its work to the primitives. The
+finite-difference gradient check lives with the tests
 (``tests/gradcheck.py``)."""
 
 from .tensor import (

@@ -33,7 +33,15 @@ the tanh of the new cell state and, when cross-gated, a boolean mask of
 the cross-gate's positive pre-activations; it reads the previous states
 in place. ``backward`` hands a node's gradient to its closure without
 keeping a reference, and conv_transpose2d drops it once its last batch
-slice is copied into the padded buffer.
+slice is copied into the padded buffer. ``recompute`` records a per-item
+function as one node that keeps the function's input and its outputs
+packed per item, and none of its activations: its backward runs the
+function again, taped, on batch slices of at most ``_SCRATCH_BYTES`` of
+tape with each item counted twice, as the other backwards that run on top
+of a pass's tape count it. A default phase-2 pass sends the mask decoder
+through it, which takes the decoder's activations off the tape for one
+more decoder forward per pass: a one-clip pass holds 3.8 MiB at the start
+of its backward instead of 5.9.
 
 Scratch memory: both conv ops run on one kernel pair. ``_gather`` builds
 im2col columns one batch slice at a time, in slices of at most
@@ -84,7 +92,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import (
     NonFiniteError,
     ShapeError,
+    Tape,
     Tensor,
+    _propagate,
     active_tape,
     as_tensor,
     debug_nan_enabled,
@@ -904,6 +914,87 @@ def correlate(f_prev, f_cur, d: int) -> Tensor:
         return gprev_pad[:, d:d + h, d:d + w], gcur
 
     return _result("correlate", out, (f_prev, f_cur), bwd)
+
+
+# ---------------------------------------------------------------------------
+# recomputation
+
+
+class _Sizer(list):
+    """A tape's node list that keeps no node: it adds up the bytes of the
+    outputs that a tape would keep."""
+
+    nbytes = 0
+
+    def append(self, node):
+        self.nbytes += node[0].data.nbytes
+
+
+def recompute(fn, x, params) -> tuple:
+    """``fn(x)``, a tuple of Tensors or None, recorded as one node that keeps
+    only ``x`` and the outputs; backward runs ``fn`` again, taped, on batch
+    slices (gradient checkpointing, arXiv:1604.06174).
+
+    ``fn`` maps the (N, ...) items of ``x`` to outputs whose first axis is
+    the item axis, and reads no tensor that needs a gradient besides ``x``
+    and ``params``. It must not couple items or draw random numbers: the
+    replay runs it on slices of the items and has to reproduce the forward's
+    outputs. Without a recorded input this is the plain call.
+
+    The forward runs ``fn`` once and records nothing: its ops append to a
+    node list that keeps no node and counts the bytes of their outputs, the
+    tape one item's replay keeps. The node's output packs the outputs item
+    by item, (N, L), and each output returned is a view of it (``slice_``,
+    then ``reshape``). Backward replays ``fn`` on ``_batch_slices`` of the
+    items, each item counted twice as in the other backwards that run on top
+    of a pass's tape, seeds each slice's tape with that slice's share of the
+    output gradients, and returns the gradient of ``x`` slice by slice and
+    those of ``params`` summed over the slices."""
+    x = as_tensor(x)
+    params = tuple(params)
+    inputs = (x, *params)
+    if not _tracked(inputs):
+        return tuple(fn(x))
+    sizer = Tape()
+    sizer.nodes = _Sizer()
+    with sizer:
+        outs = tuple(fn(x))
+    n = len(x.data)
+    shapes = [None if t is None else t.shape for t in outs]
+    if any(shape[:1] != (n,) for shape in shapes if shape is not None):
+        raise ShapeError(f"recompute: outputs {shapes} are not {n} items each")
+    kept = [t.data.reshape(n, -1) for t in outs if t is not None]
+    bounds = np.cumsum([0] + [k.shape[1] for k in kept]).tolist()
+    packed = np.concatenate(kept, axis=1)
+    item_bytes = -(-sizer.nodes.nbytes // n)
+    del sizer, outs, kept  # the outputs live on as views of ``packed``
+
+    def bwd(g):
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        gps = [None] * len(params)
+        for s in _batch_slices(n, 2 * item_bytes):
+            xs = Tensor(x.data[s], requires_grad=x.requires_grad)
+            with Tape() as tape:
+                replayed = [t for t in fn(xs) if t is not None]
+            grads = {id(t): g[s, a:b].reshape(t.shape)
+                     for t, a, b in zip(replayed, bounds, bounds[1:])}
+            hold = {id(t): t for t in replayed}
+            del replayed
+            _propagate(tape.nodes, grads, hold)
+            if gx is not None:
+                gx[s] = grads.get(id(xs), 0.0)
+            for i, p in enumerate(params):
+                gp = grads.get(id(p))
+                if gp is not None:
+                    gps[i] = gp if gps[i] is None else gps[i] + gp
+            del grads, hold
+        return (gx, *gps)
+
+    node = _result("recompute", packed, inputs, bwd)
+    spans = iter(zip(bounds, bounds[1:]))
+    return tuple(None if shape is None
+                 else reshape(slice_(node, (slice(None), slice(*next(spans)))), shape)
+                 for shape in shapes)
 
 
 # ---------------------------------------------------------------------------

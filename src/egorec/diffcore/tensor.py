@@ -16,7 +16,11 @@ and reads the frames in place by row index, an LSTM step is one node that
 keeps its gate activations and the tanh of its cell state, and ops whose
 backward needs cheap derived buffers (clamp masks, signs, differences, the
 warp's displaced points, coordinates and taps) recompute them from the
-inputs.
+inputs. A ``recompute`` node stands for a whole per-item function (the
+mask decoder in a phase-2 pass): it keeps the function's input and its
+outputs, packed into one array, and its backward runs the function again
+on batch slices, each on a tape of its own that the same loop as
+``backward`` (``_propagate``) replays.
 ``backward`` hands each node's gradient to its closure without keeping a
 reference of its own, so a closure that drops the gradient once read frees
 it there.
@@ -70,8 +74,8 @@ class Tensor:
     ``data`` is always a float32 or float64 numpy array. ``grad`` is filled
     by ``backward`` on leaves only (tensors no op produced under the tape)
     and has the same shape and dtype as ``data``; it accumulates across
-    backward calls until ``Module.zero_grad``. An op output's ``grad``
-    stays None.
+    backward calls until it is set back to None, which training does after
+    each optimizer step. An op output's ``grad`` stays None.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -172,8 +176,24 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     hold = {id(loss): loss}
+    _propagate(tape.nodes, grads, hold)
 
-    nodes = tape.nodes
+    # Whatever is left belongs to leaf tensors (parameters, inputs).
+    for key, g in grads.items():
+        _accumulate(hold[key], g)
+
+    for p in params or ():
+        if p.requires_grad and p.grad is None:
+            p.grad = np.zeros_like(p.data)
+
+
+def _propagate(nodes: list, grads: dict, hold: dict) -> None:
+    """Replay ``nodes`` in reverse, emptying the list, from the seed
+    gradients ``grads`` (keyed by ``id`` of the tensor, each held in
+    ``hold``). Each node's gradient is handed to its closure and its
+    inputs' gradients are summed in; on return ``grads`` and ``hold`` hold
+    the gradients of the leaves, the tensors no node of the list produced.
+    ``backward`` and the replay of a recompute node share it."""
     while nodes:
         out, inputs, bwd, op_name = nodes.pop()
         key = id(out)
@@ -202,14 +222,6 @@ def backward(tape: Tape, loss: Tensor, params=None) -> None:
                 grads[key] = gi
                 hold[key] = inp
         gi = None  # nor does the loop keep the last gradient it routed
-
-    # Whatever is left belongs to leaf tensors (parameters, inputs).
-    for key, g in grads.items():
-        _accumulate(hold[key], g)
-
-    for p in params or ():
-        if p.requires_grad and p.grad is None:
-            p.grad = np.zeros_like(p.data)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -18,6 +18,14 @@ pass and the small stream features of the rest; ``egorec viz`` reads the
 masks, motion estimate and reconstruction of ``need_rec``.
 ``stream_features`` stops at the stream features, which phase 1c, the
 ablation heads and evaluation classify.
+
+What a taped pass keeps: the ops of every module whose parameters require
+grad (training marks only the phase's group so), except the mask decoder's
+when a later stage reads the masks (``need_rec`` or ``need_cls``, which in
+training is phase 2): the decoder then runs through ``recompute``, so
+the tape keeps the backbone features and the masks, and backward decodes
+each slice of frames again. Under ``need_seg`` alone (phase 1a), and in
+every tape-less pass, the decoder is the plain call.
 """
 
 from __future__ import annotations
@@ -27,9 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import diffcore as dc
-from ..attention import MaskDecoder, global_pool, segmentation_loss, weighted_pool
+from ..attention import (MaskDecoder, MultiScaleMasks, global_pool, segmentation_loss,
+                         weighted_pool)
 from ..backbone import ConvBackbone
 from ..diffcore import ShapeError, Tensor
+from ..diffcore.ops import recompute
 from ..interact import InteractiveClassifier, classification_loss
 from ..motion import MotionEstimator, reconstruction_loss, smoothness_loss, warp_previous
 from ..nn import Module
@@ -130,7 +140,14 @@ class InteractionModel(Module):
         None and dies with the pass."""
         b, n, h, w, _ = frames.shape
         feats = self.backbone.extract(Tensor(frames.reshape(b * n, h, w, 3)))
-        masks = self.attention.predict_masks(feats, need_seg)
+        if need_rec or need_cls:
+            # later stages read the masks: a taped pass keeps the masks, not
+            # the decoder's activations, and backward decodes again
+            masks = MultiScaleMasks(*recompute(
+                lambda f: tuple(vars(self.attention.predict_masks(f, need_seg)).values()),
+                feats, self.attention.parameters()))
+        else:
+            masks = self.attention.predict_masks(feats, need_seg)
         m0 = masks.m0
         if not (need_seg or need_rec):
             masks = None

@@ -9,9 +9,14 @@ all four terms. Phase 1c, like every ablation head, trains the recurrent
 classifier on ``l_cls`` over stream features the frozen front end computed
 once (``extract_features``, no tape). Every phase and head runs the same
 epoch loop (``_fit``) with one Adam over the parameters it trains, at
-``config.lr`` and ``config.weight_decay`` for all its epochs. Every phase
+``config.lr`` and ``config.weight_decay`` for all its epochs. While a
+front-end phase runs, the parameters outside its group do not require
+grad, so their ops are not taped and they get no gradient. Every phase
 runs all its epochs and keeps its last parameters: training reads only the
-train split. A non-finite pass loss or cached feature raises a
+train split. ``train`` draws each phase's batch order, augmentation and
+dropout from a generator of its own, seeded by ``config.seed`` and the
+phase, so a stage 2 run on a stage-1 checkpoint writes the bytes ``--stage
+all`` writes. A non-finite pass loss or cached feature raises a
 ``NonFiniteError`` naming the first op whose output was not finite.
 
 The front end runs on at most ``model.FRONT_END_CLIPS`` clips per pass.
@@ -30,6 +35,7 @@ scored (``eval_head`` on ``extract_features``). Only training batches
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,7 +89,7 @@ def _batch_arrays(clips: list[VideoClip], config: TrainConfig, rng: np.random.Ge
     return np.stack(frames), np.stack(masks), np.asarray(labels, dtype=np.int64)
 
 
-def _fit(phase: str, module, params, batch_loss, n: int, clips_per_pass: int, epochs: int,
+def _fit(phase: str, params, batch_loss, n: int, clips_per_pass: int, epochs: int,
          config: TrainConfig, rng: np.random.Generator, log=None) -> None:
     """The epoch loop of every phase and head: each epoch batches a fresh
     permutation of ``n`` items and splits each batch into passes of at most
@@ -92,7 +98,8 @@ def _fit(phase: str, module, params, batch_loss, n: int, clips_per_pass: int, ep
     recorded on its own tape and differentiated at once, weighted by its
     share of the batch's items (a weight of exactly 1.0 adds no op), so the
     gradients of ``params`` sum to the batch's; one Adam over ``params``
-    then steps once per batch, at ``config.lr`` for every epoch. A batch's
+    then steps once per batch, at ``config.lr`` for every epoch, and their
+    gradients are cleared for the next batch. A batch's
     logged loss and components are the item-weighted means over its
     passes, averaged over the epoch's batches. A non-finite pass loss is
     replayed from the generator as it was before that pass, to name its
@@ -122,9 +129,8 @@ def _fit(phase: str, module, params, batch_loss, n: int, clips_per_pass: int, ep
                 for name, value in vars(bundle).items():
                     sums[name] += weight * value
             opt.step()
-            # frozen parameters get gradients too; clearing every one keeps
-            # them from piling up across steps and phases
-            module.zero_grad()
+            for p in params:
+                p.grad = None
             nb += 1
         means = {name: total / max(nb, 1) for name, total in sums.items()}
         epoch_loss = means.pop("l_final")
@@ -177,7 +183,7 @@ def train_head(head: InteractiveClassifier, feats, labels, config: TrainConfig,
     def batch_loss(idx, rng):
         _, probs = head.classify(*(Tensor(f[idx]) for f in feats), rng)
         return total_loss(config, l_cls=classification_loss(probs, labels[idx]))
-    _fit("1c", head, head.parameters(), batch_loss, len(labels),
+    _fit("1c", head.parameters(), batch_loss, len(labels),
          config.batch_size, config.epochs_interaction, config, rng, log)
 
 
@@ -192,9 +198,27 @@ def eval_head(head: InteractiveClassifier, feats, labels) -> MetricsReport:
                          count=len(labels), mean_loss=mean_loss)
 
 
+@contextlib.contextmanager
+def _training_only(model: InteractionModel, params):
+    """Mark every parameter of ``model`` outside ``params`` as not requiring
+    grad, and restore the flags on exit, also when the body raises."""
+    trained = {id(p) for p in params}
+    frozen = [p for p in model.parameters() if p.requires_grad and id(p) not in trained]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in frozen:
+            p.requires_grad = True
+
+
 def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
               config: TrainConfig, rng: np.random.Generator, log=None) -> None:
-    """Train one phase of the schedule on the train ``clips``."""
+    """Train one phase of the schedule on the train ``clips``. While a
+    front-end phase runs, only its group requires grad: no op of a frozen
+    group is taped and no frozen parameter gets a gradient. (Phase 1c tapes
+    only the head, on features extracted without a tape.)"""
     if phase == "1c":
         try:
             feats, labels = extract_features(model, clips, config)
@@ -211,8 +235,17 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
         res = model.forward(frames, masks, labels, rng=rng, **needs)
         return total_loss(config, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
     params = (model if group is None else getattr(model, group)).parameters()
-    _fit(phase, model, params, batch_loss, len(clips), FRONT_END_CLIPS,
-         getattr(config, epochs_field), config, rng, log)
+    with _training_only(model, params):
+        _fit(phase, params, batch_loss, len(clips), FRONT_END_CLIPS,
+             getattr(config, epochs_field), config, rng, log)
+
+
+def _phase_rng(seed: int, phase: str) -> np.random.Generator:
+    """The generator of ``phase``'s batch order, augmentation and dropout in
+    ``train``: a stream of its own per seed and phase, so that stage 2 after
+    stage 1 draws what ``--stage all`` draws. The tag 2 keeps it apart from
+    ``ablate``'s head stream, ``[seed, 1]``."""
+    return np.random.default_rng([seed, 2, PHASES.index(phase)])
 
 
 def _read_checkpoint(ckpt_path) -> tuple[dict[str, np.ndarray], str, str]:
@@ -249,8 +282,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         raise ValueError(f"stage must be 1, 2 or all, got {stage!r}")
     check_num_classes(manifest, config)
     clips = load_split(manifest, "train")
-    rng = np.random.default_rng(config.seed)
-    model = InteractionModel(config, rng)
+    model = InteractionModel(config, np.random.default_rng(config.seed))
     ckpt_path = Path(ckpt_path)
 
     if stage == "2":
@@ -266,7 +298,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         phases = list(PHASES if stage == "all" else PHASES[:3])
 
     for phase in phases:
-        run_phase(model, phase, clips, config, rng, log=log)
+        run_phase(model, phase, clips, config, _phase_rng(config.seed, phase), log=log)
         save_checkpoint(ckpt_path, model.state_arrays(), config.to_text(), phase)
     return TrainState(model=model, stage=phases[-1])
 

@@ -47,10 +47,6 @@ class Module:
         for _, p in self.named_parameters():
             p.astype(dtype)
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.grad = None
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}
 

@@ -570,6 +570,152 @@ class TestRecomputedBuffers:
             assert any(arr is x for x in [x.data for x in inputs] + [img, rows]), arr.shape
 
 
+def _decoder(w, b, head, relu=True):
+    """A per-item function of the mask decoder's kind: a x2 transposed conv,
+    a 1x1 sigmoid head, and the head's 2x2 cell mean, as (mean, None, head)."""
+    def fn(x):
+        y = dc.conv_transpose2d(x, w, b, stride=2, pad=1, relu=relu)
+        m = dc.sigmoid(dc.reshape(dc.conv2d(y, head), y.shape[:3]))
+        n, h, wd = m.shape
+        return dc.mean(dc.reshape(m, (n, h // 2, 2, wd // 2, 2)), axis=(2, 4)), None, m
+    return fn
+
+
+def _decoder_loss(x, outs):
+    """A loss that reads both outputs and, like the motion module reads the
+    backbone features, the input."""
+    m0, none, m3 = outs
+    assert none is None
+    coef = np.linspace(-1.0, 2.0, m3.shape[0], dtype=x.dtype)[:, None]
+    return (dc.sum_(m0 * m0) + dc.sum_(dc.mean(m3, axis=(1, 2)) * Tensor(coef[:, 0]))
+            + dc.sum_(x * x) * 0.1)
+
+
+class TestRecompute:
+    """``recompute`` records one node that keeps its input and its packed
+    outputs, and replays the function on batch slices in backward."""
+
+    @staticmethod
+    def _case(dtype=np.float32, n=6):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(n, 3, 4, 5)).astype(dtype), requires_grad=True)
+        params = [Tensor(a.astype(dtype), requires_grad=True)
+                  for a in (rng.normal(size=(4, 4, 5, 3)) * 0.3, rng.normal(size=3) * 0.1,
+                            rng.normal(size=(1, 1, 3, 1)))]
+        return x, params
+
+    @staticmethod
+    def _grads(x, params, recorded, counted=None):
+        """Loss bytes and the gradients of ``x`` and ``params``, with the
+        decoder recorded op by op or through ``recompute``."""
+        fn = _decoder(*params)
+        if counted is not None:
+            inner = fn
+
+            def fn(v):
+                counted.append(len(v.data))
+                return inner(v)
+        for v in (x, *params):
+            v.grad = None
+        with Tape() as tape:
+            outs = ops.recompute(fn, x, params) if recorded else fn(x)
+            loss = _decoder_loss(x, outs)
+        backward(tape, loss, params=params)
+        return loss.data.tobytes(), [v.grad for v in (x, *params)]
+
+    def test_one_slice_is_bitwise_the_chain(self):
+        x, params = self._case()
+        calls = []
+        want = self._grads(x, params, recorded=False)
+        got = self._grads(x, params, recorded=True, counted=calls)
+        assert calls == [6, 6]    # the forward, then one replay of every item
+        assert got[0] == want[0]
+        assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
+
+    def test_slices_sum_to_the_chain(self, monkeypatch):
+        """Forced below one item's replay, every slice is one item: the input
+        gradient is the chain's slice by slice, and the parameter gradients,
+        summed over slices, agree within 1e-6 relative L2."""
+        x, params = self._case()
+        want = self._grads(x, params, recorded=False)
+        monkeypatch.setattr(ops, "_SCRATCH_BYTES", 1)
+        calls = []
+        got = self._grads(x, params, recorded=True, counted=calls)
+        assert calls == [6] + [1] * 6
+        assert got[0] == want[0]
+        for g, r in zip(got[1], want[1]):
+            assert np.linalg.norm(g - r) <= 1e-6 * np.linalg.norm(r)
+
+    def test_replay_slices_count_each_item_twice(self, monkeypatch):
+        """The replay's slices come from ``_batch_slices`` with twice the
+        bytes one item's taped run keeps."""
+        x, params = self._case(n=9)
+        with Tape() as taped:
+            _decoder(*params)(x)
+        item_bytes = -(-sum(out.data.nbytes for out, _, _, _ in taped.nodes) // 9)
+        asked = []
+        real = ops._batch_slices
+
+        def spy(n, nbytes):
+            asked.append((n, nbytes))
+            return real(n, nbytes)
+        monkeypatch.setattr(ops, "_batch_slices", spy)
+        monkeypatch.setattr(ops, "_SCRATCH_BYTES", 5 * item_bytes)
+        calls = []
+        self._grads(x, params, recorded=True, counted=calls)
+        assert (9, 2 * item_bytes) in asked
+        assert calls == [9, 1, 2, 2, 2, 2]
+
+    def test_gradcheck_over_slices(self, monkeypatch):
+        monkeypatch.setattr(ops, "_SCRATCH_BYTES", 1)
+        x, params = self._case(dtype=np.float64, n=3)
+
+        def f(x, w, b, head):
+            fn = _decoder(w, b, head, relu=False)
+            return _decoder_loss(x, ops.recompute(fn, x, (w, b, head)))
+        rep = grad_check(f, [x, *params])
+        assert rep.passed, str(rep)
+
+    def test_tape_keeps_the_input_and_the_packed_outputs(self):
+        """One ``recompute`` node, then a ``slice`` and a ``reshape`` view per
+        output; no activation of the function outlives the forward."""
+        x, params = self._case()
+        fn = _decoder(*params)
+        alive = []
+
+        def spied(v):
+            outs = fn(v)
+            alive.append(weakref.ref(dc.sigmoid(v).data))  # one more array of the run
+            return outs
+        with Tape() as tape:
+            m0, none, m3 = ops.recompute(spied, x, params)
+        assert [name for _, _, _, name in tape.nodes] == ["recompute"] + ["slice", "reshape"] * 2
+        packed = tape.nodes[0][0].data
+        assert packed.shape == (6, 3 * 4 + 6 * 8) and none is None
+        assert np.shares_memory(m0.data, packed) and np.shares_memory(m3.data, packed)
+        assert alive[0]() is None
+
+    def test_untracked_is_the_plain_call(self):
+        x, params = self._case()
+        plain = _decoder(*params)(x)
+        x.requires_grad = False
+        with Tape() as tape:
+            got = ops.recompute(_decoder(*[Tensor(p.data) for p in params]), x, [])
+        assert len(tape) == 0
+        assert [None if t is None else t.data.tobytes() for t in got] == [
+            None if t is None else t.data.tobytes() for t in plain]
+
+    def test_input_without_grad(self):
+        """An input that needs no gradient gets none; the parameters' match
+        the chain's."""
+        x, params = self._case()
+        x.requires_grad = False
+        want = self._grads(x, params, recorded=False)
+        got = self._grads(x, params, recorded=True)
+        assert got[1][0] is None and want[1][0] is None
+        assert [g.tobytes() for g in got[1][1:]] == [g.tobytes() for g in want[1][1:]]
+
+
 def _abs_reference(a):
     """|a| as one node, gradient ``g * sign(a)``: the reference chains' abs."""
     return _result("abs", np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
