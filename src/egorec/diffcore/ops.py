@@ -2,11 +2,11 @@
 
 Every op computes a numpy forward result and, when a tape is active and an
 input requires grad, appends a node whose backward closure maps the output
-gradient to per-input gradients. add/mul/div/concat, conv2d, grid_sample
-and lstm_cell return None for an input that does not require grad (a
-dropout mask, a one-hot label, a first step's zero state) instead of
-computing it. Shapes are validated
-eagerly; shape errors name the op and the offending shapes.
+gradient to per-input gradients. add/mul/div/concat, matmul, conv2d,
+conv_transpose2d, grid_sample and lstm_cell return None for an input that
+does not require grad (a dropout mask, a one-hot label, a first step's zero
+state, a frozen group's features) instead of computing it. Shapes are
+validated eagerly; shape errors name the op and the offending shapes.
 
 Dtypes: a Python or numpy scalar operand of add/mul/div takes the dtype
 of its tensor partner, so ``1.0 + x`` or ``x * 0.5`` stays float32 for a
@@ -50,19 +50,19 @@ as from one full-batch product. A slice's budget counts all the slice
 allocates: its padded input, its columns and the products its caller
 builds from them (``_subpixel``'s product and that product shuffled,
 conv2d's full-resolution output before a pool), each freed before the
-next slice is built. It runs conv2d's forward directly, and
-conv_transpose2d's forward and conv2d's input gradient as a sub-pixel
-convolution (``_subpixel``). conv_transpose2d adds its bias in place; its
-backward is one loop over batch slices, each of which writes its
-ReLU-masked gradient into the interior of one zeroed padded buffer of a
-slice's size and builds the slice's im2col columns once, for the input
-gradient (``cols @ w^T``) and the kernel gradient (each item's
-``cols^T x``). The kernel and bias gradients are summed item by item in
-item order, so the slicing changes no bit of them, and a slice's budget
-counts its padded gradient, ReLU mask and columns. ``_kernel_grad``,
-conv2d's kernel gradient, works one kernel tap at a time
-(``gw[u, v] = a_tap^T g``), so its scratch is one input-sized tap, not
-kh*kw of them.
+next slice is built. It runs conv2d's forward and kernel gradient
+directly, and conv_transpose2d's forward and conv2d's input gradient as a
+sub-pixel convolution (``_subpixel``). conv_transpose2d adds its bias in
+place; its backward is one loop over batch slices, each of which writes
+its ReLU-masked gradient into the interior of one zeroed padded buffer of
+a slice's size and builds the slice's im2col columns once, for the input
+gradient (``cols @ w^T``) and the kernel gradient. A slice's budget there
+counts its padded gradient, ReLU mask and columns. Both ops sum their
+kernel gradient item by item in item order (``_add_item_products``: each
+item's ``cols^T`` times its output gradient for conv2d, its input for
+conv_transpose2d), through one kernel-sized product buffer, and
+conv_transpose2d sums its bias gradient item by item too, so the slicing
+changes no bit of them. No Python loop runs over kernel taps.
 grid_sample runs its forward and its backward over batch slices,
 recomputing each slice's points, coordinates and taps (one take per corner
 from a flat view of the image's pixels), so neither holds a full-batch
@@ -200,9 +200,10 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                if b.requires_grad else None)
 
     return _result("matmul", out, (a, b), bwd)
 
@@ -510,16 +511,10 @@ def total_variation(x, mask) -> Tensor:
 # convolution family (NHWC, kernels (kh, kw, c_in, c_out))
 
 
-# Bytes of scratch one batch slice may allocate, counting all it allocates:
-# a ``_gather`` slice's padded input and im2col columns and the products its
-# caller builds per slice (``_subpixel``'s product and its shuffled copy,
-# conv2d's full-resolution output before a pool), a conv_transpose2d
-# backward slice's padded gradient, ReLU mask and columns, and a grid_sample
-# slice's points, coordinates, corners and taps. The backwards of
-# conv_transpose2d and grid_sample, which run on top of a pass's whole tape,
-# take half of it. Smaller slices cost more calls; at 1 MiB the benchmark's
-# peak RSS also jumped by 3-4 MiB in some runs, as glibc placed later large
-# arrays on fresh pages (CHANGES.md).
+# Bytes of scratch one batch slice may allocate, counting all it allocates
+# (the module docstring lists what each op counts). Smaller slices cost more
+# calls; at 1 MiB the benchmark's peak RSS also jumped by 3-4 MiB in some
+# runs, as glibc placed later large arrays on fresh pages (CHANGES.md).
 _SCRATCH_BYTES = 2 << 20
 
 
@@ -542,9 +537,10 @@ def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int, size: tuple[int
             products: int = 0):
     """Yields ``(s, cols, wmat)`` per batch slice, where ``cols @ wmat`` is
     the cross-correlation of ``x[s]`` with ``w``, of spatial ``size``, as
-    (-1, c_out) rows. A slice's budget counts its padded input, its columns
-    and ``products`` arrays of the product's size that the caller allocates
-    per slice. The caller deletes ``cols`` before the next slice."""
+    (-1, c_out) rows; conv2d's kernel gradient reads ``cols`` alone, one
+    item's rows at a time. A slice's budget counts its padded input, its
+    columns and ``products`` arrays of the product's size that the caller
+    allocates per slice. The caller deletes ``cols`` before the next slice."""
     kh, kw, ci, co = w.shape
     wmat = w.reshape(kh * kw * ci, co)
     padded = (x.shape[1] + 2 * pad) * (x.shape[2] + 2 * pad) * ci if pad else 0
@@ -597,23 +593,16 @@ def _subpixel(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     return out
 
 
-def _kernel_grad(a: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(kh, kw, c_a, c_g) kernel gradient ``a_tap^T g``, ``a_tap`` being ``a``
-    at ``(u + stride * i, v + stride * j)`` for each position (i, j) of g.
-
-    conv2d's only: its kernels can be larger than an item's maps
-    (motion.global_conv's is 1089 x 128 floats, over 4 x 8 positions), so
-    the per-item products of conv_transpose2d's backward would allocate a
-    kernel-sized product per item besides im2col columns kh*kw times the
-    input; a tap's product sums over the whole batch at once."""
-    ho, wo, cg = g.shape[1:]
-    gflat = g.reshape(-1, cg)
-    gw = np.empty((kh, kw, a.shape[3], cg), np.result_type(a, g))
-    for u in range(kh):
-        for v in range(kw):
-            tap = a[:, u:u + stride * ho:stride, v:v + stride * wo:stride]
-            gw[u, v] = tap.reshape(-1, a.shape[3]).T @ gflat
-    return gw
+def _add_item_products(gw: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``cols_i^T rows_i`` into the (K, c) kernel gradient ``gw`` for
+    each item i of a batch slice's im2col ``cols`` and (ns, ..., c) ``rows``,
+    in item order, through one kernel-sized product buffer; the loop indexes,
+    so no loop variable keeps a view of the columns alive."""
+    cols = cols.reshape(len(rows), -1, gw.shape[0])
+    prod = np.empty_like(gw)
+    for i in range(len(rows)):
+        np.matmul(cols[i].T, rows[i].reshape(-1, gw.shape[1]), out=prod)
+        gw += prod
 
 
 def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
@@ -671,8 +660,11 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0, relu: bool = False,
             g = g * (out > 0)
         gx = (_subpixel(g, w.data.transpose(0, 1, 3, 2), stride, pad, (h, wd))
               if x.requires_grad else None)
-        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
-        gw = _kernel_grad(xp, g, kh, kw, stride)
+        gw = np.zeros((kh * kw * ci, co), np.result_type(x.data, g))
+        for s, cols, _ in _gather(x.data, w.data, stride, pad, (ho, wo)):
+            _add_item_products(gw, cols, g[s])
+            del cols  # free this slice's scratch before the next is built
+        gw = gw.reshape(w.data.shape)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))
@@ -704,7 +696,7 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
 
     def bwd(g):
         wmat = w.data.transpose(0, 1, 3, 2).reshape(kh * kw * co, ci)
-        gx = np.empty(x.data.shape, x.data.dtype)
+        gx = np.empty(x.data.shape, x.data.dtype) if x.requires_grad else None
         gw = np.zeros((kh * kw * co, ci), np.result_type(g, x.data))
         gb = np.zeros(co, g.dtype)
         padded = (oh + 2 * pad, ow + 2 * pad, co)
@@ -724,16 +716,14 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, pad: int = 0,
                 inner[...] = g[s]
             if s.stop == n:
                 del g  # the padded buffer is all the rest reads
-            # the kernel and bias gradients are summed item by item, in
-            # order, so the slicing changes no bit of them; the loops index,
-            # so no loop variable keeps a view of the columns alive
+            # the bias gradient is summed item by item, in order, as the
+            # kernel gradient is, so the slicing changes no bit of either
             for i in range(ns):
                 gb += inner[i].sum(axis=(0, 1))
             cols = _columns(gpad[:ns], kh, kw, stride, 0)
-            np.matmul(cols, wmat, out=gx[s].reshape(-1, ci))
-            cols = cols.reshape(ns, h * wd, kh * kw * co)
-            for i, item in enumerate(x.data[s]):
-                gw += cols[i].T @ item.reshape(-1, ci)
+            if gx is not None:
+                np.matmul(cols, wmat, out=gx[s].reshape(-1, ci))
+            _add_item_products(gw, cols, x.data[s])
             del cols  # free this slice's columns before the next are built
         gw = gw.reshape(kh, kw, co, ci).transpose(0, 1, 3, 2)
         if b is None:

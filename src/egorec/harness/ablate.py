@@ -5,6 +5,8 @@ trained once by phases 1a and 1b and frozen; every variant head then
 trains on identical cached stream features, with the head trainer of phase
 1c, and is scored as ``evaluate_clips`` scores a trained model
 (``train.extract_features``, ``train.train_head`` and ``train.eval_head``).
+Every phase and head draws from ``train.phase_rng``, so a seed's front end
+is bitwise the one ``train`` trains with that ``config.seed``.
 This isolates what the comparison is about, the recurrent interaction
 structure, and keeps the matrix cheap enough to run on a CPU.
 """
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..interact import FEATURE_SETS, VARIANTS
-from ..synthdata import DatasetManifest, load_split
+from ..synthdata import DatasetManifest
 from .config import TrainConfig
 from .model import InteractionModel, interaction_head
-from .train import check_num_classes, eval_head, extract_features, run_phase, train_head
+from .train import (eval_head, extract_features, load_clips, phase_rng, run_phase,
+                    train_head)
 
 
 @dataclass
@@ -53,22 +56,19 @@ def ablate(manifest: DatasetManifest, config: TrainConfig,
            variants: list[tuple[str, str]], seeds: list[int] | None = None,
            log=None) -> list[AblationRow]:
     """Train/evaluate each (variant, feature-set) under identical budgets."""
-    check_num_classes(manifest, config)
     seeds = list(seeds) if seeds is not None else [config.seed]
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"seeds must be nonnegative, got {seeds}")
-    train_clips = load_split(manifest, "train")
-    test_clips = load_split(manifest, "test")
+    train_clips, test_clips = (load_clips(manifest, split, config) for split in ("train", "test"))
     rows = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        model = InteractionModel(config, rng)
-        run_phase(model, "1a", train_clips, config, rng, log=log)
-        run_phase(model, "1b", train_clips, config, rng, log=log)
+        model = InteractionModel(config, np.random.default_rng(seed))
+        for phase in ("1a", "1b"):
+            run_phase(model, phase, train_clips, config, phase_rng(seed, phase), log=log)
         feats_tr, labels_tr = extract_features(model, train_clips, config)
         feats_te, labels_te = extract_features(model, test_clips, config)
         for variant, featset in variants:
-            head_rng = np.random.default_rng([seed, 1])   # no front-end seed's stream
+            head_rng = phase_rng(seed, "1c")
             head = interaction_head(config, head_rng, model.motion.global_dim, variant, featset)
             train_head(head, feats_tr, labels_tr, config, head_rng)
             acc = eval_head(head, feats_te, labels_te).accuracy

@@ -240,11 +240,11 @@ def run_phase(model: InteractionModel, phase: str, clips: list[VideoClip],
              getattr(config, epochs_field), config, rng, log)
 
 
-def _phase_rng(seed: int, phase: str) -> np.random.Generator:
+def phase_rng(seed: int, phase: str) -> np.random.Generator:
     """The generator of ``phase``'s batch order, augmentation and dropout in
-    ``train``: a stream of its own per seed and phase, so that stage 2 after
-    stage 1 draws what ``--stage all`` draws. The tag 2 keeps it apart from
-    ``ablate``'s head stream, ``[seed, 1]``."""
+    ``train`` and ``ablate`` (which also draws each head's initial weights
+    from a fresh "1c" one): a stream of its own per seed and phase, so that
+    stage 2 after stage 1 draws what ``--stage all`` draws."""
     return np.random.default_rng([seed, 2, PHASES.index(phase)])
 
 
@@ -266,13 +266,23 @@ def _load_params(model: InteractionModel, table, ckpt_path) -> None:
         raise ShapeError(f"{ckpt_path}: {exc}") from None
 
 
-def check_num_classes(manifest: DatasetManifest, config: TrainConfig,
-                      source: str = "config") -> None:
-    """The class-count check of train, evaluate and ablate; ``source`` names
-    where ``config`` came from."""
+def load_clips(manifest: DatasetManifest, split: str, config: TrainConfig,
+               source: str = "config") -> list[VideoClip]:
+    """``split``'s clips for a run under ``config``, which ``source`` names.
+    A dataset of another class count is refused before a clip is loaded,
+    one of another frame size (read from the film strips' headers) before
+    any phase runs, each with a ``ValueError`` naming the dataset."""
     if manifest.num_classes != config.num_classes:
         raise ValueError(f"{manifest.root}: dataset has K={manifest.num_classes}, "
                          f"{source} expects {config.num_classes}")
+    clips = load_split(manifest, split)
+    want = (config.frame_height, config.frame_width)
+    for clip in clips:
+        if clip.frames.shape[1:3] != want:
+            raise ValueError(f"{manifest.root}: dataset has {clip.frames.shape[1]}x"
+                             f"{clip.frames.shape[2]} frames, {source} expects "
+                             f"{want[0]}x{want[1]} (height x width)")
+    return clips
 
 
 def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
@@ -280,8 +290,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
     """Run the requested stage(s) and write a checkpoint after each phase."""
     if stage not in ("1", "2", "all"):
         raise ValueError(f"stage must be 1, 2 or all, got {stage!r}")
-    check_num_classes(manifest, config)
-    clips = load_split(manifest, "train")
+    clips = load_clips(manifest, "train", config)
     model = InteractionModel(config, np.random.default_rng(config.seed))
     ckpt_path = Path(ckpt_path)
 
@@ -298,7 +307,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, stage: str,
         phases = list(PHASES if stage == "all" else PHASES[:3])
 
     for phase in phases:
-        run_phase(model, phase, clips, config, _phase_rng(config.seed, phase), log=log)
+        run_phase(model, phase, clips, config, phase_rng(config.seed, phase), log=log)
         save_checkpoint(ckpt_path, model.state_arrays(), config.to_text(), phase)
     return TrainState(model=model, stage=phases[-1])
 
@@ -323,6 +332,5 @@ def evaluate_clips(model: InteractionModel, clips: list[VideoClip],
 
 def evaluate(manifest: DatasetManifest, ckpt_path, split: str) -> MetricsReport:
     model, config, _ = load_model(ckpt_path)
-    check_num_classes(manifest, config, f"checkpoint {ckpt_path}")
-    clips = load_split(manifest, split)
+    clips = load_clips(manifest, split, config, f"checkpoint {ckpt_path}")
     return evaluate_clips(model, clips, config)

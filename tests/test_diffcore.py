@@ -185,16 +185,25 @@ class TestTapeRelease:
         backward(tape, loss)
         return g_input, [p.grad for p in inputs[1:]]
 
-    @pytest.mark.parametrize("case", ["conv2d", "grid_sample", "mul-left", "mul-right",
+    @pytest.mark.parametrize("case", ["conv2d", "conv_transpose2d", "grid_sample",
+                                      "matmul-left", "matmul-right", "mul-left", "mul-right",
                                       "add", "div", "concat"])
     def test_untracked_input_gets_no_gradient(self, case):
-        """The first input is the constant (a frame, a warp's mask, a dropout
-        mask, a one-hot label); its operand position varies by case."""
+        """The first input is the constant (a frame, frozen features, a
+        warp's mask, a dropout mask, a one-hot label); its operand position
+        varies by case."""
         rng = np.random.default_rng(7)
         if case == "conv2d":
             op = lambda x, w, b: dc.conv2d(x, w, b, stride=2, pad=1)
             data = [rng.normal(size=(2, 6, 8, 3)), rng.normal(size=(3, 3, 3, 4)),
                     rng.normal(size=4)]
+        elif case == "conv_transpose2d":
+            op = lambda x, w, b: dc.conv_transpose2d(x, w, b, stride=2, pad=1, relu=True)
+            data = [rng.normal(size=(2, 3, 4, 3)), rng.normal(size=(4, 4, 3, 2)),
+                    rng.normal(size=2)]
+        elif case.startswith("matmul"):
+            op = dc.matmul if case == "matmul-left" else lambda c, x: dc.matmul(x, c)
+            data = [rng.normal(size=(3, 4)), rng.normal(size=(4, 3))]
         elif case == "grid_sample":
             img = rng.normal(size=(3, 5, 7, 3)).astype(np.float32)
             op = lambda m, tr, f: dc.grid_sample(img, np.array([2, 0]), tr, f, m)
@@ -411,7 +420,7 @@ class TestScratchBudget:
     @pytest.mark.parametrize("per_slice", [1, 2])
     @pytest.mark.parametrize("op, shapes, kwargs, track_x", SLICED_CASES)
     def test_slices_change_no_bit(self, op, shapes, kwargs, track_x, per_slice, monkeypatch):
-        """Both sliced passes of the op, its forward and its backward, are
+        """Every sliced pass of the op, its forward and its backward's, is
         forced into slices of ``per_slice`` items."""
         counts = []
         forced = False
@@ -425,11 +434,13 @@ class TestScratchBudget:
             return slices
 
         monkeypatch.setattr(ops, "_batch_slices", spy)
+        # conv2d's backward makes two sliced passes: input and kernel gradient
+        passes = 3 if op is dc.conv2d else 2
         ref = self._run(op, shapes, kwargs, track_x)
-        assert counts == [1, 1]
+        assert counts == [1] * passes
         forced = True
         sliced = self._run(op, shapes, kwargs, track_x)
-        assert counts[2:] == [-(-shapes[0][0] // per_slice)] * 2
+        assert counts[passes:] == [-(-shapes[0][0] // per_slice)] * passes
         for a, b in zip(sliced, ref):
             assert a.tobytes() == b.tobytes()
 
@@ -492,10 +503,12 @@ class TestScratchBudget:
         the traced peak of the untaped forward over its output is within
         ``_SCRATCH_BYTES``: a slice's budget counts its products. That of the
         backward over the gradients it returns is within 1.25 x the budget,
-        as it also holds unsliced buffers (conv2d's kernel-gradient tap and
-        padded input). Half the budget splits each pass into more slices.
+        as it also holds one unsliced buffer: the kernel-sized product that
+        conv2d's kernel gradient reuses for every item (0.53 MiB in
+        global_conv). Half the budget splits each pass into more slices.
         (Measured: forward at most 0.81 x, in global_conv; backward at most
-        0.87 x, in global_conv at half the budget, and 0.80 x in up.2.)"""
+        1.20 x, in global_conv at half the budget, of which the product is
+        0.53 x, and 0.93 x at the full budget.)"""
         monkeypatch.setattr(ops, "_SCRATCH_BYTES", ops._SCRATCH_BYTES // share)
         rng = np.random.default_rng(25)
         inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=track_x or i > 0)
@@ -1419,6 +1432,56 @@ def test_one_by_one_conv_bitwise_equal_to_the_window_path(monkeypatch, shape):
     monkeypatch.setattr(ops, "_columns", _window_columns)
     for got, want in zip(rows, run(), strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+def _per_tap_kernel_grad(x, g, kh, kw, pad):
+    """Reference kernel gradient of a stride-1 ``conv2d`` with output
+    gradient ``g``, computed over the whole batch one kernel tap at a time:
+    ``gw[u, v] = x_tap^T g``, ``x_tap`` being the zero-padded input at
+    ``(u + i, v + j)`` for each output position (i, j)."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho, wo, co = g.shape[1:]
+    gw = np.empty((kh, kw, x.shape[3], co), g.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            gw[u, v] = xp[:, u:u + ho, v:v + wo].reshape(-1, x.shape[3]).T @ g.reshape(-1, co)
+    return gw
+
+
+@pytest.mark.parametrize("x_shape, w_shape, kwargs", [
+    pytest.param((20, 32, 64, 3), (3, 3, 3, 12), dict(pad=1, relu=True, pool=2),
+                 id="backbone-0"),
+    pytest.param((20, 16, 32, 12), (3, 3, 12, 12), dict(pad=1, relu=True, pool=2),
+                 id="backbone-1"),
+    pytest.param((20, 8, 16, 12), (3, 3, 12, 24), dict(pad=1, relu=True, pool=2),
+                 id="backbone-2"),
+    pytest.param((20, 8, 16, 16), (1, 1, 16, 1), {}, id="attention-head-0"),
+    pytest.param((20, 16, 32, 12), (1, 1, 12, 1), {}, id="attention-head-1"),
+    pytest.param((20, 32, 64, 8), (1, 1, 8, 1), {}, id="attention-head-2"),
+    pytest.param((19, 4, 8, 121), (3, 3, 121, 128), dict(pad=1), id="motion-global-conv"),
+    pytest.param((19, 4, 8, 145), (3, 3, 145, 16), dict(pad=1), id="motion-local-conv"),
+])
+def test_kernel_grad_agrees_with_the_per_tap_formula(x_shape, w_shape, kwargs):
+    """At one default clip's shapes of every conv2d of the model, the kernel
+    gradient, summed item by item over ``_gather``'s batch slices, is
+    within 1e-5 relative L2 of the whole-batch per-tap reference, at the
+    gradient the op's ReLU and pool hand its cross-correlation. (Measured:
+    3.0e-7 to 1.3e-6, the most at attention-head-2.)"""
+    rng = np.random.default_rng(41)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in (x_shape, w_shape, w_shape[3:]))
+    with Tape() as tape:
+        y = dc.conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)), **kwargs)
+    [(_, _, bwd, _)] = tape.nodes
+    g = rng.normal(size=y.shape).astype(np.float32)
+    _, gw, _ = bwd(g)
+    pool = kwargs.get("pool", 1)
+    g_pre = np.repeat(np.repeat(g / (pool * pool), pool, axis=1), pool, axis=2)
+    if kwargs.get("relu"):
+        g_pre *= dc.conv2d(x, w, b, pad=kwargs["pad"]).data > 0
+    want = _per_tap_kernel_grad(x, g_pre, *w_shape[:2], kwargs.get("pad", 0))
+    assert gw.dtype == want.dtype
+    rel = np.linalg.norm(gw.astype(np.float64) - want) / np.linalg.norm(want)
+    assert rel <= 1e-5, rel
 
 
 def _per_tap_transposed_backward(x, w, out, g, stride, pad, relu):

@@ -214,7 +214,7 @@ def _model_checkpoint(path, drop=None, reshape=None, extra=None, config_line="")
     line appended to its config text."""
     cfg = tiny_config()
     model = InteractionModel(cfg, np.random.default_rng(0))
-    tensors = {n: p.data for n, p in model.all_named() if n != drop}
+    tensors = {n: p.data for n, p in model.named_parameters() if n != drop}
     if reshape:
         tensors[reshape] = tensors[reshape].reshape(-1)
     if extra:
@@ -461,9 +461,9 @@ class TestTraining:
         clips = load_split(load_manifest(tiny_dataset), "train")
         rng = np.random.default_rng(cfg.seed)
         model = InteractionModel(cfg, rng)
-        before = {n: p.data.tobytes() for n, p in model.all_named()}
+        before = {n: p.data.tobytes() for n, p in model.named_parameters()}
         run_phase(model, phase, clips, cfg, rng)
-        return {n for n, p in model.all_named() if p.data.tobytes() != before[n]}
+        return {n for n, p in model.named_parameters() if p.data.tobytes() != before[n]}
 
     def test_freeze_contract_phase_a(self, tiny_dataset):
         changed = self._changed_by("1a", tiny_dataset)
@@ -585,7 +585,7 @@ class TestTraining:
         path = tmp_path / "all.ckpt"
         state = train(load_manifest(tiny_dataset), tiny_config(), "all", path)
         names = set(_read_table(path.read_bytes()))
-        assert names == {n for n, _ in state.model.all_named()} | {"meta/config", "meta/stage"}
+        assert names == {n for n, _ in state.model.named_parameters()} | {"meta/config", "meta/stage"}
 
     def test_load_model_rejects_optimizer_entry(self, tmp_path):
         """Checkpoints that still carry Adam moments under ``opt/`` are refused."""
@@ -627,15 +627,15 @@ class TestTraining:
     def test_parameter_without_grad_flag_is_still_saved_and_loaded(self, tmp_path):
         cfg = tiny_config()
         model = InteractionModel(cfg, np.random.default_rng(0))
-        names = {n for n, _ in model.all_named()}
+        names = {n for n, _ in model.named_parameters()}
         model.motion.affine_head.w.requires_grad = False
-        assert {n for n, _ in model.all_named()} == names
+        assert {n for n, _ in model.named_parameters()} == names
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model.state_arrays(), cfg.to_text(), "2")
         assert set(_read_table(path.read_bytes())) == names | {"meta/config", "meta/stage"}
         loaded, _, _ = load_model(path)
-        assert ({n: p.data.tobytes() for n, p in loaded.all_named()}
-                == {n: p.data.tobytes() for n, p in model.all_named()})
+        assert ({n: p.data.tobytes() for n, p in loaded.named_parameters()}
+                == {n: p.data.tobytes() for n, p in model.named_parameters()})
 
     def test_stage2_names_the_checkpoint_it_cannot_load(self, tiny_dataset, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -650,7 +650,7 @@ class TestTraining:
         model = InteractionModel(cfg, rng)
         for phase in ("1a", "1b", "1c"):
             run_phase(model, phase, clips, cfg, rng)
-            assert [n for n, p in model.all_named() if p.grad is not None] == [], phase
+            assert [n for n, p in model.named_parameters() if p.grad is not None] == [], phase
 
     @pytest.mark.parametrize("phase", ["1a", "1b"])
     def test_frozen_groups_are_off_the_tape(self, tiny_dataset, monkeypatch, phase):
@@ -663,7 +663,7 @@ class TestTraining:
         rng = np.random.default_rng(cfg.seed)
         model = InteractionModel(cfg, rng)
         group = {"1a": "attention", "1b": "motion"}[phase]
-        frozen = [p for n, p in model.all_named() if not n.startswith(group + ".")]
+        frozen = [p for n, p in model.named_parameters() if not n.startswith(group + ".")]
         frozen_ids = {id(p) for p in frozen}
         train_mod = importlib.import_module("egorec.harness.train")
         real_backward, real_step = train_mod.backward, Adam.step
@@ -712,13 +712,12 @@ class TestTraining:
         assert staged.read_bytes() == whole.read_bytes()
 
     def test_phase_streams_are_distinct(self):
-        """No phase's generator repeats another's or ``ablate``'s head stream."""
+        """No phase's generator repeats another's or the model's initial one."""
         train_mod = importlib.import_module("egorec.harness.train")
-        draws = [train_mod._phase_rng(5, phase).random(4).tobytes()
+        draws = [train_mod.phase_rng(5, phase).random(4).tobytes()
                  for phase in ("1a", "1b", "1c", "2")]
-        draws.append(np.random.default_rng([5, 1]).random(4).tobytes())
         draws.append(np.random.default_rng(5).random(4).tobytes())
-        assert len(set(draws)) == 6
+        assert len(set(draws)) == 5
 
     @pytest.mark.parametrize("phase, name, op", [("1a", "backbone.blocks.0.w", "conv2d"),
                                                  ("1c", "interact.proj_ego.w", "matmul")])
@@ -727,7 +726,7 @@ class TestTraining:
         clips = load_split(load_manifest(tiny_dataset), "train")
         rng = np.random.default_rng(cfg.seed)
         model = InteractionModel(cfg, rng)
-        dict(model.all_named())[name].data[0] = np.nan
+        dict(model.named_parameters())[name].data[0] = np.nan
         with pytest.raises(NonFiniteError, match=rf"phase {phase} epoch 1/2: .*\b{op}: "):
             run_phase(model, phase, clips, cfg, rng)
         assert not debug_nan_enabled()
@@ -742,7 +741,7 @@ class TestTraining:
 
         def broken(config, rng):
             model = InteractionModel(config, rng)
-            dict(model.all_named())["backbone.blocks.0.w"].data[0] = np.nan
+            dict(model.named_parameters())["backbone.blocks.0.w"].data[0] = np.nan
             return model
         rng = np.random.default_rng(cfg.seed)
         with pytest.raises(NonFiniteError, match=r"^phase 1c: .*\bconv2d: "):
@@ -792,8 +791,9 @@ class TestTraining:
 
         def no_clips(*args):
             raise AssertionError("loaded clips before checking the class count")
-        for name in ("egorec.harness.train", "egorec.harness.ablate"):
-            monkeypatch.setattr(importlib.import_module(name), "load_split", no_clips)
+        # ablate loads through train's load_clips
+        monkeypatch.setattr(importlib.import_module("egorec.harness.train"), "load_split",
+                            no_clips)
         dataset = re.escape(str(tiny_dataset)) + ": dataset has K=4, "
         with pytest.raises(ValueError, match=dataset + "config expects 2"):
             train(manifest, cfg, "1", tmp_path / "x.ckpt")
@@ -801,6 +801,31 @@ class TestTraining:
             evaluate(manifest, ck, "test")
         with pytest.raises(ValueError, match=dataset + "config expects 2"):
             ablate(manifest, cfg, parse_variants("ego"))
+
+    def test_wrong_frame_size_rejected(self, tiny_dataset, tmp_path, monkeypatch):
+        """train, evaluate and ablate refuse the 16x32 dataset under the
+        default 32x64 config, naming the dataset and both sizes, before any
+        phase or feature pass runs."""
+        manifest = load_manifest(tiny_dataset)
+        cfg = TrainConfig()
+        ck = tmp_path / "default.ckpt"
+        save_checkpoint(ck, InteractionModel(cfg, np.random.default_rng(0)).state_arrays(),
+                        cfg.to_text(), "2")
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("ran a pass before checking the frame size")
+        for name in ("egorec.harness.train", "egorec.harness.ablate"):
+            for fn in ("run_phase", "extract_features"):
+                monkeypatch.setattr(importlib.import_module(name), fn, no_pass)
+        dataset = re.escape(str(tiny_dataset)) + ": dataset has 16x32 frames, "
+        sizes = r" expects 32x64 \(height x width\)$"
+        with pytest.raises(ValueError, match=dataset + "config" + sizes):
+            train(manifest, cfg, "1", tmp_path / "x.ckpt")
+        with pytest.raises(ValueError, match=dataset + f"checkpoint {re.escape(str(ck))}" + sizes):
+            evaluate(manifest, ck, "test")
+        with pytest.raises(ValueError, match=dataset + "config" + sizes):
+            ablate(manifest, cfg, parse_variants("ego"))
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_unknown_phase_rejected_before_any_work(self):
         cfg = tiny_config()
@@ -1052,7 +1077,7 @@ class TestRecomputedDecoder:
                                     need_seg=True, need_rec=True, need_cls=True)
                 loss, _ = total_loss(cfg, res.l_cls, res.l_seg, res.l_rec, res.l_smooth)
             backward(tape, loss, params=model.parameters())
-            return loss.data.tobytes(), {n: p.grad for n, p in model.all_named()}
+            return loss.data.tobytes(), {n: p.grad for n, p in model.named_parameters()}
         got = pass_grads()
         assert calls == [cfg.num_frames, 6, 7, 7]   # the forward, then three replay slices
         monkeypatch.setattr(importlib.import_module("egorec.harness.model"), "recompute",
@@ -1510,10 +1535,34 @@ class TestAblate:
         assert len(draws["front"]) == len(draws["head"]) == 3
         assert len(set(draws["front"]) | set(draws["head"])) == 6
 
-    def test_negative_seed_fails_before_loading(self, tiny_dataset, monkeypatch):
+    def test_front_end_is_bitwise_the_one_train_trains(self, tiny_dataset, tmp_path,
+                                                       monkeypatch):
+        """With one front-end epoch each, ablate's backbone, mask decoder and
+        motion module for seed s are bitwise those ``train(stage="1")``
+        returns with ``config.seed = s``: both draw from ``phase_rng``."""
         ablate_mod = importlib.import_module("egorec.harness.ablate")
+        models = []
+
+        def spy(model, *args):
+            models.append(model)
+            return extract_features(model, *args)
+
+        monkeypatch.setattr(ablate_mod, "extract_features", spy)
+        manifest = load_manifest(tiny_dataset)
+        cfg = tiny_config(epochs_interaction=0)
+        ablate(manifest, cfg, parse_variants("ego"), seeds=[4])
+        front = {n: p.data.tobytes() for n, p in models[0].named_parameters()
+                 if not n.startswith("interact.")}
+        trained = train(manifest, tiny_config(epochs_interaction=0, seed=4), "1",
+                        tmp_path / "s4.ckpt").model
+        assert front == {n: p.data.tobytes() for n, p in trained.named_parameters()
+                         if not n.startswith("interact.")}
+        assert {n.split(".")[0] for n in front} == {"backbone", "attention", "motion"}
+
+    def test_negative_seed_fails_before_loading(self, tiny_dataset, monkeypatch):
+        train_mod = importlib.import_module("egorec.harness.train")
         loaded = []
-        monkeypatch.setattr(ablate_mod, "load_split", lambda *a: loaded.append(a))
+        monkeypatch.setattr(train_mod, "load_split", lambda *a: loaded.append(a))
         with pytest.raises(ValueError, match=r"^seeds must be nonnegative, got \[1, -1\]"):
             ablate(load_manifest(tiny_dataset), tiny_config(), parse_variants("ego"),
                    seeds=[1, -1])
